@@ -1,9 +1,10 @@
 """Command-line surface: evaluation runs, flow decomposition, mechanism
-verification, and fixture generation, all deterministic per (inputs, config, seed).
+verification, and fixture generation.
 
 Reports are line-delimited JSON: one effective-config record, one record per
-trajectory pair (or a per-pair error record), and a final aggregate. Worker
-count never changes report content; timing goes to stderr only.
+trajectory pair (or a per-pair error record), and a final aggregate. They are
+a pure function of (inputs, config); worker count never changes report
+content, and timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import formats
 from .features import EMBEDDER_EXTERNAL, EMBEDDER_REFERENCE, EmbedderSpec
 from .flow import DegenerateMatchesError, estimate_homography, render_camera_flow, residual_object_flow
-from .manifest import ManifestError, load_manifest, save_manifest
+from .manifest import load_manifest, save_manifest
 from .metrics import METRIC_NAMES, MetricConfig, evaluate_all
 from .microsim import (
     CameraMotion,
@@ -62,18 +63,15 @@ def _load_config_file(path: str | None) -> dict:
 
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
     """Precedence: flags > config file > built-in defaults."""
-    cfg = MetricConfig()
-    known = {
-        "lpsa_window": int, "fphs_window": int, "tau_cpdm": float, "tau_pmpa": float,
-        "resample_steps": int, "top_fraction": float, "eps": float,
-    }
     updates = {}
-    for key, cast in known.items():
-        if key in file_cfg:
-            updates[key] = cast(file_cfg[key])
-        flag = getattr(args, key, None)
+    for f in fields(MetricConfig):
+        if f.name == "embedder":
+            continue
+        if f.name in file_cfg:
+            updates[f.name] = type(f.default)(file_cfg[f.name])
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            updates[key] = flag
+            updates[f.name] = flag
     embedder_cfg = dict(file_cfg.get("embedder", {}))
     if getattr(args, "embedder", None) is not None:
         embedder_cfg["kind"] = args.embedder
@@ -87,7 +85,7 @@ def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConf
             grid=int(embedder_cfg.get("grid", 8)),
             source=embedder_cfg.get("source"),
         )
-    return replace(cfg, **updates)
+    return MetricConfig(**updates)
 
 
 def _resolve_workers(args: argparse.Namespace, file_cfg: dict) -> int:
@@ -103,53 +101,51 @@ def _resolve_workers(args: argparse.Namespace, file_cfg: dict) -> int:
     return workers
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One eval run: metric config, worker count, output path, and seed."""
-
-    metrics: MetricConfig
-    workers: int
-    out: str | None
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-
-
 def _eval_pair(index: int, gen_path: str, gt_path: str, cfg: MetricConfig):
     try:
         gen = load_manifest(gen_path)
         gt = load_manifest(gt_path)
         report = evaluate_all(gen, gt, cfg)
         return index, report.to_dict(), None
-    except (ManifestError, ValueError) as exc:
+    except (ValueError, KeyError) as exc:  # ManifestError is a ValueError
         return index, None, str(exc)
+
+
+def _aggregate_record(scored: list[dict], failed: int) -> str:
+    scores = {}
+    for name in METRIC_NAMES:
+        values = [r["scores"][name] for r in scored if r["scores"].get(name) is not None]
+        scores[name] = float(np.mean(values)) if values else None
+    return _dump({"aggregate": {"scores": scores, "pairs": len(scored) + failed, "failed": failed}})
+
+
+def _read_pairs(path: str) -> list[tuple[str, str]]:
+    """Pairs file: a JSON list of {"gen": path, "gt": path}, paths relative to the file."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, list):
+        raise ValueError("must be a JSON list of {'gen', 'gt'} objects")
+    for i, entry in enumerate(doc):
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("gen", "gt"))):
+            raise ValueError(f"entry {i} needs string fields 'gen' and 'gt'")
+    base = Path(path).parent
+    return [(str(base / e["gen"]), str(base / e["gt"])) for e in doc]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         file_cfg = _load_config_file(args.config)
-        run = RunConfig(
-            metrics=_build_metric_config(args, file_cfg),
-            workers=_resolve_workers(args, file_cfg),
-            out=args.out,
-            seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        cfg = _build_metric_config(args, file_cfg)
+        workers = _resolve_workers(args, file_cfg)
+    except (OSError, ValueError, TypeError) as exc:
         print(f"eval: bad configuration: {exc}", file=sys.stderr)
         return 2
-    cfg = run.metrics
-    workers = run.workers
 
     if args.pairs:
         try:
-            pair_doc = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"eval: bad pairs file: {exc}", file=sys.stderr)
+            pairs = _read_pairs(args.pairs)
+        except (OSError, ValueError) as exc:
+            print(f"eval: bad pairs file {args.pairs}: {exc}", file=sys.stderr)
             return 2
-        base = Path(args.pairs).parent
-        pairs = [(str(base / p["gen"]), str(base / p["gt"])) for p in pair_doc]
     elif args.gen and args.gt:
         pairs = [(args.gen, args.gt)]
     else:
@@ -158,7 +154,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     # Worker count is deliberately not echoed: content is worker-invariant and
     # reports must stay byte-identical across worker counts.
-    lines = [_dump({"config": {**cfg.to_dict(), "seed": run.seed}})]
+    lines = [_dump({"config": cfg.to_dict()})]
     started = time.perf_counter()
     if workers == 1:
         results = [_eval_pair(i, g, t, cfg) for i, (g, t) in enumerate(pairs)]
@@ -168,7 +164,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                                     [(i, g, t, cfg) for i, (g, t) in enumerate(pairs)]))
     elapsed = time.perf_counter() - started
 
-    results.sort(key=lambda r: r[0])
     succeeded = []
     failed = 0
     for index, report, error in results:
@@ -179,12 +174,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             failed += 1
             lines.append(_dump({"error": {"pair": index, "gen": pairs[index][0],
                                           "gt": pairs[index][1], "message": error}}))
-    aggregate = {}
-    for name in METRIC_NAMES:
-        values = [r["scores"][name] for r in succeeded if r["scores"].get(name) is not None]
-        aggregate[name] = float(np.mean(values)) if values else None
-    lines.append(_dump({"aggregate": {"scores": aggregate, "pairs": len(pairs), "failed": failed}}))
-    _write_lines(lines, run.out)
+    lines.append(_aggregate_record(succeeded, failed))
+    _write_lines(lines, args.out)
     print(
         f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
         f"({len(pairs) / elapsed:.2f} trajectories/s, workers={workers})",
@@ -349,17 +340,43 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     return 1 if had_error else 0
 
 
+def _is_report_record(record: object) -> bool:
+    """A JSON object; a trajectory record also needs numeric-or-null scores."""
+    if not isinstance(record, dict):
+        return False
+    if "trajectory" not in record:
+        return True
+    scores = record.get("scores")
+    return isinstance(scores, dict) and all(
+        v is None or isinstance(v, (int, float)) for v in scores.values())
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     config_line = None
     trajectory_lines = []
     errors = 0
     for path in args.inputs:
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:
+            print(f"report: {path}: {exc}", file=sys.stderr)
+            return 2
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
                 continue
-            record = json.loads(raw)
-            if "config" in record and "aggregate" not in record:
-                config_line = config_line or record
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                record = None
+            if not _is_report_record(record):
+                print(f"report: {path}:{lineno}: not a report record", file=sys.stderr)
+                return 2
+            if "config" in record:
+                if config_line is not None and record != config_line:
+                    print(f"report: {path}:{lineno}: config differs from the first input's",
+                          file=sys.stderr)
+                    return 2
+                config_line = record
             elif "trajectory" in record:
                 trajectory_lines.append(record)
             elif "error" in record:
@@ -368,12 +385,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if config_line is not None:
         lines.append(_dump(config_line))
     lines.extend(_dump(r) for r in trajectory_lines)
-    aggregate = {}
-    for name in METRIC_NAMES:
-        values = [r["scores"][name] for r in trajectory_lines if r["scores"].get(name) is not None]
-        aggregate[name] = float(np.mean(values)) if values else None
-    lines.append(_dump({"aggregate": {"scores": aggregate, "pairs": len(trajectory_lines) + errors,
-                                      "failed": errors}}))
+    lines.append(_aggregate_record(trajectory_lines, errors))
     _write_lines(lines, args.out)
     return 0
 
@@ -398,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", help="JSON config file (flags override it)")
     p_eval.add_argument("--workers", type=_positive_int, default=None,
                         help=f"parallel workers (env {THREADS_ENV} overrides)")
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--lpsa-window", dest="lpsa_window", type=_positive_int, default=None)
     p_eval.add_argument("--fphs-window", dest="fphs_window", type=_positive_int, default=None)
     p_eval.add_argument("--tau-cpdm", dest="tau_cpdm", type=float, default=None)

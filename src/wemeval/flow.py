@@ -54,13 +54,6 @@ class Homography:
         m[1, 2] = ty
         return cls(m)
 
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.h))
-
-    def compose(self, other: "Homography") -> "Homography":
-        """Return self applied after ``other``."""
-        return Homography(self.h @ other.h)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Project (n, 2) points; raises if any lands at infinity."""
         pts = np.asarray(points, dtype=np.float64)

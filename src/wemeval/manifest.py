@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from . import formats
-from .rollout import Chunk, PhaseLabel, Trajectory, validate_trajectory
+from .rollout import Chunk, PhaseLabel, Trajectory
 
 
 class ManifestError(ValueError):
@@ -40,7 +40,12 @@ def _resolve_asset(base: Path, rel: str, where: str, field: str) -> Path:
 
 
 def load_manifest(path: str | Path) -> Trajectory:
-    """Load and fully validate a trajectory manifest with its sidecar payloads."""
+    """Parse a trajectory manifest with its sidecar payloads.
+
+    Raises ``ManifestError`` for bad JSON, fields, assets or sidecar formats.
+    Content invariants are left to ``validate_trajectory``, which
+    ``evaluate_all`` runs.
+    """
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"{path}: no such file")
@@ -97,11 +102,7 @@ def load_manifest(path: str | Path) -> Trajectory:
                   masks=tuple(masks) if masks is not None else None)
         )
 
-    traj = Trajectory(id=str(traj_id), chunks=tuple(chunks))
-    report = validate_trajectory(traj)
-    if not report.is_valid():
-        raise ManifestError(f"{path}: trajectory invalid: " + "; ".join(report.issues))
-    return traj
+    return Trajectory(id=str(traj_id), chunks=tuple(chunks))
 
 
 def save_manifest(traj: Trajectory, path: str | Path) -> Path:

@@ -11,7 +11,7 @@ margin, phase-hop state consistency). Every metric is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,18 +59,7 @@ class MetricConfig:
             raise ValueError("top_fraction must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        d = {
-            "lpsa_window": self.lpsa_window,
-            "fphs_window": self.fphs_window,
-            "tau_cpdm": self.tau_cpdm,
-            "tau_pmpa": self.tau_pmpa,
-            "resample_steps": self.resample_steps,
-            "top_fraction": self.top_fraction,
-            "eps": self.eps,
-            "embedder": {"kind": self.embedder.kind, "grid": self.embedder.grid,
-                         "source": self.embedder.source},
-        }
-        return d
+        return asdict(self)
 
 
 @dataclass

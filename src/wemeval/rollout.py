@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -237,10 +236,3 @@ def phase_boundaries(traj: Trajectory) -> list[int]:
     """
     phases = [c.phase for c in traj.chunks]
     return [k for k in range(1, len(phases)) if phases[k - 1] != phases[k]]
-
-
-def frames_as_array(frames: Sequence[Frame]) -> np.ndarray:
-    """Stack frames into one (T, h, w, c) float32 array."""
-    if not frames:
-        raise ValueError("no frames to stack")
-    return np.stack([f.data for f in frames])

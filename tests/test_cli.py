@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from wemeval import formats
+from wemeval import features, formats, manifest, metrics, rollout
 from wemeval.cli import main
 from wemeval.manifest import save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
+from wemeval.rollout import Chunk, Frame, Trajectory
 
 
 def _read_records(path):
@@ -94,6 +95,91 @@ class TestEval:
         config = _read_records(out)[0]["config"]
         assert config["tau_cpdm"] == 0.25  # flag wins
         assert config["resample_steps"] == 8  # file wins over default
+
+    def test_null_config_value_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tau_cpdm": None}))
+        assert main(["eval", "--gen", "a", "--gt", "b", "--config", str(cfg_file)]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+
+    def test_seed_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--gen", "a", "--gt", "b", "--seed", "1"])
+        assert excinfo.value.code == 2
+
+    def test_each_trajectory_is_validated_once(self, fixture_pair_dir, tmp_path, monkeypatch):
+        _, pairs_file = fixture_pair_dir
+        calls = []
+
+        def counting(traj):
+            calls.append(traj.id)
+            return rollout.validate_trajectory(traj)
+
+        for module in (manifest, metrics):  # every module that binds the name
+            if hasattr(module, "validate_trajectory"):
+                monkeypatch.setattr(module, "validate_trajectory", counting)
+        main(["eval", "--pairs", str(pairs_file), "--out", str(tmp_path / "r.jsonl")])
+        assert len(calls) == 2 * len(json.loads(pairs_file.read_text()))
+
+    @pytest.mark.parametrize("defect, message", [
+        ("frame-above-one", "value outside [0, 1]"),
+        ("flow-count", "flow count"),
+    ])
+    def test_invalid_content_becomes_error_record(self, tmp_path, defect, message):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=602, size=32, t=4))
+        first = traj.chunks[0]
+        if defect == "frame-above-one":
+            frames = (Frame(data=first.frames[0].data + 1.0),) + first.frames[1:]
+            first = Chunk(frames=frames, instruction=first.instruction, phase=first.phase,
+                          flows=first.flows, masks=first.masks)
+        else:
+            first = Chunk(frames=first.frames, instruction=first.instruction, phase=first.phase,
+                          flows=first.flows[:-1], masks=first.masks)
+        bad = Trajectory(id=traj.id, chunks=(first,) + traj.chunks[1:])
+        gen = save_manifest(bad, tmp_path / "gen" / "manifest.json")
+        gt = save_manifest(traj, tmp_path / "gt" / "manifest.json")
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
+        errors = [r["error"] for r in _read_records(out) if "error" in r]
+        assert len(errors) == 1 and message in errors[0]["message"]
+
+    @pytest.mark.parametrize("doc", [[{"gen": "a"}], {"gen": 1}], ids=["missing-gt", "not-a-list"])
+    def test_malformed_pairs_file_exits_two(self, tmp_path, capsys, doc):
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text(json.dumps(doc))
+        assert main(["eval", "--pairs", str(pairs_file)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bad pairs file" in err[0]
+        if isinstance(doc, list):
+            assert "entry 0" in err[0]
+
+    def test_missing_store_key_fails_only_that_pair(self, tmp_path, monkeypatch):
+        paths, trajs = [], []
+        for i in range(2):
+            traj, _ = generate_trajectory(mixed_fixture_config(seed=610 + i, size=32, t=4))
+            trajs.append(traj)
+            paths.append(str(save_manifest(traj, tmp_path / f"t{i}" / "manifest.json")))
+        vectors = {}
+        embed = features.embed_frames
+
+        def recording(frames, spec):
+            vectors[features.frame_content_key(frames)] = embed(frames, spec)
+            return vectors[features.frame_content_key(frames)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "embed_frames", recording)
+            patch.setattr(metrics, "embed_frames", recording)
+            metrics.evaluate_all(trajs[0], trajs[0])  # store gets pair 0's keys only
+        features.EmbeddingStore.write(tmp_path / "store.json", vectors)
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text(json.dumps([{"gen": p, "gt": p} for p in paths]))
+        out = tmp_path / "r.jsonl"
+        code = main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--embedder",
+                     "external-file", "--embedder-source", str(tmp_path / "store.json")])
+        assert code == 1
+        records = _read_records(out)
+        assert "trajectory" in records[1]
+        assert records[2]["error"]["pair"] == 1 and "not found" in records[2]["error"]["message"]
 
 
 class TestDecomposeFlow:
@@ -245,3 +331,30 @@ class TestReport:
         assert records[-1]["aggregate"]["pairs"] == 10
         assert records[-1]["aggregate"]["failed"] == 1
         assert sum(1 for r in records if "trajectory" in r) == 9
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "{not json", '{"trajectory": "t", "scores": {"rcbd": "a"}}'],
+                             ids=["array", "bad-json", "string-score"])
+    def test_malformed_line_exits_two(self, tmp_path, capsys, line):
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"config": {}}\n' + line + "\n")
+        assert main(["report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"{report}:2" in err and "Traceback" not in err
+
+    def test_missing_input_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["report", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_config_mismatch_exits_two(self, fixture_pair_dir, tmp_path, capsys):
+        root, pairs_file = fixture_pair_dir
+        pairs = json.loads(pairs_file.read_text())
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps([{"gen": str(root / p["gen"]), "gt": str(root / p["gt"])}
+                                        for p in pairs[:2]]))
+        default, tuned = tmp_path / "default.jsonl", tmp_path / "tuned.jsonl"
+        main(["eval", "--pairs", str(absolute), "--out", str(default)])
+        main(["eval", "--pairs", str(absolute), "--out", str(tuned), "--tau-cpdm", "0.3"])
+        assert main(["report", str(default), str(tuned), "--out", str(tmp_path / "m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert str(tuned) in err and "config differs" in err
