@@ -3,18 +3,17 @@ verification, and fixture generation.
 
 Reports are line-delimited JSON: one effective-config record, one record per
 trajectory pair (or a per-pair error record), and a final aggregate. They are
-a pure function of (inputs, config); worker count never changes report
-content, and timing goes to stderr only.
+a pure function of (inputs, config). Pairs are scored in order on the
+calling thread; ``--workers`` is accepted and ignored. Timing goes to stderr
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,8 +35,6 @@ from .microsim import (
 )
 from .rollout import PhaseLabel
 from .verify import run_verification
-
-THREADS_ENV = "WEMEVAL_THREADS"
 
 
 def _dump(obj: dict) -> str:
@@ -61,54 +58,40 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
+    """Config-file keys for dataclass ``cls``, cast to the type of their default.
+
+    A key that is not a field of ``cls`` is an error naming ``prefix + key``.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key in doc:
+        if key not in defaults:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
+    return {key: value if defaults[key] is None else type(defaults[key])(value)
+            for key, value in doc.items()}
+
+
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
     """Precedence: flags > config file > built-in defaults."""
-    updates = {}
+    file_cfg = dict(file_cfg)
+    spec = _typed_fields(EmbedderSpec, dict(file_cfg.pop("embedder", {})), "embedder.")
+    updates = _typed_fields(MetricConfig, file_cfg)
     for f in fields(MetricConfig):
-        if f.name == "embedder":
-            continue
-        if f.name in file_cfg:
-            updates[f.name] = type(f.default)(file_cfg[f.name])
-        flag = getattr(args, f.name, None)
+        if f.name != "embedder" and getattr(args, f.name) is not None:
+            updates[f.name] = getattr(args, f.name)
+    for key, flag in (("kind", args.embedder), ("grid", args.embedder_grid),
+                      ("source", args.embedder_source)):
         if flag is not None:
-            updates[f.name] = flag
-    embedder_cfg = dict(file_cfg.get("embedder", {}))
-    if getattr(args, "embedder", None) is not None:
-        embedder_cfg["kind"] = args.embedder
-    if getattr(args, "embedder_grid", None) is not None:
-        embedder_cfg["grid"] = args.embedder_grid
-    if getattr(args, "embedder_source", None) is not None:
-        embedder_cfg["source"] = args.embedder_source
-    if embedder_cfg:
-        updates["embedder"] = EmbedderSpec(
-            kind=embedder_cfg.get("kind", EMBEDDER_REFERENCE),
-            grid=int(embedder_cfg.get("grid", 8)),
-            source=embedder_cfg.get("source"),
-        )
-    return MetricConfig(**updates)
+            spec[key] = flag
+    return MetricConfig(**updates, embedder=EmbedderSpec(**spec))
 
 
-def _resolve_workers(args: argparse.Namespace, file_cfg: dict) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        workers = int(env)
-    elif args.workers is not None:
-        workers = args.workers
-    else:
-        workers = int(file_cfg.get("workers", 1))
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
-
-
-def _eval_pair(index: int, gen_path: str, gt_path: str, cfg: MetricConfig):
+def _eval_pair(gen_path: str, gt_path: str, cfg: MetricConfig) -> dict:
+    """The pair's report record, or an error record when it cannot be scored."""
     try:
-        gen = load_manifest(gen_path)
-        gt = load_manifest(gt_path)
-        report = evaluate_all(gen, gt, cfg)
-        return index, report.to_dict(), None
-    except (ValueError, KeyError) as exc:  # ManifestError is a ValueError
-        return index, None, str(exc)
+        return evaluate_all(load_manifest(gen_path), load_manifest(gt_path), cfg).to_dict()
+    except (OSError, ValueError, KeyError) as exc:  # ManifestError is a ValueError
+        return {"error": {"gen": gen_path, "gt": gt_path, "message": str(exc)}}
 
 
 def _aggregate_record(scored: list[dict], failed: int) -> str:
@@ -135,7 +118,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         file_cfg = _load_config_file(args.config)
         cfg = _build_metric_config(args, file_cfg)
-        workers = _resolve_workers(args, file_cfg)
     except (OSError, ValueError, TypeError) as exc:
         print(f"eval: bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -152,35 +134,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print("eval: provide --gen/--gt or --pairs", file=sys.stderr)
         return 2
 
-    # Worker count is deliberately not echoed: content is worker-invariant and
-    # reports must stay byte-identical across worker counts.
     lines = [_dump({"config": cfg.to_dict()})]
-    started = time.perf_counter()
-    if workers == 1:
-        results = [_eval_pair(i, g, t, cfg) for i, (g, t) in enumerate(pairs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda item: _eval_pair(*item),
-                                    [(i, g, t, cfg) for i, (g, t) in enumerate(pairs)]))
-    elapsed = time.perf_counter() - started
-
     succeeded = []
     failed = 0
-    for index, report, error in results:
-        if error is None:
-            succeeded.append(report)
-            lines.append(_dump(report))
-        else:
+    started = time.perf_counter()
+    for index, (gen_path, gt_path) in enumerate(pairs):
+        record = _eval_pair(gen_path, gt_path, cfg)
+        if "error" in record:
+            record["error"]["pair"] = index
             failed += 1
-            lines.append(_dump({"error": {"pair": index, "gen": pairs[index][0],
-                                          "gt": pairs[index][1], "message": error}}))
+        else:
+            succeeded.append(record)
+        lines.append(_dump(record))
+    elapsed = time.perf_counter() - started
     lines.append(_aggregate_record(succeeded, failed))
     _write_lines(lines, args.out)
-    print(
-        f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
-        f"({len(pairs) / elapsed:.2f} trajectories/s, workers={workers})",
-        file=sys.stderr,
-    )
+    print(f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
+          f"({len(pairs) / elapsed:.2f} trajectories/s)", file=sys.stderr)
     if failed == 0:
         return 0
     return 2 if not succeeded else 1
@@ -297,7 +267,7 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.catalog:
         try:
             entries = _catalog_from_file(args.catalog)
-        except (OSError, KeyError, ValueError, SimConfigError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, AttributeError, SimConfigError) as exc:
             print(f"gen-fixtures: bad catalog: {exc}", file=sys.stderr)
             return 2
     else:
@@ -409,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="report file (default stdout)")
     p_eval.add_argument("--config", help="JSON config file (flags override it)")
     p_eval.add_argument("--workers", type=_positive_int, default=None,
-                        help=f"parallel workers (env {THREADS_ENV} overrides)")
+                        help="accepted for compatibility; has no effect")
     p_eval.add_argument("--lpsa-window", dest="lpsa_window", type=_positive_int, default=None)
     p_eval.add_argument("--fphs-window", dest="fphs_window", type=_positive_int, default=None)
     p_eval.add_argument("--tau-cpdm", dest="tau_cpdm", type=float, default=None)

@@ -16,6 +16,22 @@ def _read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
+def _self_eval_embeddings(traj, monkeypatch):
+    """Reference-embedder vectors, by content key, for every frame list a self-eval of ``traj`` embeds."""
+    vectors = {}
+    embed = features.embed_frames
+
+    def recording(frames, spec):
+        vectors[features.frame_content_key(frames)] = embed(frames, spec)
+        return vectors[features.frame_content_key(frames)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(features, "embed_frames", recording)
+        patch.setattr(metrics, "embed_frames", recording)
+        metrics.evaluate_all(traj, traj)
+    return vectors
+
+
 @pytest.fixture(scope="module")
 def fixture_pair_dir(tmp_path_factory):
     """Ten gen/gt manifest pairs; pair 3 has a chunk-count mismatch."""
@@ -77,13 +93,6 @@ class TestEval:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_env_var_overrides_worker_flag(self, fixture_pair_dir, tmp_path, monkeypatch, capsys):
-        _, pairs_file = fixture_pair_dir
-        monkeypatch.setenv("WEMEVAL_THREADS", "3")
-        out = tmp_path / "report.jsonl"
-        main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--workers", "1"])
-        assert "workers=3" in capsys.readouterr().err
-
     def test_flags_override_config_file(self, tmp_path):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=601, size=32, t=4))
         manifest = save_manifest(traj, tmp_path / "traj" / "manifest.json")
@@ -101,6 +110,18 @@ class TestEval:
         cfg_file.write_text(json.dumps({"tau_cpdm": None}))
         assert main(["eval", "--gen", "a", "--gt", "b", "--config", str(cfg_file)]) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"tau_cmpd": 0.3}, "'tau_cmpd'"),
+        ({"workers": 2}, "'workers'"),
+        ({"embedder": {"gird": 2}}, "'embedder.gird'"),
+    ], ids=["tau_cmpd", "workers", "embedder.gird"])
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert main(["eval", "--gen", "a", "--gt", "b", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("eval: bad configuration:") and key in err[0]
 
     def test_seed_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -180,6 +201,27 @@ class TestEval:
         records = _read_records(out)
         assert "trajectory" in records[1]
         assert records[2]["error"]["pair"] == 1 and "not found" in records[2]["error"]["message"]
+
+    def test_missing_store_blob_fails_only_its_pair(self, tmp_path, monkeypatch):
+        paths, index = [], {}
+        for i in range(2):
+            traj, _ = generate_trajectory(mixed_fixture_config(seed=620 + i, size=32, t=4))
+            paths.append(str(save_manifest(traj, tmp_path / f"t{i}" / "manifest.json")))
+            part = tmp_path / f"part{i}.json"  # blob part{i}.blob holds pair i's vectors
+            features.EmbeddingStore.write(part, _self_eval_embeddings(traj, monkeypatch))
+            index.update(json.loads(part.read_text()))
+        (tmp_path / "store.json").write_text(json.dumps(index))
+        (tmp_path / "part1.blob").unlink()
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text(json.dumps([{"gen": p, "gt": p} for p in paths]))
+        out = tmp_path / "r.jsonl"
+        code = main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--embedder",
+                     "external-file", "--embedder-source", str(tmp_path / "store.json")])
+        assert code == 1
+        records = _read_records(out)
+        assert "trajectory" in records[1]
+        assert records[2]["error"]["pair"] == 1
+        assert str(tmp_path / "part1.blob") in records[2]["error"]["message"]
 
 
 class TestDecomposeFlow:
@@ -309,6 +351,21 @@ class TestGenFixtures:
         assert "leaves frame bounds" in capsys.readouterr().err
         written = json.loads((out_dir / "catalog.json").read_text())
         assert [f["name"] for f in written["fixtures"]] == ["ok"]
+
+    @pytest.mark.parametrize("doc", [
+        {"fixtures": [1]},
+        {"fixtures": [{"chunks": [1]}]},
+        [1],
+        {"fixtures": 5},
+    ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list"])
+    def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(doc))
+        code = main(["gen-fixtures", "--out-dir", str(tmp_path / "fixtures"), "--catalog",
+                     str(catalog_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("gen-fixtures: bad catalog: ")
 
 
 class TestReport:
