@@ -61,20 +61,28 @@ def _load_config_file(path: str | None) -> dict:
 def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
     """Config-file keys for dataclass ``cls``, cast to the type of their default.
 
-    A key that is not a field of ``cls`` is an error naming ``prefix + key``.
+    A non-object ``doc``, an unknown key or an inexact cast (3.7 to int) is an error naming the key.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config key '{prefix.rstrip('.')}' must be an object, got {doc!r}")
     defaults = {f.name: f.default for f in fields(cls)}
-    for key in doc:
+    typed = {}
+    for key, value in doc.items():
         if key not in defaults:
             raise ValueError(f"unknown config key '{prefix}{key}'")
-    return {key: value if defaults[key] is None else type(defaults[key])(value)
-            for key, value in doc.items()}
+        try:
+            typed[key] = value if defaults[key] is None else type(defaults[key])(value)
+            if isinstance(value, (int, float)) and typed[key] != value:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"config key '{prefix}{key}' cannot hold {value!r}") from None
+    return typed
 
 
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
     """Precedence: flags > config file > built-in defaults."""
     file_cfg = dict(file_cfg)
-    spec = _typed_fields(EmbedderSpec, dict(file_cfg.pop("embedder", {})), "embedder.")
+    spec = _typed_fields(EmbedderSpec, file_cfg.pop("embedder", {}), "embedder.")
     updates = _typed_fields(MetricConfig, file_cfg)
     for f in fields(MetricConfig):
         if f.name != "embedder" and getattr(args, f.name) is not None:

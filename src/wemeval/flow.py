@@ -227,34 +227,25 @@ def residual_object_flow(f: FlowField, f_cam: FlowField) -> FlowField:
     return FlowField(u=f.u.astype(np.float64) - f_cam.u, v=f.v.astype(np.float64) - f_cam.v)
 
 
-def _top_mean(sorted_desc: np.ndarray, fraction: float) -> float:
-    k = int(math.ceil(fraction * sorted_desc.size))
-    return float(sorted_desc[:k].mean())
-
-
-def _histogram_entropy(magnitudes: np.ndarray, bins: int) -> float:
-    """Shannon entropy of a uniform histogram over [0, max], normalized by log(bins).
-
-    Bin index is min(floor(m / max * bins), bins - 1); an all-zero field has a
-    single occupied bin and entropy 0.
-    """
-    peak = float(magnitudes.max())
-    if peak <= 0.0:
-        return 0.0
-    idx = np.minimum((magnitudes / peak * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    p = counts[counts > 0] / magnitudes.size
-    return float(-(p * np.log(p)).sum() / math.log(bins))
-
-
 def flow_stats(
     f: FlowField, top_fraction: float = 0.2, bins: int = ENTROPY_BINS
 ) -> tuple[float, float, float]:
-    """(median magnitude, mean of the top-fraction magnitudes, normalized entropy)."""
-    mags = f.magnitude().ravel()
-    median = float(np.median(mags))
-    top = _top_mean(np.sort(mags)[::-1], top_fraction)
-    return median, top, _histogram_entropy(mags, bins)
+    """(median magnitude, mean of the top-fraction magnitudes, normalized entropy).
+
+    All three come from one descending sort. The entropy is that of a uniform
+    histogram over [0, peak] with bin min(floor(m / peak * bins), bins - 1),
+    divided by log(bins); an all-zero field has entropy 0.
+    """
+    desc = np.sort(f.magnitude().ravel())[::-1]
+    n = desc.size
+    median = float(desc[n // 2] if n % 2 else (desc[n // 2 - 1] + desc[n // 2]) / 2)
+    top = float(desc[: math.ceil(top_fraction * n)].mean())
+    if desc[0] <= 0.0:
+        return median, top, 0.0
+    idx = np.minimum((desc / desc[0] * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    p = counts[counts > 0] / n
+    return median, top, float(-(p * np.log(p)).sum() / math.log(bins))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,8 @@ u32 header fields, then a raw little-endian payload in row-major order.
   flow  "WEMF": u32 width, height, count; count*h*w (u, v) pairs of f32
   mask  "WEMM": u32 width, height, count; count*h*w u8 values in {0, 1}
   frame "WEMV": u32 width, height, channels, count; count*h*w*c f32 intensities
+
+Readers check the layout only; ``rollout.validate_trajectory`` checks values.
 """
 
 from __future__ import annotations
@@ -89,9 +91,6 @@ def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
     w, h, count = _read_header(data, path, MASK_MAGIC, 3)
     _check_payload(data, path, 16, count * h * w)
     arr = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, h, w)
-    bad = ~np.isin(arr, (0, 1))
-    if bad.any():
-        raise FormatError(f"{path}: mask value outside {{0, 1}}")
     return [WorldEgoMask(data=arr[i]) for i in range(count)]
 
 

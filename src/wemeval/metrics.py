@@ -5,7 +5,7 @@ counterpart chunk by chunk. Three target multi-turn continuity (boundary
 dynamics, late-prefix alignment, instruction-step retrieval) and three target
 hybrid navigation/manipulation fidelity (motion-profile alignment, cross-phase
 margin, phase-hop state consistency). Every metric is a pure function of
-(gen, gt, config).
+(``ScoringPair``, config).
 """
 
 from __future__ import annotations
@@ -114,10 +114,32 @@ def _mean_flow_magnitude(chunk: Chunk, index: int) -> float:
     return float(chunk.flows[index].magnitude().mean())
 
 
-def _require_equal_k(gen: Trajectory, gt: Trajectory) -> int:
-    if len(gen.chunks) != len(gt.chunks):
-        raise ValueError(f"chunk counts differ: gen K={len(gen.chunks)}, gt K={len(gt.chunks)}")
-    return len(gen.chunks)
+@dataclass(frozen=True, eq=False)
+class ScoringPair:
+    """Valid (gen, gt) trajectories with equal chunk count K and frame dims, built by ``of``.
+
+    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j.
+    """
+
+    gen: Trajectory
+    gt: Trajectory
+    sims: np.ndarray
+
+    @classmethod
+    def of(cls, gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> "ScoringPair":
+        """Check the pair, then embed each chunk once; raises ValueError naming the failed check."""
+        for name, traj in (("gen", gen), ("gt", gt)):
+            report = validate_trajectory(traj)
+            if not report.is_valid():
+                raise ValueError(f"{name} trajectory invalid: " + "; ".join(report.issues))
+        if len(gen.chunks) != len(gt.chunks):
+            raise ValueError(f"chunk counts differ: gen K={len(gen.chunks)}, gt K={len(gt.chunks)}")
+        g0, t0 = gen.chunks[0].frames[0], gt.chunks[0].frames[0]
+        if (g0.height, g0.width) != (t0.height, t0.width):
+            raise ValueError("gen and gt frame dims differ")
+        gen_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gen.chunks]
+        gt_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gt.chunks]
+        return cls(gen, gt, np.array([[cosine_similarity(a, b) for b in gt_emb] for a in gen_emb]))
 
 
 def _boundary_gaps(traj: Trajectory, k: int, cfg: MetricConfig) -> tuple[float, float]:
@@ -130,7 +152,7 @@ def _boundary_gaps(traj: Trajectory, k: int, cfg: MetricConfig) -> tuple[float, 
     return b, m
 
 
-def rcbd(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Boundary-dynamics fidelity: geometric mean of appearance and motion gap matches.
 
     The appearance gap is the perceptual distance between the last frame of a
@@ -139,7 +161,7 @@ def rcbd(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
     of the left chunk vs. first of the right). Each gap pair is compared with
     ``symmetric_match`` so over-smoothing is penalized like overshoot.
     """
-    k = _require_equal_k(gen, gt)
+    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
     if k < 2:
         raise MetricNotApplicable("rcbd: needs K >= 2")
     per_boundary = []
@@ -157,13 +179,13 @@ def _window_frames(chunk: Chunk, window: int, last: bool) -> list[Frame]:
     return list(chunk.frames[-w:]) if last else list(chunk.frames[:w])
 
 
-def lpsa(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def lpsa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Late-prefix alignment: linearly weighted cosine over end-of-chunk windows.
 
     Chunk k contributes with weight k, so later chunks (which accumulate more
     rollout error) dominate.
     """
-    k = _require_equal_k(gen, gt)
+    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
     similarities = []
     for i in range(k):
         e_gen = embed_frames(_window_frames(gen.chunks[i], cfg.lpsa_window, last=True), cfg.embedder)
@@ -174,30 +196,22 @@ def lpsa(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
     return MetricResult(score=score, breakdown=similarities)
 
 
-def _chunk_embeddings(traj: Trajectory, cfg: MetricConfig) -> list[np.ndarray]:
-    return [embed_frames(list(c.frames), cfg.embedder) for c in traj.chunks]
-
-
-def cisr(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def cisr(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Instruction-step retrieval as mean reciprocal rank.
 
-    Each generated chunk queries all ground-truth chunk embeddings; the rank
-    of the matching step gives 1/rank. Similarity ties count pessimistically
-    (worst rank among the tied entries), so constant embeddings never inflate
-    the score.
+    Each generated chunk queries all ground-truth chunks (one row of
+    ``pair.sims``); the rank of the matching step gives 1/rank. Similarity
+    ties count pessimistically (worst rank among the tied entries), so
+    constant embeddings never inflate the score.
     """
-    k = _require_equal_k(gen, gt)
-    gen_emb = _chunk_embeddings(gen, cfg)
-    gt_emb = _chunk_embeddings(gt, cfg)
     reciprocal = []
-    for i in range(k):
-        sims = np.array([cosine_similarity(gen_emb[i], gt_emb[j]) for j in range(k)])
+    for i, sims in enumerate(pair.sims):
         rank = int((sims >= sims[i]).sum())  # ties resolved to the worst rank
         reciprocal.append(1.0 / rank)
     return MetricResult(score=float(np.mean(reciprocal)), breakdown=reciprocal)
 
 
-def pmpa(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Motion-profile alignment: exp(-delta / tau) per chunk, averaged.
 
     delta is the mean pointwise L2 distance between the resampled 4-component
@@ -205,7 +219,7 @@ def pmpa(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
     invariant to the resample count. Chunks too short for a profile (T < 2)
     are skipped with a note.
     """
-    k = _require_equal_k(gen, gt)
+    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
     scores = []
     notes = []
     for i in range(k):
@@ -227,25 +241,19 @@ def pmpa(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
     return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
 
 
-def cpdm(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def cpdm(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Cross-phase margin: sigmoid of (same-step similarity - best opposite-phase similarity).
 
     Absent (with a note) when the ground truth has a single phase, since no
     opposite-phase negative exists.
     """
-    k = _require_equal_k(gen, gt)
-    phases = [c.phase for c in gt.chunks]
+    phases = [c.phase for c in pair.gt.chunks]
     if len(set(phases)) < 2:
         return MetricResult(score=None, breakdown=[], notes=["cpdm: single-phase trajectory"])
-    gen_emb = _chunk_embeddings(gen, cfg)
-    gt_emb = _chunk_embeddings(gt, cfg)
     scores = []
-    for i in range(k):
-        r_pos = cosine_similarity(gen_emb[i], gt_emb[i])
-        r_neg = max(
-            cosine_similarity(gen_emb[i], gt_emb[j]) for j in range(k) if phases[j] != phases[i]
-        )
-        scores.append(_sigmoid((r_pos - r_neg) / cfg.tau_cpdm))
+    for i, sims in enumerate(pair.sims):
+        r_neg = max(sims[j] for j in range(len(sims)) if phases[j] != phases[i])
+        scores.append(_sigmoid((sims[i] - r_neg) / cfg.tau_cpdm))
     return MetricResult(score=float(np.mean(scores)), breakdown=scores)
 
 
@@ -284,7 +292,7 @@ def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
     return [Frame(data=f.data[r0:r1, c0:c1, :]) for f in frames]
 
 
-def fphs(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
+def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Phase-hop consistency in the localized change region at each phase switch.
 
     Windows of up to ``fphs_window`` frames on each side of the switch are
@@ -292,7 +300,7 @@ def fphs(gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> MetricResult:
     ground-truth flow magnitude, then compared by window-embedding cosine.
     Absent (with a note) when no phase switch exists.
     """
-    _require_equal_k(gen, gt)
+    gen, gt = pair.gen, pair.gt
     switches = phase_boundaries(gt)
     if not switches:
         return MetricResult(score=None, breakdown=[], notes=["fphs: no phase switch"])
@@ -338,26 +346,19 @@ _METRIC_FUNCS = {
 def evaluate_all(gen: Trajectory, gt: Trajectory, cfg: MetricConfig | None = None) -> MetricReport:
     """Run every applicable metric on one trajectory pair.
 
-    Raises on K mismatch or validation failure; metrics whose preconditions
-    fail on otherwise valid data are reported absent with a note. Deterministic
-    for a fixed config.
+    Raises ValueError when ``ScoringPair.of`` rejects the pair; metrics whose
+    preconditions fail on a valid pair are reported absent with a note.
+    Deterministic for a fixed config.
     """
     cfg = cfg or MetricConfig()
-    for name, traj in (("gen", gen), ("gt", gt)):
-        report = validate_trajectory(traj)
-        if not report.is_valid():
-            raise ValueError(f"{name} trajectory invalid: " + "; ".join(report.issues))
-    _require_equal_k(gen, gt)
-    g0, t0 = gen.chunks[0].frames[0], gt.chunks[0].frames[0]
-    if (g0.height, g0.width) != (t0.height, t0.width):
-        raise ValueError("gen and gt frame dims differ")
+    pair = ScoringPair.of(gen, gt, cfg)
 
     scores: dict[str, float | None] = {}
     breakdowns: dict[str, list[float]] = {}
     notes: list[str] = []
     for name, func in _METRIC_FUNCS.items():
         try:
-            result = func(gen, gt, cfg)
+            result = func(pair, cfg)
         except MetricNotApplicable as exc:
             scores[name] = None
             breakdowns[name] = []

@@ -16,8 +16,8 @@ def _read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
-def _self_eval_embeddings(traj, monkeypatch):
-    """Reference-embedder vectors, by content key, for every frame list a self-eval of ``traj`` embeds."""
+def _recorded_embeddings(gen, gt, monkeypatch):
+    """Reference vectors, by content key, for every frame list that scoring (gen, gt) embeds."""
     vectors = {}
     embed = features.embed_frames
 
@@ -28,7 +28,7 @@ def _self_eval_embeddings(traj, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(features, "embed_frames", recording)
         patch.setattr(metrics, "embed_frames", recording)
-        metrics.evaluate_all(traj, traj)
+        metrics.evaluate_all(gen, gt)
     return vectors
 
 
@@ -115,13 +115,33 @@ class TestEval:
         ({"tau_cmpd": 0.3}, "'tau_cmpd'"),
         ({"workers": 2}, "'workers'"),
         ({"embedder": {"gird": 2}}, "'embedder.gird'"),
-    ], ids=["tau_cmpd", "workers", "embedder.gird"])
+        ({"embedder": 3}, "'embedder'"),
+        ({"lpsa_window": 3.7}, "'lpsa_window'"),
+        ({"lpsa_window": float("inf")}, "'lpsa_window'"),
+        ({"embedder": {"grid": 2.5}}, "'embedder.grid'"),
+    ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
+            "infinite-int", "fractional-grid"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
         assert main(["eval", "--gen", "a", "--gt", "b", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("eval: bad configuration:") and key in err[0]
+
+    @pytest.mark.parametrize("doc, key, value", [
+        ({"lpsa_window": 3.0}, "lpsa_window", 3),
+        ({"lpsa_window": "4"}, "lpsa_window", 4),
+    ], ids=["whole-float", "numeric-string"])
+    def test_exact_config_value_is_cast(self, tmp_path, doc, key, value):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=603, size=32, t=4))
+        path = str(save_manifest(traj, tmp_path / "traj" / "manifest.json"))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", path, "--gt", path, "--config", str(cfg_file),
+                     "--out", str(out)]) == 0
+        config = _read_records(out)[0]["config"]
+        assert config[key] == value and type(config[key]) is int
 
     def test_seed_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -164,6 +184,19 @@ class TestEval:
         errors = [r["error"] for r in _read_records(out) if "error" in r]
         assert len(errors) == 1 and message in errors[0]["message"]
 
+    def test_non_binary_mask_becomes_error_record(self, tmp_path):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=604, size=32, t=4))
+        gen = save_manifest(traj, tmp_path / "gen" / "manifest.json")
+        gt = save_manifest(traj, tmp_path / "gt" / "manifest.json")
+        masks = next((tmp_path / "gen").glob("*_masks.bin"))
+        data = bytearray(masks.read_bytes())
+        data[16] = 2  # first payload value
+        masks.write_bytes(bytes(data))
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
+        errors = [r["error"] for r in _read_records(out) if "error" in r]
+        assert len(errors) == 1 and "non-binary mask" in errors[0]["message"]
+
     @pytest.mark.parametrize("doc", [[{"gen": "a"}], {"gen": 1}], ids=["missing-gt", "not-a-list"])
     def test_malformed_pairs_file_exits_two(self, tmp_path, capsys, doc):
         pairs_file = tmp_path / "pairs.json"
@@ -180,17 +213,7 @@ class TestEval:
             traj, _ = generate_trajectory(mixed_fixture_config(seed=610 + i, size=32, t=4))
             trajs.append(traj)
             paths.append(str(save_manifest(traj, tmp_path / f"t{i}" / "manifest.json")))
-        vectors = {}
-        embed = features.embed_frames
-
-        def recording(frames, spec):
-            vectors[features.frame_content_key(frames)] = embed(frames, spec)
-            return vectors[features.frame_content_key(frames)]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(features, "embed_frames", recording)
-            patch.setattr(metrics, "embed_frames", recording)
-            metrics.evaluate_all(trajs[0], trajs[0])  # store gets pair 0's keys only
+        vectors = _recorded_embeddings(trajs[0], trajs[0], monkeypatch)  # pair 0's keys only
         features.EmbeddingStore.write(tmp_path / "store.json", vectors)
         pairs_file = tmp_path / "pairs.json"
         pairs_file.write_text(json.dumps([{"gen": p, "gt": p} for p in paths]))
@@ -202,13 +225,27 @@ class TestEval:
         assert "trajectory" in records[1]
         assert records[2]["error"]["pair"] == 1 and "not found" in records[2]["error"]["message"]
 
+    def test_recorded_store_serves_every_lookup(self, tmp_path, monkeypatch):
+        gt, truth = generate_trajectory(mixed_fixture_config(seed=630, size=32, t=6))
+        gen = perturb_rollout(gt, truth, "frame-noise", 0.05, seed=1)
+        reference = metrics.evaluate_all(gen, gt)
+        features.EmbeddingStore.write(tmp_path / "store.json",
+                                      _recorded_embeddings(gen, gt, monkeypatch))
+        paths = [str(save_manifest(t, tmp_path / t.id / "manifest.json")) for t in (gen, gt)]
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", paths[0], "--gt", paths[1], "--out", str(out), "--embedder",
+                     "external-file", "--embedder-source", str(tmp_path / "store.json")]) == 0
+        scores = _read_records(out)[1]["scores"]
+        for name, value in reference.scores.items():
+            assert scores[name] == pytest.approx(value, abs=1e-5)
+
     def test_missing_store_blob_fails_only_its_pair(self, tmp_path, monkeypatch):
         paths, index = [], {}
         for i in range(2):
             traj, _ = generate_trajectory(mixed_fixture_config(seed=620 + i, size=32, t=4))
             paths.append(str(save_manifest(traj, tmp_path / f"t{i}" / "manifest.json")))
             part = tmp_path / f"part{i}.json"  # blob part{i}.blob holds pair i's vectors
-            features.EmbeddingStore.write(part, _self_eval_embeddings(traj, monkeypatch))
+            features.EmbeddingStore.write(part, _recorded_embeddings(traj, traj, monkeypatch))
             index.update(json.loads(part.read_text()))
         (tmp_path / "store.json").write_text(json.dumps(index))
         (tmp_path / "part1.blob").unlink()

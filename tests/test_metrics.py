@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wemeval import metrics
+from wemeval.features import embed_frames
 from wemeval.metrics import (
     MetricConfig,
     MetricNotApplicable,
+    ScoringPair,
     cisr,
     cpdm,
     evaluate_all,
@@ -71,7 +74,8 @@ class TestSymmetricMatch:
 class TestRcbd:
     def test_identical_trajectories_score_one(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert rcbd(traj, traj, default_config).score == pytest.approx(1.0, abs=1e-12)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert rcbd(pair, default_config).score == pytest.approx(1.0, abs=1e-12)
 
     def test_motion_gap_ratio_four_gives_half(self, default_config):
         # Same boundary frames on both sides (appearance match = 1); motion
@@ -86,12 +90,13 @@ class TestRcbd:
             _chunk(frames_a, flows=[_uniform_flow(1.0)]),
             _chunk(frames_b, flows=[_uniform_flow(0.0)]),
         ))
-        assert rcbd(gen, gt, default_config).score == pytest.approx(0.5, abs=1e-9)
+        pair = ScoringPair.of(gen, gt, default_config)
+        assert rcbd(pair, default_config).score == pytest.approx(0.5, abs=1e-9)
 
     def test_single_chunk_not_applicable(self, default_config):
         traj = Trajectory(id="g", chunks=(_flow_chunk([1, 2], [1.0]),))
         with pytest.raises(MetricNotApplicable, match="K >= 2"):
-            rcbd(traj, traj, default_config)
+            rcbd(ScoringPair.of(traj, traj, default_config), default_config)
 
     def test_missing_flows_not_applicable(self, default_config):
         gen = Trajectory(id="g", chunks=(
@@ -99,13 +104,14 @@ class TestRcbd:
             _chunk([_textured_frame(3), _textured_frame(4)]),
         ))
         with pytest.raises(MetricNotApplicable, match="missing flows"):
-            rcbd(gen, gen, default_config)
+            rcbd(ScoringPair.of(gen, gen, default_config), default_config)
 
 
 class TestLpsa:
     def test_identical_trajectories_score_one(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert lpsa(traj, traj, default_config).score == pytest.approx(1.0, abs=1e-12)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert lpsa(pair, default_config).score == pytest.approx(1.0, abs=1e-12)
 
     def test_weighted_mean_with_black_mismatches(self, default_config):
         # Black gen chunks embed to the zero vector: cosine 0 against any
@@ -118,7 +124,7 @@ class TestLpsa:
         ]
         gen = Trajectory(id="g", chunks=tuple(gen_chunks))
         gt = Trajectory(id="t", chunks=tuple(gt_chunks))
-        result = lpsa(gen, gt, default_config)
+        result = lpsa(ScoringPair.of(gen, gt, default_config), default_config)
         assert result.breakdown == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert result.score == pytest.approx(0.5, abs=1e-12)
 
@@ -126,27 +132,31 @@ class TestLpsa:
         gt_chunks = [_chunk([_textured_frame(s)]) for s in (1, 2)]
         gen = Trajectory(id="g", chunks=(gt_chunks[0], _chunk([_frame(0.0)])))
         gt = Trajectory(id="t", chunks=tuple(gt_chunks))
-        assert lpsa(gen, gt, default_config).score == pytest.approx(1.0 / 3.0, abs=1e-12)
+        pair = ScoringPair.of(gen, gt, default_config)
+        assert lpsa(pair, default_config).score == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestCisr:
     def test_identity_with_distinct_chunks(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert cisr(traj, traj, default_config).score == pytest.approx(1.0)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert cisr(pair, default_config).score == pytest.approx(1.0)
 
     def test_swapped_chunks_rank_second(self, default_config):
         a = _chunk([_textured_frame(1), _textured_frame(2)])
         b = _chunk([_textured_frame(3), _textured_frame(4)])
         gen = Trajectory(id="g", chunks=(b, a))
         gt = Trajectory(id="t", chunks=(a, b))
-        assert cisr(gen, gt, default_config).score == pytest.approx(0.5)
+        pair = ScoringPair.of(gen, gt, default_config)
+        assert cisr(pair, default_config).score == pytest.approx(0.5)
 
     def test_degenerate_constant_embeddings_rank_pessimistically(self, default_config):
         # Uniform chunks all embed to the same direction; every similarity
         # ties at 1, so each correct match takes the worst rank K.
         chunks = tuple(_chunk([_frame(v), _frame(v)]) for v in (0.2, 0.5, 0.8))
         traj = Trajectory(id="g", chunks=chunks)
-        assert cisr(traj, traj, default_config).score == pytest.approx(1.0 / 3.0)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert cisr(pair, default_config).score == pytest.approx(1.0 / 3.0)
 
     def test_ranks_one_two_three(self, default_config):
         # Every gen chunk repeats texture A, so the rankings follow the gt
@@ -163,7 +173,7 @@ class TestCisr:
         spec = EmbedderSpec()
         e = [embed_frames([f, f], spec) for f in (a, blend, c)]
         assert cosine_similarity(e[0], e[1]) > cosine_similarity(e[0], e[2])  # ordering premise
-        result = cisr(gen, gt, default_config)
+        result = cisr(ScoringPair.of(gen, gt, default_config), default_config)
         assert result.breakdown == pytest.approx([1.0, 0.5, 1.0 / 3.0])
         assert result.score == pytest.approx((1.0 + 0.5 + 1.0 / 3.0) / 3.0, abs=1e-12)
 
@@ -171,7 +181,8 @@ class TestCisr:
 class TestPmpa:
     def test_identical_flows_score_one(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert pmpa(traj, traj, default_config).score == pytest.approx(1.0)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert pmpa(pair, default_config).score == pytest.approx(1.0)
 
     def test_constant_profile_offset(self, default_config):
         # Uniform flow magnitudes a vs b shift the two normalized-magnitude
@@ -182,7 +193,8 @@ class TestPmpa:
         gt = Trajectory(id="t", chunks=(_flow_chunk([1, 2, 3], [b, b]),))
         delta = math.sqrt(2.0) * (a - b) / diag
         expected = math.exp(-delta / default_config.tau_pmpa)
-        assert pmpa(gen, gt, default_config).score == pytest.approx(expected, abs=1e-9)
+        pair = ScoringPair.of(gen, gt, default_config)
+        assert pmpa(pair, default_config).score == pytest.approx(expected, abs=1e-9)
 
     def test_delta_equal_tau_gives_inverse_e(self):
         cfg = MetricConfig()
@@ -190,18 +202,19 @@ class TestPmpa:
         gap = cfg.tau_pmpa * diag / math.sqrt(2.0)
         gen = Trajectory(id="g", chunks=(_flow_chunk([1, 2], [1.0 + gap]),))
         gt = Trajectory(id="t", chunks=(_flow_chunk([1, 2], [1.0]),))
-        assert pmpa(gen, gt, cfg).score == pytest.approx(math.exp(-1.0), abs=1e-9)
+        pair = ScoringPair.of(gen, gt, cfg)
+        assert pmpa(pair, cfg).score == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_short_chunks_are_skipped_with_note(self, default_config):
         gen = Trajectory(id="g", chunks=(_chunk([_textured_frame(1)]),))
-        result = pmpa(gen, gen, default_config)
+        result = pmpa(ScoringPair.of(gen, gen, default_config), default_config)
         assert result.score is None
         assert any("T < 2" in n for n in result.notes)
 
     def test_missing_flows_not_applicable(self, default_config):
         gen = Trajectory(id="g", chunks=(_chunk([_textured_frame(1), _textured_frame(2)]),))
         with pytest.raises(MetricNotApplicable, match="missing flows"):
-            pmpa(gen, gen, default_config)
+            pmpa(ScoringPair.of(gen, gen, default_config), default_config)
 
 
 class TestCpdm:
@@ -212,16 +225,18 @@ class TestCpdm:
             _chunk([_frame(0.6), _frame(0.6)], phase=PhaseLabel.MANIP),
         )
         traj = Trajectory(id="g", chunks=chunks)
-        assert cpdm(traj, traj, default_config).score == pytest.approx(0.5)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert cpdm(pair, default_config).score == pytest.approx(0.5)
 
     def test_identity_fixture_beats_half(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert cpdm(traj, traj, default_config).score > 0.5
+        assert cpdm(ScoringPair.of(traj, traj, default_config), default_config).score > 0.5
 
     def test_single_phase_is_absent_with_note(self, default_config):
         chunks = tuple(_chunk([_textured_frame(s), _textured_frame(s + 5)]) for s in (1, 2))
-        result = cpdm(Trajectory(id="g", chunks=chunks), Trajectory(id="t", chunks=chunks),
-                      default_config)
+        pair = ScoringPair.of(Trajectory(id="g", chunks=chunks), Trajectory(id="t", chunks=chunks),
+                              default_config)
+        result = cpdm(pair, default_config)
         assert result.score is None
         assert any("single-phase" in n for n in result.notes)
 
@@ -235,12 +250,14 @@ class TestCpdm:
 class TestFphs:
     def test_identity_scores_one(self, mixed_identity_pair, default_config):
         traj, _ = mixed_identity_pair
-        assert fphs(traj, traj, default_config).score == pytest.approx(1.0, abs=1e-12)
+        pair = ScoringPair.of(traj, traj, default_config)
+        assert fphs(pair, default_config).score == pytest.approx(1.0, abs=1e-12)
 
     def test_no_phase_switch_absent_with_note(self, default_config):
         chunks = tuple(_flow_chunk([s, s + 1], [1.0]) for s in (1, 3))
-        result = fphs(Trajectory(id="g", chunks=chunks), Trajectory(id="t", chunks=chunks),
-                      default_config)
+        pair = ScoringPair.of(Trajectory(id="g", chunks=chunks), Trajectory(id="t", chunks=chunks),
+                              default_config)
+        result = fphs(pair, default_config)
         assert result.score is None
         assert any("no phase switch" in n for n in result.notes)
 
@@ -277,6 +294,24 @@ class TestEvaluateAll:
         assert report.scores["lpsa"] == pytest.approx(1.0)
         assert report.scores["cisr"] == pytest.approx(1.0)
         assert len(report.notes) >= 3
+
+    def test_each_chunk_is_embedded_once(self, default_config, monkeypatch):
+        # T = 6 exceeds both windows (4), so only cisr/cpdm embed whole chunks;
+        # the perturbed gen shares no frame objects with the ground truth.
+        gt, truth = generate_trajectory(mixed_fixture_config(seed=34, size=32, t=6))
+        gen = perturb_rollout(gt, truth, "frame-noise", 0.05, seed=3)
+        chunks = {tuple(map(id, c.frames)) for traj in (gen, gt) for c in traj.chunks}
+        whole_chunk_calls = []
+
+        def counting(frames, spec):
+            if tuple(map(id, frames)) in chunks:
+                whole_chunk_calls.append(frames)
+            return embed_frames(frames, spec)
+
+        monkeypatch.setattr(metrics, "embed_frames", counting)
+        report = evaluate_all(gen, gt, default_config)
+        assert report.scores["cisr"] is not None and report.scores["cpdm"] is not None
+        assert len(whole_chunk_calls) == 2 * len(gt.chunks)
 
     def test_shuffled_gen_reduces_cisr(self, default_config):
         traj, gt_aux = generate_trajectory(mixed_fixture_config(seed=33, size=32, t=4))
