@@ -2,10 +2,17 @@
 
 The reference embedder is a zero-dependency stand-in for a learned video
 encoder: per-frame grid statistics (cell means and standard deviations),
-averaged over the frame list and L2-normalized. The external embedder serves
-vectors precomputed offline by any encoder, looked up by a content key derived
-from the frame payload. Both feed the same cosine-based similarity and
-distance used throughout the metric suite.
+averaged over the frame list and L2-normalized. An h x w frame is split into
+g x g cells, g = min(grid, h, w); cell r spans rows [r*h//g, (r+1)*h//g), and
+likewise for columns, so the cells tile the frame whether or not g divides its
+dims. Whole frames and the crops of any size that fphs embeds take the same
+path: per-cell sums give the means, then sums of squared deviations from them
+give the population standard deviations. The second pass keeps the std of a
+constant cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there.
+
+The external embedder serves vectors precomputed offline by any encoder,
+looked up by a content key derived from the frame payload. Both feed the same
+cosine-based similarity and distance used throughout the metric suite.
 """
 
 from __future__ import annotations
@@ -106,30 +113,12 @@ def _store_for(spec: EmbedderSpec) -> EmbeddingStore:
     return _store_cache[key]
 
 
-def _cell_edges(size: int, grid: int) -> np.ndarray:
-    return (np.arange(grid + 1) * size) // grid
-
-
-def _grid_statistics(gray: np.ndarray, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell mean and population standard deviation for one grayscale frame.
-
-    Cell r spans rows [r*h//g, (r+1)*h//g) and likewise for columns, so cells
-    tile the frame even when the dims do not divide evenly.
-    """
-    h, w = gray.shape
-    if h % grid == 0 and w % grid == 0:
-        cells = gray.reshape(grid, h // grid, grid, w // grid)
-        return cells.mean(axis=(1, 3)).ravel(), cells.std(axis=(1, 3)).ravel()
-    row_edges = _cell_edges(h, grid)
-    col_edges = _cell_edges(w, grid)
-    means = np.empty((grid, grid))
-    stds = np.empty((grid, grid))
-    for r in range(grid):
-        for c in range(grid):
-            cell = gray[row_edges[r] : row_edges[r + 1], col_edges[c] : col_edges[c + 1]]
-            means[r, c] = cell.mean()
-            stds[r, c] = cell.std()
-    return means.ravel(), stds.ravel()
+def _cell_index(h: int, w: int, grid: int) -> np.ndarray:
+    """Flat cell id (row-major) of each pixel under the module's cell partition."""
+    edges = np.arange(grid + 1)
+    rows = np.repeat(edges[:-1], np.diff(edges * h // grid))
+    cols = np.repeat(edges[:-1], np.diff(edges * w // grid))
+    return (rows[:, None] * grid + cols[None, :]).ravel()
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -140,11 +129,10 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
     """Embed a frame list into one L2-normalized vector.
 
-    Reference embedder: grayscale each frame (channel mean), split it into
-    grid x grid cells, take each cell's mean and standard deviation, average
-    the statistics over the frame list, concatenate [means, stds] and
-    normalize. All-zero statistics normalize to the zero vector. The grid is
-    clamped to min(grid, h, w) so that small crops still embed; callers
+    Reference embedder: grayscale each frame (channel mean), take the mean
+    and standard deviation of each cell of the module docstring's partition,
+    average the statistics over the frame list, concatenate [means, stds] and
+    normalize. All-zero statistics normalize to the zero vector. Callers
     comparing embeddings must pass equally sized frames.
 
     External embedder: look up the frames' content key in the store.
@@ -156,15 +144,18 @@ def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
 
     h, w = frames[0].height, frames[0].width
     grid = min(spec.grid, h, w)
+    cell = _cell_index(h, w, grid)
+    counts = np.bincount(cell)
     mean_acc = np.zeros(grid * grid)
     std_acc = np.zeros(grid * grid)
     for f in frames:
         if (f.height, f.width) != (h, w):
             raise ValueError("all frames in one embedding call must share dims")
-        gray = f.data.astype(np.float64).mean(axis=2)
-        means, stds = _grid_statistics(gray, grid)
+        gray = f.data.astype(np.float64).mean(axis=2).ravel()
+        means = np.bincount(cell, weights=gray) / counts
+        dev = gray - means[cell]
         mean_acc += means
-        std_acc += stds
+        std_acc += np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
     vector = np.concatenate([mean_acc, std_acc]) / len(frames)
     return l2_normalize(vector)
 

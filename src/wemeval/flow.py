@@ -227,14 +227,13 @@ def residual_object_flow(f: FlowField, f_cam: FlowField) -> FlowField:
     return FlowField(u=f.u.astype(np.float64) - f_cam.u, v=f.v.astype(np.float64) - f_cam.v)
 
 
-def flow_stats(
-    f: FlowField, top_fraction: float = 0.2, bins: int = ENTROPY_BINS
-) -> tuple[float, float, float]:
+def flow_stats(f: FlowField, top_fraction: float = 0.2) -> tuple[float, float, float]:
     """(median magnitude, mean of the top-fraction magnitudes, normalized entropy).
 
     All three come from one descending sort. The entropy is that of a uniform
-    histogram over [0, peak] with bin min(floor(m / peak * bins), bins - 1),
-    divided by log(bins); an all-zero field has entropy 0.
+    histogram of B = ENTROPY_BINS bins over [0, peak], magnitude m falling in
+    bin min(floor(m / peak * B), B - 1), divided by log(B); an all-zero field
+    has entropy 0.
     """
     desc = np.sort(f.magnitude().ravel())[::-1]
     n = desc.size
@@ -242,10 +241,10 @@ def flow_stats(
     top = float(desc[: math.ceil(top_fraction * n)].mean())
     if desc[0] <= 0.0:
         return median, top, 0.0
-    idx = np.minimum((desc / desc[0] * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
+    idx = np.minimum((desc / desc[0] * ENTROPY_BINS).astype(np.int64), ENTROPY_BINS - 1)
+    counts = np.bincount(idx, minlength=ENTROPY_BINS)
     p = counts[counts > 0] / n
-    return median, top, float(-(p * np.log(p)).sum() / math.log(bins))
+    return median, top, float(-(p * np.log(p)).sum() / math.log(ENTROPY_BINS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,10 +284,12 @@ def _log_ratio(median: float, top: float) -> float:
     return PROFILE_LOG_RATIO_CLAMP
 
 
-def motion_profile(
-    chunk: Chunk, top_fraction: float = 0.2, bins: int = ENTROPY_BINS
-) -> MotionProfile:
-    """4-component motion profile over the chunk's consecutive frame pairs."""
+def motion_profile(chunk: Chunk, top_fraction: float = 0.2) -> MotionProfile:
+    """4-component motion profile over the chunk's consecutive frame pairs.
+
+    Each row is built from ``flow_stats`` of one flow field, so the entropy
+    column always uses ENTROPY_BINS bins.
+    """
     if len(chunk.frames) < 2:
         raise ValueError("motion profile needs a chunk with T >= 2")
     if chunk.flows is None or len(chunk.flows) != len(chunk.frames) - 1:
@@ -297,7 +298,7 @@ def motion_profile(
     diag = math.hypot(first.width, first.height)
     rows = []
     for f in chunk.flows:
-        median, top, entropy = flow_stats(f, top_fraction=top_fraction, bins=bins)
+        median, top, entropy = flow_stats(f, top_fraction=top_fraction)
         rows.append([median / diag, top / diag, _log_ratio(median, top), entropy])
     return MotionProfile(steps=np.array(rows))
 

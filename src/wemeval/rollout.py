@@ -202,7 +202,9 @@ def validate_trajectory(traj: Trajectory) -> ValidationReport:
                 if _frame_dims(frame) != dims:
                     issues.append(f"chunk {ci} frame {fi}: dim mismatch within chunk")
                 vals = frame.data
-                if not np.isfinite(vals).all():
+                if vals.size == 0:
+                    issues.append(f"chunk {ci} frame {fi}: empty frame")
+                elif not np.isfinite(vals).all():
                     issues.append(f"chunk {ci} frame {fi}: non-finite value")
                 elif vals.min() < 0.0 or vals.max() > 1.0:
                     issues.append(f"chunk {ci} frame {fi}: value outside [0, 1]")

@@ -105,7 +105,7 @@ def check_rca_agreement(rng: np.random.Generator, trials: int) -> dict:
                         }
                     )
                     break
-            if failures:
+            if failures and failures[-1]["trial"] == trial:
                 break
         if len(failures) >= _MAX_FAILURE_DUMPS:
             break

@@ -165,12 +165,17 @@ class TestEval:
     @pytest.mark.parametrize("defect, message", [
         ("frame-above-one", "value outside [0, 1]"),
         ("flow-count", "flow count"),
+        ("empty-frame", "gen trajectory invalid: chunk 0 frame 0: empty frame"),
     ])
     def test_invalid_content_becomes_error_record(self, tmp_path, defect, message):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=602, size=32, t=4))
         first = traj.chunks[0]
         if defect == "frame-above-one":
             frames = (Frame(data=first.frames[0].data + 1.0),) + first.frames[1:]
+            first = Chunk(frames=frames, instruction=first.instruction, phase=first.phase,
+                          flows=first.flows, masks=first.masks)
+        elif defect == "empty-frame":
+            frames = (Frame(data=np.zeros((0, 4, 1), dtype=np.float32)),) * len(first.frames)
             first = Chunk(frames=frames, instruction=first.instruction, phase=first.phase,
                           flows=first.flows, masks=first.masks)
         else:

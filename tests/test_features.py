@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,25 @@ class TestReferenceEmbedder:
     def test_grid_clamps_to_small_frames(self):
         v = embed_frames([_textured(0, h=3, w=5)], EmbedderSpec(grid=8))
         assert v.shape == (2 * 3 * 3,)
+
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        grid=st.integers(1, 10),
+        n_frames=st.integers(1, 3),
+        channels=st.sampled_from([1, 3]),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_dims_match_oracle(self, h, w, grid, n_frames, channels, uniform, seed):
+        rng = np.random.default_rng(seed)
+        shape = (1, 1, 1) if uniform else (h, w, channels)
+        frames = [Frame(data=np.broadcast_to(rng.random(shape), (h, w, channels)))
+                  for _ in range(n_frames)]
+        got = embed_frames(frames, EmbedderSpec(grid=grid))
+        assert got.shape == (2 * min(grid, h, w) ** 2,)
+        assert np.abs(got - oracle.embed(frames, grid)).max() <= 1e-12
 
 
 class TestCosineSimilarity:

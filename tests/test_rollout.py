@@ -65,6 +65,12 @@ class TestValidation:
         assert any("non-finite" in issue for issue in report.issues)
         assert any("outside [0, 1]" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize("h, w", [(0, 4), (4, 0)])
+    def test_empty_frame_reported_not_raised(self, h, w):
+        chunk = Chunk(frames=(_frame(h=h, w=w),), instruction="", phase=PhaseLabel.NAV)
+        report = validate_trajectory(Trajectory(id="e", chunks=(chunk,)))
+        assert report.issues == ["chunk 0 frame 0: empty frame"]
+
     def test_cross_chunk_dim_mismatch(self):
         big = Chunk(frames=(_frame(h=32, w=32), _frame(h=32, w=32)), instruction="", phase=PhaseLabel.NAV)
         report = validate_trajectory(Trajectory(id="d", chunks=(_chunk(), big)))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from wemeval import verify
+from wemeval.mechanisms import AttentionMask
 from wemeval.verify import INVARIANT_NAMES, run_verification
 
 
@@ -29,6 +32,23 @@ def test_injected_unroute_fault_is_caught_with_counterexample():
     for name in INVARIANT_NAMES:
         if name != "unroute_reconstruction":
             assert by_name[name]["passed"]
+
+
+def test_rca_checker_keeps_checking_every_row_after_a_failure(monkeypatch):
+    build = verify.build_rca_mask
+
+    def last_row_flipped(layout, k_window):
+        allowed = build(layout, k_window).allowed.copy()
+        allowed[-1, 0] = not allowed[-1, 0]
+        return AttentionMask(allowed)
+
+    monkeypatch.setattr(verify, "build_rca_mask", last_row_flipped)
+    record = verify.check_rca_agreement(np.random.default_rng(0), 50)
+    assert not record["passed"]
+    failures = record["failures"]
+    assert len(failures) == verify._MAX_FAILURE_DUMPS
+    assert [f["trial"] for f in failures] == list(range(len(failures)))
+    assert all(f["col"] == 0 and f["row"] > 0 for f in failures)
 
 
 def test_zero_trials_rejected():
