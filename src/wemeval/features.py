@@ -121,6 +121,16 @@ def _cell_index(h: int, w: int, grid: int) -> np.ndarray:
     return (rows[:, None] * grid + cols[None, :]).ravel()
 
 
+def _gray(f: Frame) -> np.ndarray:
+    """Channel mean in float64, bit-identical to astype(float64).mean(axis=2)."""
+    gray = f.data[:, :, 0].astype(np.float64)
+    for c in range(1, f.channels):  # mean(axis=2)'s order: (a + b) + c
+        gray += f.data[:, :, c]
+    if f.channels > 1:
+        gray /= f.channels
+    return gray
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     return v / norm if norm > 0.0 else v
@@ -151,7 +161,7 @@ def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
     for f in frames:
         if (f.height, f.width) != (h, w):
             raise ValueError("all frames in one embedding call must share dims")
-        gray = f.data.astype(np.float64).mean(axis=2).ravel()
+        gray = _gray(f).ravel()
         means = np.bincount(cell, weights=gray) / counts
         dev = gray - means[cell]
         mean_acc += means

@@ -233,16 +233,19 @@ def flow_stats(f: FlowField, top_fraction: float = 0.2) -> tuple[float, float, f
     All three come from one descending sort. The entropy is that of a uniform
     histogram of B = ENTROPY_BINS bins over [0, peak], magnitude m falling in
     bin min(floor(m / peak * B), B - 1), divided by log(B); an all-zero field
-    has entropy 0.
+    has entropy 0. Raises ValueError if any magnitude is inf or NaN.
     """
     desc = np.sort(f.magnitude().ravel())[::-1]
+    if not np.isfinite(desc[0]):  # NaN sorts last, so any inf or NaN is desc[0]
+        raise ValueError("flow field has a non-finite magnitude")
     n = desc.size
     median = float(desc[n // 2] if n % 2 else (desc[n // 2 - 1] + desc[n // 2]) / 2)
     top = float(desc[: math.ceil(top_fraction * n)].mean())
     if desc[0] <= 0.0:
         return median, top, 0.0
     idx = np.minimum((desc / desc[0] * ENTROPY_BINS).astype(np.int64), ENTROPY_BINS - 1)
-    counts = np.bincount(idx, minlength=ENTROPY_BINS)
+    # idx is non-increasing along desc, so each bin's count is a run length.
+    counts = np.diff(np.searchsorted(idx[::-1], np.arange(ENTROPY_BINS + 1)))
     p = counts[counts > 0] / n
     return median, top, float(-(p * np.log(p)).sum() / math.log(ENTROPY_BINS))
 

@@ -81,8 +81,7 @@ class WorldEgoMask:
         return self.data.shape[1]
 
     def is_binary(self) -> bool:
-        vals = np.asarray(self.data)
-        return bool(np.isin(vals, (0, 1)).all())
+        return bool(((self.data == 0) | (self.data == 1)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +112,12 @@ class FlowField:
         return self.u.shape[1]
 
     def magnitude(self) -> np.ndarray:
-        """Per-pixel flow magnitude, computed in float64."""
-        return np.hypot(self.u.astype(np.float64), self.v.astype(np.float64))
+        """Per-pixel flow magnitude, computed in float64.
+
+        The f32 components square exactly in f64 and cannot overflow there, so
+        sqrt(u*u + v*v) is within an ulp of hypot without hypot's scaling.
+        """
+        return np.sqrt(np.square(self.u, dtype=np.float64) + np.square(self.v, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wemeval.features import (
     EmbedderSpec,
     EmbeddingStore,
+    _gray,
     cosine_similarity,
     embed_frames,
     frame_content_key,
@@ -79,6 +80,19 @@ class TestReferenceEmbedder:
         got = embed_frames(frames, EmbedderSpec(grid=grid))
         assert got.shape == (2 * min(grid, h, w) ** 2,)
         assert np.abs(got - oracle.embed(frames, grid)).max() <= 1e-12
+
+    @given(
+        h=st.integers(1, 24),
+        w=st.integers(1, 24),
+        scales=st.lists(st.sampled_from([1.0, 2.0**-30, 2.0**-60]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_three_channel_grayscale_equals_channel_mean(self, h, w, scales, seed):
+        # Channels of f32 values within 2**29 of each other sum exactly in f64;
+        # scaling them apart makes the summation order show in the result.
+        f = Frame(data=np.random.default_rng(seed).random((h, w, 3)) * scales)
+        assert np.array_equal(_gray(f), f.data.astype(np.float64).mean(axis=2))
 
 
 class TestCosineSimilarity:

@@ -120,6 +120,30 @@ class TestFlowStats:
         assert top == 3.0
         assert entropy == pytest.approx(math.log(2) / math.log(16), abs=1e-12)
 
+    @pytest.mark.parametrize("u", [
+        np.concatenate([np.full(40, 5.0), np.linspace(0.0, 5.0, 24, endpoint=False)]).reshape(8, 8),
+        np.arange(17.0).reshape(1, 17),
+        np.repeat(np.arange(0.0, 17.0, 0.5), 3).reshape(3, 34),
+        np.zeros((4, 4)),
+        np.full((1, 1), 3.0),
+    ], ids=["tied-at-peak", "bin-edges", "half-bin-edges", "all-zero", "one-pixel"])
+    def test_entropy_equals_bincount_histogram(self, u):
+        f = FlowField(u=u, v=np.zeros_like(u))
+        mag = f.magnitude().ravel()
+        expected = 0.0
+        if mag.max() > 0.0:
+            idx = np.minimum((mag / mag.max() * 16).astype(np.int64), 15)
+            counts = np.bincount(idx, minlength=16)
+            p = counts[counts > 0] / mag.size
+            expected = float(-(p * np.log(p)).sum() / math.log(16))
+        assert flow_stats(f)[2] == expected
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_magnitude_rejected(self, bad):
+        u = np.array([[1.0, bad], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="non-finite magnitude"):
+            flow_stats(FlowField(u=u, v=np.zeros_like(u)))
+
     def test_top_mean_at_least_median(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

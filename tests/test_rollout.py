@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wemeval.rollout import (
     Chunk,
+    FlowField,
     Frame,
     PhaseLabel,
     Trajectory,
@@ -36,6 +39,41 @@ class TestFrame:
         f = _frame()
         with pytest.raises(ValueError):
             f.data[0, 0, 0] = 1.0
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32 = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, _F32_MAX, -_F32_MAX]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestFlowField:
+    @given(st.lists(st.tuples(_F32, _F32), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_magnitude_within_one_ulp_of_hypot(self, uv):
+        u, v = np.array(uv, dtype=np.float32).T[:, None, :]
+        got = FlowField(u=u, v=v).magnitude()
+        want = np.hypot(u.astype(np.float64), v.astype(np.float64))
+        assert got.dtype == np.float64
+        assert (np.abs(got - want) <= np.spacing(want)).all()
+
+
+class TestWorldEgoMask:
+    @pytest.mark.parametrize("values, dtype, expected", [
+        ([True, False], np.bool_, True),
+        ([0, 1], np.uint8, True),
+        ([0, 1, 2], np.uint8, False),
+        ([0, 1, 2], np.uint16, False),
+        ([0, 1, -1], np.int8, False),
+        ([0.0, 1.0, 0.5], np.float32, False),
+        ([0.0, 1.0, np.nan], np.float32, False),
+    ], ids=["bool", "uint8-binary", "uint8-two", "uint16-two", "int8-minus-one", "float32-half",
+            "float32-nan"])
+    def test_is_binary_across_dtypes(self, values, dtype, expected):
+        mask = WorldEgoMask(data=np.array([values], dtype=dtype))
+        assert mask.data.dtype == dtype
+        assert mask.is_binary() is expected
 
 
 class TestValidation:
