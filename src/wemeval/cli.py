@@ -3,19 +3,29 @@ verification, and fixture generation.
 
 Reports are line-delimited JSON: one effective-config record, one record per
 trajectory pair (or a per-pair error record), and a final aggregate. They are
-a pure function of (inputs, config). Pairs are scored in order on the
-calling thread; ``--workers`` is accepted and ignored. Timing goes to stderr
-only.
+a pure function of (inputs, config). Each record is written and flushed as
+soon as it exists. ``eval --workers N`` scores pairs in up to N fork worker
+processes and writes their records in index order, so N never changes the
+report bytes. A regular-file or new ``--out`` is written to a temp file beside
+it and renamed onto it only when the report is complete. Timing goes to
+stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
+import stat
 import sys
+import threading
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import fields
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -37,16 +47,54 @@ from .rollout import PhaseLabel
 from .verify import run_verification
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+class _CommandError(Exception):
+    """A bad input or output: the command prints ``<command>: <message>`` on stderr and exits 2."""
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(stream: TextIO, record: dict) -> None:
+    stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    stream.flush()
+
+
+@contextlib.contextmanager
+def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
+    """Yields a function that writes one record as a JSON line and flushes it.
+
+    Lines go to stdout, or to ``<path>.<pid>.tmp`` beside ``path``, which is
+    renamed onto ``path`` (keeping an existing file's mode) when the block
+    completes and removed when it raises: a report at ``path`` is only ever
+    replaced by a whole one. Only a new name or a regular file is replaced;
+    anything else (a symlink's target, ``/dev/null``, a FIFO) is written in
+    place. An unwritable ``path`` is a ``_CommandError`` before the block
+    starts.
+    """
+    if path is None:
+        yield lambda record: _emit(sys.stdout, record)
+        return
+    if os.path.isdir(path):  # os.replace would only fail at the end
+        raise _CommandError(f"cannot write {path}: it is a directory")
+    try:
+        replaceable = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        replaceable = True
+    tmp = f"{path}.{os.getpid()}.tmp" if replaceable else path
+    try:
+        stream = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CommandError(f"cannot write {path}: {exc.strerror}") from None
+    if tmp == path:
+        with stream:
+            yield lambda record: _emit(stream, record)
+        return
+    try:
+        with stream:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            yield lambda record: _emit(stream, record)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -94,20 +142,22 @@ def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConf
     return MetricConfig(**updates, embedder=EmbedderSpec(**spec))
 
 
-def _eval_pair(gen_path: str, gt_path: str, cfg: MetricConfig) -> dict:
-    """The pair's report record, or an error record when it cannot be scored."""
+def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
+    """The report record of a (gen path, gt path, config) task, or an error
+    record when the pair cannot be scored. One argument, for ``Executor.map``."""
+    gen_path, gt_path, cfg = task
     try:
         return evaluate_all(load_manifest(gen_path), load_manifest(gt_path), cfg).to_dict()
     except (OSError, ValueError, KeyError) as exc:  # ManifestError is a ValueError
         return {"error": {"gen": gen_path, "gt": gt_path, "message": str(exc)}}
 
 
-def _aggregate_record(scored: list[dict], failed: int) -> str:
+def _aggregate_record(scored: list[dict], failed: int) -> dict:
     scores = {}
     for name in METRIC_NAMES:
         values = [r["scores"][name] for r in scored if r["scores"].get(name) is not None]
         scores[name] = float(np.mean(values)) if values else None
-    return _dump({"aggregate": {"scores": scores, "pairs": len(scored) + failed, "failed": failed}})
+    return {"aggregate": {"scores": scores, "pairs": len(scored) + failed, "failed": failed}}
 
 
 def _read_pairs(path: str) -> list[tuple[str, str]]:
@@ -122,41 +172,79 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
     return [(str(base / e["gen"]), str(base / e["gt"])) for e in doc]
 
 
+def _exit_with_caller(caller: int) -> None:
+    """Pool worker initializer. A worker whose calling ``eval`` was killed
+    (SIGTERM, SIGKILL) would otherwise wait for work forever; it exits
+    within half a second instead."""
+
+    def watch() -> None:
+        while os.getppid() == caller:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@contextlib.contextmanager
+def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterator[Iterator[dict]]:
+    """Yields the tasks' records in index order, scored by up to ``workers``
+    fork processes (at most one per usable CPU); with one, on the calling
+    thread and no process starts. A worker that dies raises
+    ``BrokenProcessPool``. Leaving the block cancels the tasks not yet
+    started and waits for the workers to exit."""
+    n = min(workers, len(tasks))
+    if n > 1:
+        n = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if n <= 1:
+        yield map(_eval_pair, tasks)
+        return
+    # Not at the top: they add about 15 ms to every one-worker run.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a forked worker starts without importing numpy and the
+    # package again. Python 3.12 and later warn on fork when the process has
+    # other threads, which a BLAS library under numpy may have started.
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_caller, initargs=(os.getpid(),))
+    try:
+        yield pool.map(_eval_pair, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         file_cfg = _load_config_file(args.config)
         cfg = _build_metric_config(args, file_cfg)
     except (OSError, ValueError, TypeError) as exc:
-        print(f"eval: bad configuration: {exc}", file=sys.stderr)
-        return 2
+        raise _CommandError(f"bad configuration: {exc}") from None
 
     if args.pairs:
         try:
             pairs = _read_pairs(args.pairs)
         except (OSError, ValueError) as exc:
-            print(f"eval: bad pairs file {args.pairs}: {exc}", file=sys.stderr)
-            return 2
+            raise _CommandError(f"bad pairs file {args.pairs}: {exc}") from None
     elif args.gen and args.gt:
         pairs = [(args.gen, args.gt)]
     else:
-        print("eval: provide --gen/--gt or --pairs", file=sys.stderr)
-        return 2
+        raise _CommandError("provide --gen/--gt or --pairs")
 
-    lines = [_dump({"config": cfg.to_dict()})]
     succeeded = []
     failed = 0
     started = time.perf_counter()
-    for index, (gen_path, gt_path) in enumerate(pairs):
-        record = _eval_pair(gen_path, gt_path, cfg)
-        if "error" in record:
-            record["error"]["pair"] = index
-            failed += 1
-        else:
-            succeeded.append(record)
-        lines.append(_dump(record))
+    tasks = [(gen, gt, cfg) for gen, gt in pairs]
+    with _report_writer(args.out) as emit, _scored(tasks, args.workers) as records:
+        emit({"config": cfg.to_dict()})
+        for index, record in enumerate(records):
+            if "error" in record:
+                record["error"]["pair"] = index
+                failed += 1
+            else:
+                succeeded.append(record)
+            emit(record)
+        emit(_aggregate_record(succeeded, failed))
     elapsed = time.perf_counter() - started
-    lines.append(_aggregate_record(succeeded, failed))
-    _write_lines(lines, args.out)
     print(f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
           f"({len(pairs) / elapsed:.2f} trajectories/s)", file=sys.stderr)
     if failed == 0:
@@ -230,8 +318,10 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
-    records = run_verification(args.seed, args.trials, inject_fault=args.inject_fault)
-    _write_lines([_dump(r) for r in records], args.out)
+    with _report_writer(args.out) as emit:
+        records = run_verification(args.seed, args.trials, inject_fault=args.inject_fault)
+        for record in records:
+            emit(record)
     return 0 if all(r["passed"] for r in records) else 1
 
 
@@ -330,41 +420,37 @@ def _is_report_record(record: object) -> bool:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config_line = None
-    trajectory_lines = []
-    errors = 0
-    for path in args.inputs:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:
-            print(f"report: {path}: {exc}", file=sys.stderr)
-            return 2
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip():
-                continue
+    with _report_writer(args.out) as emit:
+        config = None
+        trajectories = []
+        errors = 0
+        for path in args.inputs:
             try:
-                record = json.loads(raw)
-            except ValueError:
-                record = None
-            if not _is_report_record(record):
-                print(f"report: {path}:{lineno}: not a report record", file=sys.stderr)
-                return 2
-            if "config" in record:
-                if config_line is not None and record != config_line:
-                    print(f"report: {path}:{lineno}: config differs from the first input's",
-                          file=sys.stderr)
-                    return 2
-                config_line = record
-            elif "trajectory" in record:
-                trajectory_lines.append(record)
-            elif "error" in record:
-                errors += 1
-    lines = []
-    if config_line is not None:
-        lines.append(_dump(config_line))
-    lines.extend(_dump(r) for r in trajectory_lines)
-    lines.append(_aggregate_record(trajectory_lines, errors))
-    _write_lines(lines, args.out)
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, ValueError) as exc:
+                raise _CommandError(f"{path}: {exc}") from None
+            for lineno, raw in enumerate(text.splitlines(), start=1):
+                if not raw.strip():
+                    continue
+                try:
+                    record = json.loads(raw)
+                except ValueError:
+                    record = None
+                if not _is_report_record(record):
+                    raise _CommandError(f"{path}:{lineno}: not a report record")
+                if "config" in record:
+                    if config is not None and record != config:
+                        raise _CommandError(f"{path}:{lineno}: config differs from the first input's")
+                    config = record
+                elif "trajectory" in record:
+                    trajectories.append(record)
+                elif "error" in record:
+                    errors += 1
+        if config is not None:
+            emit(config)
+        for record in trajectories:
+            emit(record)
+        emit(_aggregate_record(trajectories, errors))
     return 0
 
 
@@ -386,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pairs", help="JSON file: [{'gen': path, 'gt': path}, ...]")
     p_eval.add_argument("--out", help="report file (default stdout)")
     p_eval.add_argument("--config", help="JSON config file (flags override it)")
-    p_eval.add_argument("--workers", type=_positive_int, default=None,
-                        help="accepted for compatibility; has no effect")
+    p_eval.add_argument("--workers", type=_positive_int, default=1,
+                        help="score pairs in up to N fork worker processes, at most one per "
+                             "usable CPU; records still stream in index order")
     p_eval.add_argument("--lpsa-window", dest="lpsa_window", type=_positive_int, default=None)
     p_eval.add_argument("--fphs-window", dest="fphs_window", type=_positive_int, default=None)
     p_eval.add_argument("--tau-cpdm", dest="tau_cpdm", type=float, default=None)
@@ -433,7 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CommandError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``eval ... | head``); the workers are gone
+        # by now. Point stdout at devnull so the interpreter's flush at exit
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import stat
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wemeval import features, formats, manifest, metrics, rollout
+import wemeval
+from wemeval import cli, features, formats, manifest, metrics, rollout
 from wemeval.cli import main
 from wemeval.manifest import save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
@@ -14,6 +23,18 @@ from wemeval.rollout import Chunk, Frame, Trajectory
 
 def _read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def _absolute_pairs(root, pairs_file, indices):
+    """The fixture pairs at ``indices`` with absolute paths, as a pairs-file list."""
+    pairs = json.loads(pairs_file.read_text())
+    return [{"gen": str(root / pairs[i]["gen"]), "gt": str(root / pairs[i]["gt"])} for i in indices]
+
+
+def _good_pair_args(root, pairs_file):
+    """``eval`` arguments scoring fixture pair 0 alone."""
+    pair = _absolute_pairs(root, pairs_file, [0])[0]
+    return ["eval", "--gen", pair["gen"], "--gt", pair["gt"]]
 
 
 def _recorded_embeddings(gen, gt, monkeypatch):
@@ -92,6 +113,113 @@ class TestEval:
             main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--workers", str(workers)])
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_records_stream_as_scored(self, fixture_pair_dir, monkeypatch, capsys):
+        _, pairs_file = fixture_pair_dir
+        written_before = []  # stdout written since the previous pair started, at each start
+        score = cli._eval_pair
+
+        def spying(task):
+            written_before.append(capsys.readouterr().out)
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", spying)
+        assert main(["eval", "--pairs", str(pairs_file)]) == 1
+        report = "".join(written_before) + capsys.readouterr().out
+        at_pair_1 = "".join(written_before[:2]).splitlines()
+        assert at_pair_1 == report.splitlines()[:2]
+        assert "config" in json.loads(at_pair_1[0]) and "trajectory" in json.loads(at_pair_1[1])
+
+    def test_pool_keeps_error_records_in_index_order(self, fixture_pair_dir, tmp_path):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, [0, 1, 2])
+        pairs.insert(1, {"gen": str(tmp_path / "absent" / "manifest.json"), "gt": pairs[0]["gt"]})
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"report_w{workers}.jsonl"
+            assert main(["eval", "--pairs", str(absolute), "--out", str(out),
+                         "--workers", str(workers)]) == 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        records = _read_records(tmp_path / "report_w2.jsonl")
+        assert records[2]["error"]["pair"] == 1
+        assert [("trajectory" in r) for r in records[1:-1]] == [True, False, True, True]
+
+    def test_empty_pairs_file_with_workers_exits_zero(self, tmp_path, capsys):
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text("[]")
+        assert main(["eval", "--pairs", str(pairs_file), "--workers", "2"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 2 and records[-1]["aggregate"]["pairs"] == 0
+
+    def test_closed_stdout_exits_one_without_traceback(self, fixture_pair_dir, tmp_path):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, [i for i in range(10) if i != 3]) * 6
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "wemeval.cli", "eval", "--pairs", str(absolute),
+                                 "--workers", "2"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() and proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"evaluated" not in err
+
+    def test_dead_worker_raises_instead_of_hanging(self, fixture_pair_dir, tmp_path, monkeypatch):
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1])))
+        caller = os.getpid()
+
+        def die_in_worker(*args):
+            if os.getpid() != caller:
+                os._exit(1)  # as an out-of-memory kill would end it
+            raise AssertionError("scored in the calling process")
+
+        monkeypatch.setattr(cli, "evaluate_all", die_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(BrokenProcessPool):
+            main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)])
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a process's children from /proc")
+    def test_workers_exit_when_eval_is_killed(self, fixture_pair_dir, tmp_path):
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1, 2]) * 40))
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "wemeval.cli", "eval", "--pairs", str(absolute),
+                                 "--workers", "2"], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        try:
+            assert proc.stdout.readline() and proc.stdout.readline()  # a pair record: the pool runs
+            workers = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+        def running(pid):
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(int(pid), signal.SIGKILL)
+        assert not left
 
     def test_flags_override_config_file(self, tmp_path):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=601, size=32, t=4))
@@ -457,3 +585,72 @@ class TestReport:
         assert main(["report", str(default), str(tuned), "--out", str(tmp_path / "m.jsonl")]) == 2
         err = capsys.readouterr().err
         assert str(tuned) in err and "config differs" in err
+
+
+class TestOut:
+    """``--out`` is opened before any work and replaced only by a whole report."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--gen", "g.json", "--gt", "g.json"],
+        ["report", "r.jsonl"],
+        ["verify-mechanisms", "--trials", "1"],
+    ], ids=["eval", "report", "verify-mechanisms"])
+    @pytest.mark.parametrize("out_name", ["missing/r.jsonl", "a-directory"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch, command, out_name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.jsonl").write_text('{"config": {}}\n')
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / out_name
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{command[0]}: cannot write {out}")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--gen", "g.json", "--gt", "g.json", "--config", "bad.json"],
+        ["report", "bad.jsonl"],
+    ], ids=["eval-bad-config", "report-bad-line"])
+    def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('{"tau_cpdm": "x"}')
+        (tmp_path / "bad.jsonl").write_text('{"config": {}}\n[1]\n')
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+        assert main(command + ["--out", str(out)]) == 2
+        assert out.read_text() == "previous report\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_out_is_replaced_once_complete(self, fixture_pair_dir, tmp_path, monkeypatch):
+        _, pairs_file = fixture_pair_dir
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+        seen = []
+        score = cli._eval_pair
+
+        def spying(task):
+            seen.append(out.read_text())
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", spying)
+        assert main(["eval", "--pairs", str(pairs_file), "--out", str(out)]) == 1
+        assert seen == ["previous report\n"] * 10
+        assert len(_read_records(out)) == 12 and not list(tmp_path.glob("*.tmp"))
+
+    def test_replaced_out_keeps_its_mode(self, fixture_pair_dir, tmp_path):
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+        out.chmod(0o640)
+        assert main(_good_pair_args(*fixture_pair_dir) + ["--out", str(out)]) == 0
+        assert len(_read_records(out)) == 3 and stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_symlinked_out_is_written_through_the_link(self, fixture_pair_dir, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("previous report\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(_good_pair_args(*fixture_pair_dir) + ["--out", str(link)]) == 0
+        assert link.is_symlink() and len(_read_records(target)) == 3
+
+    def test_devnull_out_stays_a_device(self, fixture_pair_dir):
+        assert main(_good_pair_args(*fixture_pair_dir) + ["--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
