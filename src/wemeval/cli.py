@@ -18,6 +18,7 @@ import contextlib
 import json
 import os
 import shutil
+import signal
 import stat
 import sys
 import threading
@@ -51,6 +52,15 @@ class _CommandError(Exception):
     """A bad input or output: the command prints ``<command>: <message>`` on stderr and exits 2."""
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived while a report was being written; ``main`` re-raises the
+    signal once the temp file is gone."""
+
+
+def _raise_terminated(signum: int, frame: object) -> None:
+    raise _Terminated
+
+
 def _emit(stream: TextIO, record: dict) -> None:
     stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     stream.flush()
@@ -62,11 +72,11 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
 
     Lines go to stdout, or to ``<path>.<pid>.tmp`` beside ``path``, which is
     renamed onto ``path`` (keeping an existing file's mode) when the block
-    completes and removed when it raises: a report at ``path`` is only ever
-    replaced by a whole one. Only a new name or a regular file is replaced;
-    anything else (a symlink's target, ``/dev/null``, a FIFO) is written in
-    place. An unwritable ``path`` is a ``_CommandError`` before the block
-    starts.
+    completes and removed when it raises or, on the main thread, when SIGTERM
+    arrives: a report at ``path`` is only ever replaced by a whole one. Only a
+    new name or a regular file is replaced; anything else (a symlink's
+    target, ``/dev/null``, a FIFO) is written in place. An unwritable ``path``
+    is a ``_CommandError`` before the block starts.
     """
     if path is None:
         yield lambda record: _emit(sys.stdout, record)
@@ -86,6 +96,8 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
         with stream:
             yield lambda record: _emit(stream, record)
         return
+    on_main = threading.current_thread() is threading.main_thread()  # only it may set handlers
+    previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
     try:
         with stream:
             if os.path.exists(path):
@@ -93,8 +105,12 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
             yield lambda record: _emit(stream, record)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):  # SIGTERM just after the replace
+            os.unlink(tmp)
         raise
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -175,7 +191,9 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
 def _exit_with_caller(caller: int) -> None:
     """Pool worker initializer. A worker whose calling ``eval`` was killed
     (SIGTERM, SIGKILL) would otherwise wait for work forever; it exits
-    within half a second instead."""
+    within half a second instead. SIGTERM gets its default action back from
+    the report writer's handler, which only the caller can act on."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     def watch() -> None:
         while os.getppid() == caller:
@@ -525,6 +543,11 @@ def main(argv: list[str] | None = None) -> int:
     except _CommandError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except _Terminated:
+        # The report writer has removed its temp file and put the previous
+        # SIGTERM action back; end as that action says, by default by SIGTERM.
+        os.kill(os.getpid(), signal.SIGTERM)
+        return 1
     except BrokenPipeError:
         # The reader closed stdout (``eval ... | head``); the workers are gone
         # by now. Point stdout at devnull so the interpreter's flush at exit

@@ -10,6 +10,13 @@ path: per-cell sums give the means, then sums of squared deviations from them
 give the population standard deviations. The second pass keeps the std of a
 constant cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there.
 
+A frame's cell statistics are computed once per grid and kept in a memo keyed
+weakly by the ``Frame``, so the windows and boundary frames that the metrics
+embed after the whole chunks reuse their rows; an entry dies with its frame.
+The partition of each (h, w, grid) is cached too. ``embed_frames`` still adds
+the rows in frame order, so a vector is bit-identical whether its rows were
+computed or reused.
+
 The external embedder serves vectors precomputed offline by any encoder,
 looked up by a content key derived from the frame payload. Both feed the same
 cosine-based similarity and distance used throughout the metric suite.
@@ -17,8 +24,10 @@ cosine-based similarity and distance used throughout the metric suite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -103,22 +112,29 @@ class EmbeddingStore:
         index_path.write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
 
 
-_store_cache: dict[str, EmbeddingStore] = {}
+_stores: dict[str, EmbeddingStore] = {}  # by resolved index path
 
 
-def _store_for(spec: EmbedderSpec) -> EmbeddingStore:
-    key = str(Path(spec.source).resolve())
-    if key not in _store_cache:
-        _store_cache[key] = EmbeddingStore(spec.source)
-    return _store_cache[key]
+@functools.lru_cache(maxsize=None)
+def _store_named(source: str) -> EmbeddingStore:
+    """The one store of the index at ``source``; each spelling of it is resolved once."""
+    key = str(Path(source).resolve())
+    if key not in _stores:
+        _stores[key] = EmbeddingStore(source)
+    return _stores[key]
 
 
-def _cell_index(h: int, w: int, grid: int) -> np.ndarray:
-    """Flat cell id (row-major) of each pixel under the module's cell partition."""
+@functools.lru_cache(maxsize=16)
+def _partition(h: int, w: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat cell id (row-major) of each pixel under the module's cell
+    partition, and the pixel count of each cell."""
     edges = np.arange(grid + 1)
     rows = np.repeat(edges[:-1], np.diff(edges * h // grid))
     cols = np.repeat(edges[:-1], np.diff(edges * w // grid))
-    return (rows[:, None] * grid + cols[None, :]).ravel()
+    cell = (rows[:, None] * grid + cols[None, :]).ravel()
+    counts = np.bincount(cell)
+    cell.flags.writeable = counts.flags.writeable = False
+    return cell, counts
 
 
 def _gray(f: Frame) -> np.ndarray:
@@ -136,6 +152,27 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0.0 else v
 
 
+_stats_memo: weakref.WeakKeyDictionary[Frame, dict[int, tuple[np.ndarray, np.ndarray]]] = (
+    weakref.WeakKeyDictionary())
+
+
+def _frame_stats(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (means, stds) rows of a frame's g x g cells, memoized per
+    ``Frame`` and grid. A ``Frame`` is frozen over read-only data, so its rows
+    cannot go stale, unless a caller writes through another, writable view of
+    the array the ``Frame`` was built over."""
+    by_grid = _stats_memo.setdefault(f, {})
+    if grid not in by_grid:
+        cell, counts = _partition(f.height, f.width, grid)
+        gray = _gray(f).ravel()
+        means = np.bincount(cell, weights=gray) / counts
+        dev = gray - means[cell]
+        stds = np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
+        means.flags.writeable = stds.flags.writeable = False
+        by_grid[grid] = means, stds
+    return by_grid[grid]
+
+
 def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
     """Embed a frame list into one L2-normalized vector.
 
@@ -150,22 +187,18 @@ def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
     if not frames:
         raise ValueError("cannot embed an empty frame list")
     if spec.kind == EMBEDDER_EXTERNAL:
-        return l2_normalize(_store_for(spec).lookup(frame_content_key(frames)))
+        return l2_normalize(_store_named(spec.source).lookup(frame_content_key(frames)))
 
     h, w = frames[0].height, frames[0].width
     grid = min(spec.grid, h, w)
-    cell = _cell_index(h, w, grid)
-    counts = np.bincount(cell)
     mean_acc = np.zeros(grid * grid)
     std_acc = np.zeros(grid * grid)
     for f in frames:
         if (f.height, f.width) != (h, w):
             raise ValueError("all frames in one embedding call must share dims")
-        gray = _gray(f).ravel()
-        means = np.bincount(cell, weights=gray) / counts
-        dev = gray - means[cell]
+        means, stds = _frame_stats(f, grid)
         mean_acc += means
-        std_acc += np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
+        std_acc += stds
     vector = np.concatenate([mean_acc, std_acc]) / len(frames)
     return l2_normalize(vector)
 

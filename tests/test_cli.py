@@ -6,6 +6,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -35,6 +36,14 @@ def _good_pair_args(root, pairs_file):
     """``eval`` arguments scoring fixture pair 0 alone."""
     pair = _absolute_pairs(root, pairs_file, [0])[0]
     return ["eval", "--gen", pair["gen"], "--gt", pair["gt"]]
+
+
+def _running(pid: str) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (Linux)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _recorded_embeddings(gen, gt, monkeypatch):
@@ -207,16 +216,10 @@ class TestEval:
             proc.wait()
             proc.stdout.close()
 
-        def running(pid):
-            try:
-                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
         deadline = time.monotonic() + 10
-        while any(map(running, workers)) and time.monotonic() < deadline:
+        while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
-        left = [pid for pid in workers if running(pid)]
+        left = [pid for pid in workers if _running(pid)]
         for pid in left:
             os.kill(int(pid), signal.SIGKILL)
         assert not left
@@ -654,3 +657,45 @@ class TestOut:
     def test_devnull_out_stays_a_device(self, fixture_pair_dir):
         assert main(_good_pair_args(*fixture_pair_dir) + ["--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_out_written_from_another_thread(self, fixture_pair_dir, tmp_path):
+        out = tmp_path / "report.jsonl"
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(
+            main(_good_pair_args(*fixture_pair_dir) + ["--out", str(out)])))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0] and len(_read_records(out)) == 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a process's children from /proc")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_removes_temp_file(self, fixture_pair_dir, tmp_path, workers):
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1, 2]) * 80))
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "wemeval.cli", "eval", "--pairs", str(absolute),
+                                 "--workers", str(workers), "--out", str(out)],
+                                stderr=subprocess.PIPE, env=env)
+        tmp = tmp_path / f"report.jsonl.{proc.pid}.tmp"
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp.exists() and tmp.read_text().count("\n") >= 2):  # a pair record
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            workers_seen = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGTERM and b"Traceback" not in err
+        assert out.read_text() == "previous report\n" and not list(tmp_path.glob("*.tmp"))
+        pool = min(workers, len(os.sched_getaffinity(0)))
+        assert len(workers_seen) == (pool if pool > 1 else 0)
+        deadline = time.monotonic() + 2
+        while any(map(_running, workers_seen)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers_seen if _running(pid)]

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
+from pathlib import Path
+
 import numpy as np
 import oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wemeval import features, metrics
 from wemeval.features import (
     EmbedderSpec,
     EmbeddingStore,
@@ -13,8 +17,10 @@ from wemeval.features import (
     cosine_similarity,
     embed_frames,
     frame_content_key,
+    l2_normalize,
     perceptual_distance,
 )
+from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
 from wemeval.rollout import Frame
 
 
@@ -95,6 +101,89 @@ class TestReferenceEmbedder:
         assert np.array_equal(_gray(f), f.data.astype(np.float64).mean(axis=2))
 
 
+def _embed_per_call(frames: list[Frame], grid: int) -> np.ndarray:
+    """The reference path of ``embed_frames`` without the memo: every frame's
+    statistics computed afresh on each call."""
+    h, w = frames[0].height, frames[0].width
+    g = min(grid, h, w)
+    edges = np.arange(g + 1)
+    rows = np.repeat(edges[:-1], np.diff(edges * h // g))
+    cols = np.repeat(edges[:-1], np.diff(edges * w // g))
+    cell = (rows[:, None] * g + cols[None, :]).ravel()
+    counts = np.bincount(cell)
+    mean_acc = np.zeros(g * g)
+    std_acc = np.zeros(g * g)
+    for f in frames:
+        gray = _gray(f).ravel()
+        means = np.bincount(cell, weights=gray) / counts
+        dev = gray - means[cell]
+        mean_acc += means
+        std_acc += np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
+    return l2_normalize(np.concatenate([mean_acc, std_acc]) / len(frames))
+
+
+def _scored_pair(seed: int):
+    gt, truth = generate_trajectory(mixed_fixture_config(seed=seed, size=32, t=4))
+    return perturb_rollout(gt, truth, "frame-noise", 0.05, seed=seed), gt
+
+
+class TestFrameStatsMemo:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_reused_rows_equal_per_call_loop(self, channels):
+        rng = np.random.default_rng(channels)
+        frames = [Frame(data=rng.random((20, 24, channels))) for _ in range(6)]
+        crops = [Frame(data=f.data[3:17, 5:21, :]) for f in frames]
+        lists = [frames, frames[2:], frames[-3:], frames[::-1], frames[1:4][::-1],
+                 [frames[0]] * 3, [frames[1], frames[0], frames[1]], crops, crops[::2],
+                 crops[4:] + crops[:2], [crops[3]] * 2]
+        for grid in (8, 3, 8):  # a second grid has its own rows; the first is reused after it
+            for frame_list in lists:
+                got = embed_frames(frame_list, EmbedderSpec(grid=grid))
+                assert np.array_equal(got, _embed_per_call(frame_list, grid))
+
+    def test_each_frame_is_reduced_once_per_pair(self, monkeypatch):
+        gen, gt = _scored_pair(640)
+        reduced, handed = [], []  # strong references, so no id is reused
+        gray, embed = features._gray, features.embed_frames
+
+        def recording_gray(f):
+            reduced.append(f)
+            return gray(f)
+
+        def recording_embed(frames, spec):
+            handed.extend(frames)
+            return embed(frames, spec)
+
+        monkeypatch.setattr(features, "_gray", recording_gray)
+        monkeypatch.setattr(features, "embed_frames", recording_embed)
+        monkeypatch.setattr(metrics, "embed_frames", recording_embed)
+        metrics.evaluate_all(gen, gt)
+        assert len({id(f) for f in reduced}) == len(reduced)
+        assert {id(f) for f in reduced} == {id(f) for f in handed}
+        whole = [f for traj in (gen, gt) for c in traj.chunks for f in c.frames]
+        assert {id(f) for f in whole} <= {id(f) for f in reduced}
+        assert len(handed) > len(reduced)  # windows and boundary frames reused their rows
+
+    def test_memo_empties_with_its_trajectories(self):
+        gc.collect()
+        before = len(features._stats_memo)
+        gen, gt = _scored_pair(641)
+        metrics.evaluate_all(gen, gt)
+        assert len(features._stats_memo) > before
+        del gen, gt
+        gc.collect()
+        assert len(features._stats_memo) == before
+
+    def test_cached_partition_and_rows_are_read_only(self):
+        cell, counts = features._partition(20, 24, 8)
+        means, stds = features._frame_stats(_textured(3, h=20, w=24), 8)
+        for arr in (cell, counts, means, stds):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert features._partition(20, 24, 8)[0] is cell
+
+
 class TestCosineSimilarity:
     def test_self_similarity_is_one(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -172,3 +261,22 @@ class TestExternalStore:
     def test_spec_requires_source(self):
         with pytest.raises(ValueError, match="source"):
             EmbedderSpec(kind="external-file")
+
+    def test_one_store_per_index_and_one_resolve_per_spelling(self, tmp_path, monkeypatch):
+        frames = [_textured(4)]
+        EmbeddingStore.write(tmp_path / "index.json", {frame_content_key(frames): np.ones(3)})
+        (tmp_path / "sub").mkdir()
+        spellings = [str(tmp_path / "index.json"), str(tmp_path / "sub" / ".." / "index.json")]
+        resolved = []
+        resolve = Path.resolve
+
+        def counting(self, *args, **kwargs):
+            resolved.append(str(self))
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting)
+        for _ in range(3):
+            for source in spellings:
+                embed_frames(frames, EmbedderSpec(kind="external-file", source=source))
+        assert [s for s in resolved if s in spellings] == spellings
+        assert features._store_named(spellings[0]) is features._store_named(spellings[1])

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from wemeval import features
 from wemeval.cli import main
-from wemeval.manifest import save_manifest
+from wemeval.manifest import load_manifest, save_manifest
+from wemeval.metrics import evaluate_all
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
 
 GOLDEN = Path(__file__).parent / "data" / "golden_eval.jsonl"
@@ -24,8 +26,8 @@ PERTURBATIONS = (("frame-noise", 0.05), ("chunk-shuffle", 1.0), ("phase-swap", 1
                  ("boundary-smooth", 0.5))
 
 
-def _write_report(root: Path) -> Path:
-    """Score the four pairs with ``wemeval eval`` and return the report path."""
+def _write_pairs(root: Path) -> list[dict[str, str]]:
+    """Write the four pairs' manifests under ``root`` and ``root/pairs.json``; returns its entries."""
     pairs = []
     for i, (kind, magnitude) in enumerate(PERTURBATIONS):
         gt, truth = generate_trajectory(mixed_fixture_config(seed=700 + i, size=32, t=4))
@@ -34,6 +36,12 @@ def _write_report(root: Path) -> Path:
         save_manifest(gen, root / f"p{i}" / "gen.json")
         pairs.append({"gen": f"p{i}/gen.json", "gt": f"p{i}/gt.json"})
     (root / "pairs.json").write_text(json.dumps(pairs), encoding="utf-8")
+    return pairs
+
+
+def _write_report(root: Path) -> Path:
+    """Score the four pairs with ``wemeval eval`` and return the report path."""
+    _write_pairs(root)
     out = root / "report.jsonl"
     assert main(["eval", "--pairs", str(root / "pairs.json"), "--out", str(out)]) == 0
     return out
@@ -61,6 +69,22 @@ def test_report_matches_golden(tmp_path):
     assert len(got) == len(want) == len(PERTURBATIONS) + 2
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_close(g, w, f"line {i + 1}")
+
+
+def test_warm_memo_scores_like_a_cold_one(tmp_path):
+    # The second pass over the same loaded trajectories reuses every frame's
+    # memoized cell statistics; its records must equal the first pass's.
+    pairs = [(load_manifest(tmp_path / e["gen"]), load_manifest(tmp_path / e["gt"]))
+             for e in _write_pairs(tmp_path)]
+    cold = [evaluate_all(gen, gt).to_dict() for gen, gt in pairs]
+    frames = [f for pair in pairs for traj in pair for c in traj.chunks for f in c.frames]
+    assert all(f in features._stats_memo for f in frames)
+    warm = [evaluate_all(gen, gt).to_dict() for gen, gt in pairs]
+    assert warm == cold
+    want = [json.loads(line) for line in GOLDEN.read_text().splitlines()][1:-1]
+    assert len(want) == len(cold)
+    for i, (c, w) in enumerate(zip(cold, want)):
+        _assert_close(json.loads(json.dumps(c)), w, f"pair {i}")
 
 
 if __name__ == "__main__":
