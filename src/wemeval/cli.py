@@ -45,7 +45,6 @@ from .microsim import (
     generate_trajectory,
 )
 from .rollout import PhaseLabel
-from .verify import run_verification
 
 
 class _CommandError(Exception):
@@ -231,7 +230,33 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
         pool.shutdown(cancel_futures=True)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process until it exits, where the C
+    library allows it.
+
+    Scoring a pair allocates and frees a working set of tens of MB. With
+    glibc's default policy, the top of the heap is trimmed after each pair
+    and the next pair faults the same pages back in. Both thresholds are set:
+    setting the trim threshold alone stops glibc from raising the mmap
+    threshold above its 128 KiB start, so every larger temporary would get
+    its own mapping.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or no handle to the process (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _keep_freed_memory()
     try:
         file_cfg = _load_config_file(args.config)
         cfg = _build_metric_config(args, file_cfg)
@@ -336,6 +361,8 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
+    from .verify import run_verification  # with .mechanisms, 15-20 ms that eval never needs
+
     with _report_writer(args.out) as emit:
         records = run_verification(args.seed, args.trials, inject_fault=args.inject_fault)
         for record in records:

@@ -6,16 +6,22 @@ averaged over the frame list and L2-normalized. An h x w frame is split into
 g x g cells, g = min(grid, h, w); cell r spans rows [r*h//g, (r+1)*h//g), and
 likewise for columns, so the cells tile the frame whether or not g divides its
 dims. Whole frames and the crops of any size that fphs embeds take the same
-path: per-cell sums give the means, then sums of squared deviations from them
-give the population standard deviations. The second pass keeps the std of a
-constant cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there.
+path, through 0/1 band matrices R (g x h, the cell row of each pixel row) and
+C (g x w): the cell sums R @ gray @ C.T give the means, R.T @ means @ C puts
+each pixel's cell mean back in place exactly (one nonzero product per entry),
+and the sums of squared deviations from it, R @ dev**2 @ C.T, give the
+population standard deviations. The second pass keeps the std of a constant
+cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there. A BLAS
+product adds the pixels of a cell in its own order, so the statistics, and the
+scores built on them, agree with a pixel-by-pixel sum to about an ulp rather
+than bit for bit.
 
 A frame's cell statistics are computed once per grid and kept in a memo keyed
 weakly by the ``Frame``, so the windows and boundary frames that the metrics
 embed after the whole chunks reuse their rows; an entry dies with its frame.
-The partition of each (h, w, grid) is cached too. ``embed_frames`` still adds
-the rows in frame order, so a vector is bit-identical whether its rows were
-computed or reused.
+The band matrices of each (h, w, grid) are cached too. ``embed_frames`` still
+adds the rows in frame order, so a vector is bit-identical whether its rows
+were computed or reused.
 
 The external embedder serves vectors precomputed offline by any encoder,
 looked up by a content key derived from the frame payload. Both feed the same
@@ -125,16 +131,20 @@ def _store_named(source: str) -> EmbeddingStore:
 
 
 @functools.lru_cache(maxsize=16)
-def _partition(h: int, w: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flat cell id (row-major) of each pixel under the module's cell
-    partition, and the pixel count of each cell."""
-    edges = np.arange(grid + 1)
-    rows = np.repeat(edges[:-1], np.diff(edges * h // grid))
-    cols = np.repeat(edges[:-1], np.diff(edges * w // grid))
-    cell = (rows[:, None] * grid + cols[None, :]).ravel()
-    counts = np.bincount(cell)
-    cell.flags.writeable = counts.flags.writeable = False
-    return cell, counts
+def _bands(h: int, w: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only 0/1 float64 band matrices of the module's cell partition:
+    ``rows[r, y]`` is 1 when pixel row y lies in cell row r (g x h), ``cols``
+    likewise for columns (g x w), and the pixel count of each cell (g x g)."""
+
+    def band(n: int) -> np.ndarray:
+        edges = np.arange(grid + 1) * n // grid
+        pixel = np.arange(n)
+        return ((edges[:-1, None] <= pixel) & (pixel < edges[1:, None])).astype(np.float64)
+
+    rows, cols = band(h), band(w)
+    counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
+    rows.flags.writeable = cols.flags.writeable = counts.flags.writeable = False
+    return rows, cols, counts
 
 
 def _gray(f: Frame) -> np.ndarray:
@@ -158,16 +168,16 @@ _stats_memo: weakref.WeakKeyDictionary[Frame, dict[int, tuple[np.ndarray, np.nda
 
 def _frame_stats(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (means, stds) rows of a frame's g x g cells, memoized per
-    ``Frame`` and grid. A ``Frame`` is frozen over read-only data, so its rows
-    cannot go stale, unless a caller writes through another, writable view of
-    the array the ``Frame`` was built over."""
+    ``Frame`` and grid. A ``Frame`` is frozen over data that nothing can
+    write, so its rows cannot go stale."""
     by_grid = _stats_memo.setdefault(f, {})
     if grid not in by_grid:
-        cell, counts = _partition(f.height, f.width, grid)
-        gray = _gray(f).ravel()
-        means = np.bincount(cell, weights=gray) / counts
-        dev = gray - means[cell]
-        stds = np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
+        rows, cols, counts = _bands(f.height, f.width, grid)
+        gray = _gray(f)
+        means = rows @ gray @ cols.T / counts
+        dev = gray - rows.T @ means @ cols  # exact: each entry sums one nonzero product
+        stds = np.sqrt(rows @ (dev * dev) @ cols.T / counts)
+        means, stds = means.ravel(), stds.ravel()
         means.flags.writeable = stds.flags.writeable = False
         by_grid[grid] = means, stds
     return by_grid[grid]

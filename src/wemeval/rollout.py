@@ -15,10 +15,38 @@ class PhaseLabel(enum.Enum):
     MANIP = "Manip"
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _owner(obj: object) -> object:
+    """The end of an array's ``base`` chain: the array that owns its memory,
+    or the buffer (``bytes``, ``bytearray``, ``mmap``) that it views."""
+    while isinstance(obj, np.ndarray) and obj.base is not None:
+        obj = obj.base
+    return obj
+
+
+def _readonly(arr: np.ndarray, source: object) -> np.ndarray:
+    """``arr``, made from the caller's ``source`` by ``asarray``, as a
+    contiguous array that nothing can write.
+
+    It is copied only when its memory is the caller's and writable, through
+    ``source`` or the buffer under it, so the caller's writes cannot reach it
+    and the caller's array stays writable. A view of immutable ``bytes`` (a
+    sidecar read by ``formats``) and an array that ``asarray`` just made are
+    kept.
+    """
     arr = np.ascontiguousarray(arr)
+    owner = _owner(arr)
+    fresh = isinstance(owner, np.ndarray) and owner is not _owner(source)
+    if not fresh and (arr.flags.writeable or _writable(owner)):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _writable(buffer: object) -> bool:
+    try:
+        return not memoryview(buffer).readonly
+    except TypeError:  # memory behind some other array interface
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +69,7 @@ class Frame:
             raise ValueError(
                 f"frame data must be (h, w) or (h, w, c) with c in (1, 3), got shape {arr.shape}"
             )
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _readonly(arr, self.data))
 
     @property
     def height(self) -> int:
@@ -70,7 +98,7 @@ class WorldEgoMask:
         arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise ValueError(f"mask data must be 2-dimensional, got shape {arr.shape}")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _readonly(arr, self.data))
 
     @property
     def height(self) -> int:
@@ -100,8 +128,8 @@ class FlowField:
         v = np.asarray(self.v, dtype=np.float32)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError(f"flow components must be 2-d and share a shape, got {u.shape} / {v.shape}")
-        object.__setattr__(self, "u", _readonly(u))
-        object.__setattr__(self, "v", _readonly(v))
+        object.__setattr__(self, "u", _readonly(u, self.u))
+        object.__setattr__(self, "v", _readonly(v, self.v))
 
     @property
     def height(self) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -122,6 +124,56 @@ class TestEval:
             main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--workers", str(workers)])
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_worker_count_does_not_change_bytes_at_256px(self, tmp_path):
+        # Frames this large take the embedder's band products through BLAS,
+        # which may split them over threads; the pool's forked workers must
+        # still write what the calling process writes.
+        gt, aux = generate_trajectory(mixed_fixture_config(seed=610, size=256, t=4))
+        gen = perturb_rollout(gt, aux, "frame-noise", 0.05, seed=610)
+        pair = {"gen": str(save_manifest(gen, tmp_path / "gen" / "manifest.json")),
+                "gt": str(save_manifest(gt, tmp_path / "gt" / "manifest.json"))}
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text(json.dumps([pair, pair]))  # two tasks, so two workers start
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"report_w{workers}.jsonl"
+            assert main(["eval", "--pairs", str(pairs_file), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_allocator_policy_sets_both_thresholds(self, fixture_pair_dir, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert main(_good_pair_args(*fixture_pair_dir)) == 0
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+        assert sorted(calls) == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_missing_mallopt_does_not_change_bytes(self, fixture_pair_dir, tmp_path):
+        _, pairs_file = fixture_pair_dir
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        outputs = []
+        for patch in ("", "ctypes.CDLL = lambda name: object(); "):  # a libc without mallopt
+            script = f"import ctypes, sys; {patch}from wemeval.cli import main; sys.exit(main())"
+            out = tmp_path / f"report_{len(outputs)}.jsonl"
+            proc = subprocess.run([sys.executable, "-c", script, "eval", "--pairs", str(pairs_file),
+                                   "--out", str(out)], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 1, proc.stderr  # pair 3 is a mismatch
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_cli_import_leaves_out_the_mechanism_verifier(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        script = ("import sys, wemeval.cli; "
+                  "print(sorted(set(sys.modules) & {'wemeval.verify', 'wemeval.mechanisms'}))")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]", out.stderr
 
     def test_records_stream_as_scored(self, fixture_pair_dir, monkeypatch, capsys):
         _, pairs_file = fixture_pair_dir

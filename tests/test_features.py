@@ -103,22 +103,24 @@ class TestReferenceEmbedder:
 
 def _embed_per_call(frames: list[Frame], grid: int) -> np.ndarray:
     """The reference path of ``embed_frames`` without the memo: every frame's
-    statistics computed afresh on each call."""
+    statistics computed afresh on each call, with freshly built band matrices."""
     h, w = frames[0].height, frames[0].width
     g = min(grid, h, w)
-    edges = np.arange(g + 1)
-    rows = np.repeat(edges[:-1], np.diff(edges * h // g))
-    cols = np.repeat(edges[:-1], np.diff(edges * w // g))
-    cell = (rows[:, None] * g + cols[None, :]).ravel()
-    counts = np.bincount(cell)
+    edges_h, edges_w = np.arange(g + 1) * h // g, np.arange(g + 1) * w // g
+    rows = np.zeros((g, h))
+    cols = np.zeros((g, w))
+    for r in range(g):
+        rows[r, edges_h[r]:edges_h[r + 1]] = 1.0
+        cols[r, edges_w[r]:edges_w[r + 1]] = 1.0
+    counts = np.outer(np.diff(edges_h), np.diff(edges_w))
     mean_acc = np.zeros(g * g)
     std_acc = np.zeros(g * g)
     for f in frames:
-        gray = _gray(f).ravel()
-        means = np.bincount(cell, weights=gray) / counts
-        dev = gray - means[cell]
-        mean_acc += means
-        std_acc += np.sqrt(np.bincount(cell, weights=dev * dev) / counts)
+        gray = _gray(f)
+        means = rows @ gray @ cols.T / counts
+        dev = gray - rows.T @ means @ cols
+        mean_acc += means.ravel()
+        std_acc += np.sqrt(rows @ (dev * dev) @ cols.T / counts).ravel()
     return l2_normalize(np.concatenate([mean_acc, std_acc]) / len(frames))
 
 
@@ -175,13 +177,13 @@ class TestFrameStatsMemo:
         assert len(features._stats_memo) == before
 
     def test_cached_partition_and_rows_are_read_only(self):
-        cell, counts = features._partition(20, 24, 8)
+        rows, cols, counts = features._bands(20, 24, 8)
         means, stds = features._frame_stats(_textured(3, h=20, w=24), 8)
-        for arr in (cell, counts, means, stds):
+        for arr in (rows, cols, counts, means, stds):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        assert features._partition(20, 24, 8)[0] is cell
+        assert features._bands(20, 24, 8)[0] is rows
 
 
 class TestCosineSimilarity:

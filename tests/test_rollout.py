@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wemeval import formats
+from wemeval.features import EmbedderSpec, embed_frames
 from wemeval.rollout import (
     Chunk,
     FlowField,
@@ -149,3 +151,58 @@ class TestPhaseBoundaries:
             assert got == sorted(got)
             for b in got:
                 assert phases[b - 1] != phases[b]
+
+
+def _owner(arr: np.ndarray) -> object:
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+_BUILDERS = {
+    "frame": (lambda a: Frame(data=a), lambda x: [x.data], np.float32),
+    "mask": (lambda a: WorldEgoMask(data=a[:, :, 0]), lambda x: [x.data], np.uint8),
+    "flow": (lambda a: FlowField(u=a[:, :, 0], v=a[:, :, 0]), lambda x: [x.u, x.v], np.float32),
+}
+
+
+class TestOwnedData:
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_writes_to_the_callers_array_do_not_reach_it(self, kind):
+        build, arrays, dtype = _BUILDERS[kind]
+        base = np.ones((6, 5, 1), dtype=dtype)
+        obj = build(base[:, :, :])
+        writable_view = base[:, :, :]
+        base.flags.writeable = False
+        view_obj = build(writable_view)  # a writable view of a read-only base
+        writable_view[:3] = 0
+        for arr in arrays(obj) + arrays(view_obj):
+            assert (arr == 1).all()
+            assert not np.shares_memory(arr, base)
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_callers_array_stays_writable(self, kind):
+        build, _, dtype = _BUILDERS[kind]
+        own = np.ones((6, 5, 1), dtype=dtype)
+        build(own)
+        assert own.flags.writeable
+        own[0, 0, 0] = 0
+
+    def test_memo_follows_the_frame_not_the_callers_array(self):
+        base = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32)
+        f = Frame(data=base[:, :, :])
+        before = embed_frames([f], EmbedderSpec(grid=4))
+        base[:4] = 0
+        assert np.array_equal(embed_frames([f], EmbedderSpec(grid=4)), before)
+        assert not np.array_equal(embed_frames([Frame(data=base)], EmbedderSpec(grid=4)), before)
+
+    def test_sidecar_frames_and_masks_share_the_file_buffer(self, tmp_path):
+        formats.write_frame_file(tmp_path / "f.bin", [_frame(0.25), _frame(0.75)])
+        formats.write_mask_file(tmp_path / "m.bin", [WorldEgoMask(data=np.eye(16, dtype=np.uint8))])
+        frames = formats.read_frame_file(tmp_path / "f.bin")
+        masks = formats.read_mask_file(tmp_path / "m.bin")
+        owners = [_owner(x.data) for x in frames + masks]
+        assert all(isinstance(o, bytes) for o in owners)  # viewed without a copy
+        assert len({id(o) for o in owners}) == 2  # one buffer per file
+        assert [float(f.data.mean()) for f in frames] == [0.25, 0.75]
