@@ -14,7 +14,6 @@ from .flow import (
 )
 from .manifest import load_manifest, save_manifest
 from .metrics import MetricConfig, MetricReport, evaluate_all
-from .microsim import SimConfig, generate_trajectory, perturb_rollout
 from .rollout import (
     Chunk,
     Frame,
@@ -26,6 +25,17 @@ from .rollout import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {"SimConfig", "generate_trajectory", "perturb_rollout"}  # from .microsim, imported on first use
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY:
+        from . import microsim
+
+        return getattr(microsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Chunk",

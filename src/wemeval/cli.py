@@ -26,7 +26,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import fields
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -35,16 +35,10 @@ from .features import EMBEDDER_EXTERNAL, EMBEDDER_REFERENCE, EmbedderSpec
 from .flow import DegenerateMatchesError, estimate_homography, render_camera_flow, residual_object_flow
 from .manifest import load_manifest, save_manifest
 from .metrics import METRIC_NAMES, MetricConfig, evaluate_all
-from .microsim import (
-    CameraMotion,
-    ChunkSpec,
-    ObjectSpec,
-    SimConfig,
-    SimConfigError,
-    default_catalog,
-    generate_trajectory,
-)
 from .rollout import PhaseLabel
+
+if TYPE_CHECKING:
+    from .microsim import SimConfig
 
 
 class _CommandError(Exception):
@@ -371,6 +365,8 @@ def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
 
 
 def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
+    from .microsim import CameraMotion, ChunkSpec, ObjectSpec, SimConfig
+
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     entries = []
     for fx in doc["fixtures"]:
@@ -401,6 +397,8 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
 
 
 def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
+    from .microsim import SimConfigError, default_catalog, generate_trajectory  # 13-16 ms eval never needs
+
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

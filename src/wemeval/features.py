@@ -71,7 +71,7 @@ def frame_content_key(frames: Sequence[Frame]) -> str:
     digest = hashlib.sha256()
     for f in frames:
         digest.update(np.asarray([f.height, f.width, f.channels], dtype="<u4").tobytes())
-        digest.update(f.data.astype("<f4").tobytes())
+        digest.update(np.ascontiguousarray(f.data, dtype="<f4"))  # no copy of contiguous data
     return digest.hexdigest()
 
 

@@ -19,6 +19,9 @@ from .rollout import Chunk, FlowField
 
 PROFILE_LOG_RATIO_CLAMP = 20.0
 ENTROPY_BINS = 16
+# Left edges of the entropy bins over magnitude / peak; inf closes the last bin.
+_BIN_EDGES = np.append(np.arange(ENTROPY_BINS) / ENTROPY_BINS, np.inf)
+_BIN_EDGES.flags.writeable = False
 
 
 class DegenerateMatchesError(ValueError):
@@ -230,22 +233,28 @@ def residual_object_flow(f: FlowField, f_cam: FlowField) -> FlowField:
 def flow_stats(f: FlowField, top_fraction: float = 0.2) -> tuple[float, float, float]:
     """(median magnitude, mean of the top-fraction magnitudes, normalized entropy).
 
-    All three come from one descending sort. The entropy is that of a uniform
+    All three come from one ascending sort of the field's magnitudes, done in
+    place in the buffer ``FlowField.magnitude`` returns. The top mean adds the
+    largest magnitudes from the peak down. The entropy is that of a uniform
     histogram of B = ENTROPY_BINS bins over [0, peak], magnitude m falling in
     bin min(floor(m / peak * B), B - 1), divided by log(B); an all-zero field
     has entropy 0. Raises ValueError if any magnitude is inf or NaN.
     """
-    desc = np.sort(f.magnitude().ravel())[::-1]
-    if not np.isfinite(desc[0]):  # NaN sorts last, so any inf or NaN is desc[0]
+    asc = f.magnitude().ravel()
+    asc.sort()
+    peak = asc[-1]
+    if not np.isfinite(peak):  # NaN sorts last, so any inf or NaN is the peak
         raise ValueError("flow field has a non-finite magnitude")
-    n = desc.size
-    median = float(desc[n // 2] if n % 2 else (desc[n // 2 - 1] + desc[n // 2]) / 2)
-    top = float(desc[: math.ceil(top_fraction * n)].mean())
-    if desc[0] <= 0.0:
+    n = asc.size
+    median = float(asc[n // 2] if n % 2 else (asc[n // 2] + asc[n // 2 - 1]) / 2)
+    top = float(asc[::-1][: math.ceil(top_fraction * n)].mean())
+    if peak <= 0.0:
         return median, top, 0.0
-    idx = np.minimum((desc / desc[0] * ENTROPY_BINS).astype(np.int64), ENTROPY_BINS - 1)
-    # idx is non-increasing along desc, so each bin's count is a run length.
-    counts = np.diff(np.searchsorted(idx[::-1], np.arange(ENTROPY_BINS + 1)))
+    asc /= peak
+    # floor(q * B) >= b exactly when q >= b / B (B = 16 scales exactly), so
+    # bin b counts b/B <= q < (b+1)/B, and the last bin also takes q == 1.
+    below = asc.searchsorted(_BIN_EDGES)
+    counts = below[1:] - below[:-1]
     p = counts[counts > 0] / n
     return median, top, float(-(p * np.log(p)).sum() / math.log(ENTROPY_BINS))
 

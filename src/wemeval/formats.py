@@ -8,6 +8,9 @@ u32 header fields, then a raw little-endian payload in row-major order.
   frame "WEMV": u32 width, height, channels, count; count*h*w*c f32 intensities
 
 Readers check the layout only; ``rollout.validate_trajectory`` checks values.
+They copy nothing after the file read: every frame, mask and flow component
+is a read-only view of the file's immutable bytes, so a flow field's ``u`` and
+``v`` are strided views of the interleaved pairs.
 """
 
 from __future__ import annotations

@@ -24,16 +24,16 @@ def _owner(obj: object) -> object:
 
 
 def _readonly(arr: np.ndarray, source: object) -> np.ndarray:
-    """``arr``, made from the caller's ``source`` by ``asarray``, as a
-    contiguous array that nothing can write.
+    """``arr``, made from the caller's ``source`` by ``asarray``, as an array
+    that nothing can write.
 
-    It is copied only when its memory is the caller's and writable, through
-    ``source`` or the buffer under it, so the caller's writes cannot reach it
-    and the caller's array stays writable. A view of immutable ``bytes`` (a
-    sidecar read by ``formats``) and an array that ``asarray`` just made are
-    kept.
+    It is copied, C-contiguous, only when its memory is the caller's and
+    writable, through ``source`` or the buffer under it, so the caller's
+    writes cannot reach it and the caller's array stays writable. A view of
+    immutable ``bytes`` (a sidecar read by ``formats``, whose flow components
+    are interleaved) and an array that ``asarray`` just made are kept as they
+    are, strided or not: the result has no contiguity promise.
     """
-    arr = np.ascontiguousarray(arr)
     owner = _owner(arr)
     fresh = isinstance(owner, np.ndarray) and owner is not _owner(source)
     if not fresh and (arr.flags.writeable or _writable(owner)):
@@ -140,12 +140,15 @@ class FlowField:
         return self.u.shape[1]
 
     def magnitude(self) -> np.ndarray:
-        """Per-pixel flow magnitude, computed in float64.
+        """Per-pixel flow magnitude, computed in float64 into a new array that
+        the caller may overwrite.
 
         The f32 components square exactly in f64 and cannot overflow there, so
         sqrt(u*u + v*v) is within an ulp of hypot without hypot's scaling.
         """
-        return np.sqrt(np.square(self.u, dtype=np.float64) + np.square(self.v, dtype=np.float64))
+        mag = np.square(self.u, dtype=np.float64)
+        mag += np.square(self.v, dtype=np.float64)
+        return np.sqrt(mag, out=mag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +238,9 @@ def validate_trajectory(traj: Trajectory) -> ValidationReport:
                 vals = frame.data
                 if vals.size == 0:
                     issues.append(f"chunk {ci} frame {fi}: empty frame")
-                elif not np.isfinite(vals).all():
-                    issues.append(f"chunk {ci} frame {fi}: non-finite value")
-                elif vals.min() < 0.0 or vals.max() > 1.0:
-                    issues.append(f"chunk {ci} frame {fi}: value outside [0, 1]")
+                elif not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN and +-inf fail too
+                    problem = "value outside [0, 1]" if np.isfinite(vals).all() else "non-finite value"
+                    issues.append(f"chunk {ci} frame {fi}: {problem}")
 
         if chunk.flows is not None:
             if t > 0 and len(chunk.flows) != t - 1:

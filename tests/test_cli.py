@@ -171,9 +171,10 @@ class TestEval:
     def test_cli_import_leaves_out_the_mechanism_verifier(self):
         env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
         script = ("import sys, wemeval.cli; "
-                  "print(sorted(set(sys.modules) & {'wemeval.verify', 'wemeval.mechanisms'}))")
+                  "print(sorted(set(sys.modules) & {'wemeval.verify', 'wemeval.mechanisms', "
+                  "'wemeval.microsim'})); print(wemeval.SimConfig.__module__)")
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "[]", out.stderr
+        assert out.stdout.split() == ["[]", "wemeval.microsim"], out.stderr
 
     def test_records_stream_as_scored(self, fixture_pair_dir, monkeypatch, capsys):
         _, pairs_file = fixture_pair_dir

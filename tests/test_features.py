@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wemeval import features, metrics
+from wemeval import features, formats, metrics
 from wemeval.features import (
     EmbedderSpec,
     EmbeddingStore,
@@ -253,6 +254,19 @@ class TestExternalStore:
         spec = EmbedderSpec(kind="external-file", source=str(tmp_path / "index.json"))
         got = embed_frames(frames, spec)
         assert np.allclose(got, [0.6, 0.8])  # L2-normalized on load
+
+    def test_content_key_bytes_are_the_frame_payload(self, tmp_path):
+        rng = np.random.default_rng(11)
+        formats.write_frame_file(tmp_path / "f.bin", [Frame(data=rng.random((12, 10, 3)).astype(np.float32))])
+        sidecar = formats.read_frame_file(tmp_path / "f.bin")
+        crops = metrics._crop([_textured(5, 12, 10)] + sidecar, (2, 9, 3, 8))
+        assert not crops[0].data.flags.c_contiguous  # an fphs crop is a strided view
+        for frames in ([_textured(5)], sidecar, crops, [_textured(6), _frame(0.5)]):
+            digest = hashlib.sha256()  # the key as stores were written before: one copy per frame
+            for f in frames:
+                digest.update(np.asarray([f.height, f.width, f.channels], dtype="<u4").tobytes())
+                digest.update(f.data.astype("<f4").tobytes())
+            assert frame_content_key(frames) == digest.hexdigest()
 
     def test_missing_key_raises(self, tmp_path):
         EmbeddingStore.write(tmp_path / "index.json", {"k": np.ones(2, dtype=np.float32)})

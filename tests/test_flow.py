@@ -105,6 +105,21 @@ class TestResidualFlow:
             residual_object_flow(_uniform_flow(0, 0, 4, 4), _uniform_flow(0, 0, 4, 5))
 
 
+def _flow_stats_descending(f: FlowField, top_fraction: float = 0.2) -> tuple[float, float, float]:
+    """flow_stats as one descending sort with a clipped bin index: the reference
+    that the in-place ascending version must equal bit for bit."""
+    desc = np.sort(np.sqrt(np.square(f.u, dtype=np.float64) + np.square(f.v, dtype=np.float64)).ravel())[::-1]
+    n = desc.size
+    median = float(desc[n // 2] if n % 2 else (desc[n // 2 - 1] + desc[n // 2]) / 2)
+    top = float(desc[: math.ceil(top_fraction * n)].mean())
+    if desc[0] <= 0.0:
+        return median, top, 0.0
+    idx = np.minimum((desc / desc[0] * 16).astype(np.int64), 15)
+    counts = np.bincount(idx, minlength=16)
+    p = counts[counts > 0] / n
+    return median, top, float(-(p * np.log(p)).sum() / math.log(16))
+
+
 class TestFlowStats:
     def test_uniform_magnitude(self):
         median, top, entropy = flow_stats(_uniform_flow(3.0, 4.0))
@@ -137,6 +152,35 @@ class TestFlowStats:
             p = counts[counts > 0] / mag.size
             expected = float(-(p * np.log(p)).sum() / math.log(16))
         assert flow_stats(f)[2] == expected
+
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        peak=st.integers(0, 2**20),
+        exponent=st.integers(-40, 40),
+        seed=st.integers(0, 2**32 - 1),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_descending_sort_on_bin_edges_ties_and_views(self, h, w, peak, exponent, seed, strided):
+        # peak has at most 20 significant bits, so each edge peak * b / 16 is an
+        # exact float32 and its magnitude divided by the peak is exactly b / 16.
+        rng = np.random.default_rng(seed)
+        scale = np.float32(peak * 2.0**exponent)
+        kind = rng.integers(0, 3, size=(h, w))  # 0: on a bin edge, 1: tied at the peak, 2: inside
+        edge = scale * rng.integers(0, 17, size=(h, w)) / np.float32(16)
+        free_u, free_v = scale * (rng.random((2, h, w)) - 0.5)
+        uv = np.empty((h, w, 2), dtype=np.float32)
+        uv[:, :, 0] = np.where(kind == 0, edge, np.where(kind == 1, 0.0, free_u))
+        uv[:, :, 1] = np.where(kind == 0, 0.0, np.where(kind == 1, -scale, free_v))
+        uv[0, 0] = scale, 0.0
+        if strided:  # views of immutable bytes stay interleaved, as read_flow_file gives them
+            uv = np.frombuffer(uv.tobytes(), dtype=np.float32).reshape(h, w, 2)
+        f = FlowField(u=uv[:, :, 0], v=uv[:, :, 1])
+        assert f.u.flags.c_contiguous == (not strided or h == w == 1)
+        assert flow_stats(f) == _flow_stats_descending(f)
+        spread = FlowField(u=free_u * 2.0 ** -rng.integers(0, 20, size=(h, w)), v=free_v)
+        assert flow_stats(spread) == _flow_stats_descending(spread)  # the top mean's summation order shows
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_magnitude_rejected(self, bad):

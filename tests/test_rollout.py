@@ -105,6 +105,21 @@ class TestValidation:
         assert any("non-finite" in issue for issue in report.issues)
         assert any("outside [0, 1]" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize("values, issue", [
+        ([np.nan], "non-finite value"),
+        ([np.inf], "non-finite value"),
+        ([-np.inf], "non-finite value"),
+        ([1.5], "value outside [0, 1]"),
+        ([-0.5], "value outside [0, 1]"),
+        ([1.5, np.nan], "non-finite value"),
+    ], ids=["nan", "inf", "minus-inf", "high", "low", "high-and-nan"])
+    def test_bad_frame_value_gives_one_issue(self, values, issue):
+        data = np.full((16, 16, 1), 0.5, dtype=np.float32)
+        data[3, 4:4 + len(values), 0] = values
+        chunk = Chunk(frames=(_frame(), Frame(data=data)), instruction="", phase=PhaseLabel.NAV)
+        report = validate_trajectory(Trajectory(id="v", chunks=(chunk,)))
+        assert report.issues == [f"chunk 0 frame 1: {issue}"]
+
     @pytest.mark.parametrize("h, w", [(0, 4), (4, 0)])
     def test_empty_frame_reported_not_raised(self, h, w):
         chunk = Chunk(frames=(_frame(h=h, w=w),), instruction="", phase=PhaseLabel.NAV)
@@ -206,3 +221,19 @@ class TestOwnedData:
         assert all(isinstance(o, bytes) for o in owners)  # viewed without a copy
         assert len({id(o) for o in owners}) == 2  # one buffer per file
         assert [float(f.data.mean()) for f in frames] == [0.25, 0.75]
+
+    def test_sidecar_flows_are_read_only_views_of_the_payload(self, tmp_path):
+        rng = np.random.default_rng(3)
+        written = [FlowField(u=rng.normal(size=(5, 7)), v=rng.normal(size=(5, 7))) for _ in range(3)]
+        formats.write_flow_file(tmp_path / "flow.bin", written)
+        fields = formats.read_flow_file(tmp_path / "flow.bin")
+        payload = _owner(fields[0].u)
+        assert isinstance(payload, bytes)
+        buffer = np.frombuffer(payload, dtype=np.uint8)
+        for got, want in zip(fields, written):
+            for arr, expected in ((got.u, want.u), (got.v, want.v)):
+                assert np.shares_memory(arr, buffer)  # the interleaved components are not copied
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
+                assert np.array_equal(arr, expected)
