@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +29,10 @@ def _readonly(arr: np.ndarray, source: object) -> np.ndarray:
 
     It is copied, C-contiguous, only when its memory is the caller's and
     writable, through ``source`` or the buffer under it, so the caller's
-    writes cannot reach it and the caller's array stays writable. A view of
-    immutable ``bytes`` (a sidecar read by ``formats``, whose flow components
-    are interleaved) and an array that ``asarray`` just made are kept as they
-    are, strided or not: the result has no contiguity promise.
+    writes cannot reach it and the caller's array stays writable. A view of a
+    read-only buffer (the ``bytes`` or read-only ``mmap`` of a sidecar that
+    ``formats`` reads) and an array that ``asarray`` just made are kept as
+    they are, strided or not: the result has no contiguity promise.
     """
     owner = _owner(arr)
     fresh = isinstance(owner, np.ndarray) and owner is not _owner(source)
@@ -112,24 +112,46 @@ class WorldEgoMask:
         return bool(((self.data == 0) | (self.data == 1)).all())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FlowField:
     """Dense per-pixel 2-vector motion between two consecutive frames.
 
     u is the horizontal (x, column) displacement and v the vertical (y, row)
-    displacement, both in pixels.
+    displacement, both in pixels. The field holds one read-only (h, w, 2)
+    float32 block ``uv`` of interleaved (u, v) pairs, the layout of a flow
+    sidecar, and ``u`` and ``v`` are strided views of it.
+    ``FlowField(u=..., v=...)`` stacks the two components into a new block;
+    ``FlowField.from_uv`` keeps a block as ``Frame`` keeps its data.
     """
 
-    u: np.ndarray
-    v: np.ndarray
+    uv: np.ndarray
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=np.float32)
-        v = np.asarray(self.v, dtype=np.float32)
+    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
+        u = np.asarray(u, dtype=np.float32)
+        v = np.asarray(v, dtype=np.float32)
         if u.ndim != 2 or u.shape != v.shape:
             raise ValueError(f"flow components must be 2-d and share a shape, got {u.shape} / {v.shape}")
-        object.__setattr__(self, "u", _readonly(u, self.u))
-        object.__setattr__(self, "v", _readonly(v, self.v))
+        uv = np.stack((u, v), axis=-1)
+        uv.flags.writeable = False
+        self._hold(uv)
+
+    @classmethod
+    def from_uv(cls, uv: np.ndarray) -> FlowField:
+        """The field over an (h, w, 2) array of (u, v) pairs, copied only when
+        its memory is the caller's and writable."""
+        arr = np.asarray(uv, dtype=np.float32)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise ValueError(f"flow block must be (h, w, 2), got shape {arr.shape}")
+        flow = cls.__new__(cls)
+        flow._hold(_readonly(arr, uv))
+        return flow
+
+    def _hold(self, uv: np.ndarray) -> None:
+        object.__setattr__(self, "uv", uv)
+        object.__setattr__(self, "u", uv[:, :, 0])
+        object.__setattr__(self, "v", uv[:, :, 1])
 
     @property
     def height(self) -> int:
@@ -145,9 +167,10 @@ class FlowField:
 
         The f32 components square exactly in f64 and cannot overflow there, so
         sqrt(u*u + v*v) is within an ulp of hypot without hypot's scaling.
+        The squares are taken in one pass over the interleaved block.
         """
-        mag = np.square(self.u, dtype=np.float64)
-        mag += np.square(self.v, dtype=np.float64)
+        squares = np.square(self.uv, dtype=np.float64)
+        mag = np.add(squares[:, :, 0], squares[:, :, 1])
         return np.sqrt(mag, out=mag)
 
 
@@ -248,7 +271,7 @@ def validate_trajectory(traj: Trajectory) -> ValidationReport:
             for fi, flow in enumerate(chunk.flows):
                 if t > 0 and (flow.height, flow.width) != _frame_dims(chunk.frames[0]):
                     issues.append(f"chunk {ci} flow {fi}: dim mismatch with frames")
-                if not (np.isfinite(flow.u).all() and np.isfinite(flow.v).all()):
+                if not np.isfinite(flow.uv).all():
                     issues.append(f"chunk {ci} flow {fi}: non-finite value")
 
         if chunk.masks is not None:

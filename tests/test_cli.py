@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -349,7 +350,7 @@ class TestEval:
     @pytest.mark.parametrize("defect, message", [
         ("frame-above-one", "value outside [0, 1]"),
         ("flow-count", "flow count"),
-        ("empty-frame", "gen trajectory invalid: chunk 0 frame 0: empty frame"),
+        ("empty-frame", "records of zero size"),
     ])
     def test_invalid_content_becomes_error_record(self, tmp_path, defect, message):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=602, size=32, t=4))
@@ -358,15 +359,14 @@ class TestEval:
             frames = (Frame(data=first.frames[0].data + 1.0),) + first.frames[1:]
             first = Chunk(frames=frames, instruction=first.instruction, phase=first.phase,
                           flows=first.flows, masks=first.masks)
-        elif defect == "empty-frame":
-            frames = (Frame(data=np.zeros((0, 4, 1), dtype=np.float32)),) * len(first.frames)
-            first = Chunk(frames=frames, instruction=first.instruction, phase=first.phase,
-                          flows=first.flows, masks=first.masks)
-        else:
+        elif defect == "flow-count":
             first = Chunk(frames=first.frames, instruction=first.instruction, phase=first.phase,
                           flows=first.flows[:-1], masks=first.masks)
         bad = Trajectory(id=traj.id, chunks=(first,) + traj.chunks[1:])
         gen = save_manifest(bad, tmp_path / "gen" / "manifest.json")
+        if defect == "empty-frame":  # zero-size frames are a format error, which no writer makes
+            header = formats.FRAME_MAGIC + struct.pack("<4I", 4, 0, 1, len(first.frames))
+            (tmp_path / "gen" / "manifest_chunk0_frames.bin").write_bytes(header)
         gt = save_manifest(traj, tmp_path / "gt" / "manifest.json")
         out = tmp_path / "r.jsonl"
         assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2

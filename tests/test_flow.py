@@ -174,10 +174,12 @@ class TestFlowStats:
         uv[:, :, 0] = np.where(kind == 0, edge, np.where(kind == 1, 0.0, free_u))
         uv[:, :, 1] = np.where(kind == 0, 0.0, np.where(kind == 1, -scale, free_v))
         uv[0, 0] = scale, 0.0
-        if strided:  # views of immutable bytes stay interleaved, as read_flow_file gives them
+        if strided:  # a read-only block is kept as it is, as read_flow_file hands it over
             uv = np.frombuffer(uv.tobytes(), dtype=np.float32).reshape(h, w, 2)
-        f = FlowField(u=uv[:, :, 0], v=uv[:, :, 1])
-        assert f.u.flags.c_contiguous == (not strided or h == w == 1)
+            f = FlowField.from_uv(uv)
+        else:
+            f = FlowField(u=uv[:, :, 0], v=uv[:, :, 1])
+        assert np.shares_memory(f.uv, uv) == strided and f.u.strides == f.v.strides == (8 * w, 8)
         assert flow_stats(f) == _flow_stats_descending(f)
         spread = FlowField(u=free_u * 2.0 ** -rng.integers(0, 20, size=(h, w)), v=free_v)
         assert flow_stats(spread) == _flow_stats_descending(spread)  # the top mean's summation order shows

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,17 @@ class TestOwnedData:
         assert own.flags.writeable
         own[0, 0, 0] = 0
 
+    def test_flow_block_is_copied_only_from_writable_memory(self):
+        own = np.ones((6, 5, 2), dtype=np.float32)
+        copied = FlowField.from_uv(own)
+        own[:] = 0
+        assert (copied.uv == 1).all() and not copied.uv.flags.writeable
+        kept = FlowField.from_uv(np.frombuffer(own.tobytes(), dtype=np.float32).reshape(6, 5, 2))
+        assert _owner(kept.uv) is _owner(kept.u) is _owner(kept.v)  # one block, no copy
+        assert isinstance(_owner(kept.uv), bytes)
+        with pytest.raises(ValueError, match="must be \\(h, w, 2\\)"):
+            FlowField.from_uv(own[:, :, :1])
+
     def test_memo_follows_the_frame_not_the_callers_array(self):
         base = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32)
         f = Frame(data=base[:, :, :])
@@ -212,28 +225,47 @@ class TestOwnedData:
         assert np.array_equal(embed_frames([f], EmbedderSpec(grid=4)), before)
         assert not np.array_equal(embed_frames([Frame(data=base)], EmbedderSpec(grid=4)), before)
 
-    def test_sidecar_frames_and_masks_share_the_file_buffer(self, tmp_path):
+    def test_sidecar_frames_and_masks_share_the_file_buffer(self, tmp_path, monkeypatch):
         formats.write_frame_file(tmp_path / "f.bin", [_frame(0.25), _frame(0.75)])
         formats.write_mask_file(tmp_path / "m.bin", [WorldEgoMask(data=np.eye(16, dtype=np.uint8))])
-        frames = formats.read_frame_file(tmp_path / "f.bin")
-        masks = formats.read_mask_file(tmp_path / "m.bin")
-        owners = [_owner(x.data) for x in frames + masks]
-        assert all(isinstance(o, bytes) for o in owners)  # viewed without a copy
-        assert len({id(o) for o in owners}) == 2  # one buffer per file
-        assert [float(f.data.mean()) for f in frames] == [0.25, 0.75]
+        for map_min_bytes, kind in ((formats.MAP_MIN_BYTES, bytes), (0, mmap.mmap)):
+            monkeypatch.setattr(formats, "MAP_MIN_BYTES", map_min_bytes)
+            frames = formats.read_frame_file(tmp_path / "f.bin")
+            masks = formats.read_mask_file(tmp_path / "m.bin")
+            buffers = [_buffer(x.data) for x in frames + masks]
+            assert all(isinstance(b, kind) for b in buffers)  # a small file is read, a large one mapped
+            assert len({id(b) for b in buffers}) == 2  # one buffer per file, viewed without a copy
+            for x in frames + masks:
+                with pytest.raises(ValueError):
+                    x.data[0, 0] = 0
+            assert [float(f.data.mean()) for f in frames] == [0.25, 0.75]
 
-    def test_sidecar_flows_are_read_only_views_of_the_payload(self, tmp_path):
+    def test_sidecar_flows_are_read_only_views_of_the_payload(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAP_MIN_BYTES", 0)
         rng = np.random.default_rng(3)
         written = [FlowField(u=rng.normal(size=(5, 7)), v=rng.normal(size=(5, 7))) for _ in range(3)]
         formats.write_flow_file(tmp_path / "flow.bin", written)
         fields = formats.read_flow_file(tmp_path / "flow.bin")
-        payload = _owner(fields[0].u)
-        assert isinstance(payload, bytes)
-        buffer = np.frombuffer(payload, dtype=np.uint8)
+        payload = _buffer(fields[0].uv)
+        assert isinstance(payload, mmap.mmap)
+        with pytest.raises(TypeError):
+            payload[16] = 0  # the map itself is read-only
         for got, want in zip(fields, written):
-            for arr, expected in ((got.u, want.u), (got.v, want.v)):
-                assert np.shares_memory(arr, buffer)  # the interleaved components are not copied
+            assert _buffer(got.uv) is payload
+            assert got.uv.shape == (5, 7, 2) and got.uv.flags.c_contiguous  # one interleaved block
+            for arr, expected in ((got.uv, want.uv), (got.u, want.u), (got.v, want.v)):
+                assert np.shares_memory(arr, got.uv)
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0.0
                 assert np.array_equal(arr, expected)
+
+
+def _buffer(arr: np.ndarray) -> object:
+    """The read-only buffer that ``arr`` views: ``bytes``, or a ``mmap`` through
+    the ``memoryview`` numpy holds of it."""
+    owner = _owner(arr)
+    if isinstance(owner, memoryview):
+        assert owner.readonly
+        owner = owner.obj
+    return owner
