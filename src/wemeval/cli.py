@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, TextIO
 import numpy as np
 
 from . import formats
-from .features import EMBEDDER_EXTERNAL, EMBEDDER_REFERENCE, EmbedderSpec
+from .features import EmbedderSpec
 from .flow import DegenerateMatchesError, estimate_homography, render_camera_flow, residual_object_flow
 from .manifest import load_manifest, save_manifest
 from .metrics import METRIC_NAMES, MetricConfig, evaluate_all
@@ -116,7 +116,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
-    """Config-file keys for dataclass ``cls``, cast to the type of their default.
+    """Config keys for dataclass ``cls``, from the file or as flag strings, cast
+    to the type of their default.
 
     A non-object ``doc``, an unknown key or an inexact cast (3.7 to int) is an error naming the key.
     """
@@ -136,18 +137,30 @@ def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
     return typed
 
 
+def _config_flags() -> Iterator[tuple[str, str, object]]:
+    """(flag, config key, default) of each ``eval`` metric flag: the
+    ``MetricConfig`` fields, then the ``EmbedderSpec`` fields under
+    ``embedder.``. Key ``x_y`` is ``--x-y``, ``embedder.x`` is
+    ``--embedder-x``, and ``embedder.kind`` is ``--embedder``."""
+    keys = [(f.name, f.default) for f in fields(MetricConfig) if f.name != "embedder"]
+    keys += [(f"embedder.{f.name}", f.default) for f in fields(EmbedderSpec)]
+    for key, default in keys:
+        yield "--" + key.removesuffix(".kind").replace(".", "-").replace("_", "-"), key, default
+
+
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
-    """Precedence: flags > config file > built-in defaults."""
-    file_cfg = dict(file_cfg)
-    spec = _typed_fields(EmbedderSpec, file_cfg.pop("embedder", {}), "embedder.")
-    updates = _typed_fields(MetricConfig, file_cfg)
-    for f in fields(MetricConfig):
-        if f.name != "embedder" and getattr(args, f.name) is not None:
-            updates[f.name] = getattr(args, f.name)
-    for key, flag in (("kind", args.embedder), ("grid", args.embedder_grid),
-                      ("source", args.embedder_source)):
-        if flag is not None:
-            spec[key] = flag
+    """Precedence: flags > config file > built-in defaults, key by key. Flag
+    strings take the file's cast; ranges are the dataclasses' to check."""
+    given = {key: getattr(args, key) for _, key, _ in _config_flags()
+             if getattr(args, key) is not None}
+    flag_cfg = {key: value for key, value in given.items() if "." not in key}
+    flag_cfg["embedder"] = {key.removeprefix("embedder."): value
+                            for key, value in given.items() if "." in key}
+    spec, updates = {}, {}
+    for doc in (file_cfg, flag_cfg):
+        doc = dict(doc)
+        spec.update(_typed_fields(EmbedderSpec, doc.pop("embedder", {}), "embedder."))
+        updates.update(_typed_fields(MetricConfig, doc))
     return MetricConfig(**updates, embedder=EmbedderSpec(**spec))
 
 
@@ -293,7 +306,9 @@ def _parse_matches(doc: object) -> list[np.ndarray] | np.ndarray:
     """One match set ([[sx, sy, dx, dy], ...] or [[[sx, sy], [dx, dy]], ...]),
     or a list of such sets (one per flow field)."""
 
-    def one_set(items: list) -> np.ndarray:
+    def one_set(items: object) -> np.ndarray:
+        if not isinstance(items, list):
+            raise ValueError(f"a match set must be a JSON array, got {items!r}")
         rows = []
         for item in items:
             flat = np.asarray(item, dtype=np.float64).ravel()
@@ -310,26 +325,27 @@ def _parse_matches(doc: object) -> list[np.ndarray] | np.ndarray:
         return [one_set(entry) for entry in doc]
 
 
+def _make_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CommandError(f"cannot create {path}: {exc}") from None
+    return Path(path)
+
+
 def _cmd_decompose_flow(args: argparse.Namespace) -> int:
     try:
         fields = formats.read_flow_file(args.flow)
     except (OSError, formats.FormatError) as exc:
-        print(f"decompose-flow: {exc}", file=sys.stderr)
-        return 2
+        raise _CommandError(str(exc)) from None
     try:
         matches = _parse_matches(json.loads(Path(args.matches).read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
-        print(f"decompose-flow: bad matches file: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, TypeError) as exc:
+        raise _CommandError(f"bad matches file: {exc}") from None
     if isinstance(matches, list) and len(matches) != len(fields):
-        print(
-            f"decompose-flow: {len(matches)} match sets for {len(fields)} flow fields",
-            file=sys.stderr,
-        )
-        return 2
+        raise _CommandError(f"{len(matches)} match sets for {len(fields)} flow fields")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(args.out_dir)
     homographies = []
     camera_fields = []
     residual_fields = []
@@ -339,8 +355,7 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
             h, _ = estimate_homography(match_set, threshold=args.threshold,
                                        iterations=args.iterations, seed=args.seed)
         except (ValueError, DegenerateMatchesError) as exc:
-            print(f"decompose-flow: field {i}: {exc}", file=sys.stderr)
-            return 2
+            raise _CommandError(f"field {i}: {exc}") from None
         camera = render_camera_flow(h, field.width, field.height)
         camera_fields.append(camera)
         residual_fields.append(residual_object_flow(field, camera))
@@ -358,7 +373,7 @@ def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
     from .verify import run_verification  # with .mechanisms, 15-20 ms that eval never needs
 
     with _report_writer(args.out) as emit:
-        records = run_verification(args.seed, args.trials, inject_fault=args.inject_fault)
+        records = run_verification(args.seed, args.trials)
         for record in records:
             emit(record)
     return 0 if all(r["passed"] for r in records) else 1
@@ -399,18 +414,12 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
 def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     from .microsim import SimConfigError, default_catalog, generate_trajectory  # 13-16 ms eval never needs
 
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"gen-fixtures: cannot create {out_dir}: {exc}", file=sys.stderr)
-        return 2
+    out_dir = _make_dir(args.out_dir)
     if args.catalog:
         try:
             entries = _catalog_from_file(args.catalog)
         except (OSError, KeyError, ValueError, TypeError, AttributeError, SimConfigError) as exc:
-            print(f"gen-fixtures: bad catalog: {exc}", file=sys.stderr)
-            return 2
+            raise _CommandError(f"bad catalog: {exc}") from None
     else:
         entries = default_catalog(size=args.size, t=args.frames)
 
@@ -518,16 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--workers", type=_positive_int, default=1,
                         help="score pairs in up to N fork worker processes, at most one per "
                              "usable CPU; records still stream in index order")
-    p_eval.add_argument("--lpsa-window", dest="lpsa_window", type=_positive_int, default=None)
-    p_eval.add_argument("--fphs-window", dest="fphs_window", type=_positive_int, default=None)
-    p_eval.add_argument("--tau-cpdm", dest="tau_cpdm", type=float, default=None)
-    p_eval.add_argument("--tau-pmpa", dest="tau_pmpa", type=float, default=None)
-    p_eval.add_argument("--resample-steps", dest="resample_steps", type=_positive_int, default=None)
-    p_eval.add_argument("--top-fraction", dest="top_fraction", type=float, default=None)
-    p_eval.add_argument("--eps", type=float, default=None)
-    p_eval.add_argument("--embedder", choices=[EMBEDDER_REFERENCE, EMBEDDER_EXTERNAL], default=None)
-    p_eval.add_argument("--embedder-grid", dest="embedder_grid", type=_positive_int, default=None)
-    p_eval.add_argument("--embedder-source", dest="embedder_source", default=None)
+    for flag, key, default in _config_flags():
+        p_eval.add_argument(flag, dest=key, help=f"config key '{key}' (default {default})")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_flow = sub.add_parser("decompose-flow", help="split raw flow into camera and residual parts")
@@ -543,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=_positive_int, default=1000)
     p_verify.add_argument("--out", help="JSONL output (default stdout)")
-    p_verify.add_argument("--inject-fault", choices=["unroute-flip"], default=None,
-                          help=argparse.SUPPRESS)  # test-only fault injection
     p_verify.set_defaults(func=_cmd_verify_mechanisms)
 
     p_gen = sub.add_parser("gen-fixtures", help="emit simulator fixtures with exact ground truth")

@@ -51,12 +51,14 @@ class MetricConfig:
     embedder: EmbedderSpec = field(default_factory=EmbedderSpec)
 
     def __post_init__(self) -> None:
-        if min(self.lpsa_window, self.fphs_window, self.resample_steps) < 1:
-            raise ValueError("window and resample sizes must be >= 1")
-        if self.tau_cpdm <= 0 or self.tau_pmpa <= 0 or self.eps <= 0:
-            raise ValueError("tau and eps values must be positive")
+        for name in ("lpsa_window", "fphs_window", "resample_steps"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("tau_cpdm", "tau_pmpa", "eps"):
+            if not 0 < (value := getattr(self, name)) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0 < self.top_fraction <= 1:
-            raise ValueError("top_fraction must be in (0, 1]")
+            raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -69,9 +71,6 @@ class MetricResult:
     score: float | None
     breakdown: list[float]
     notes: list[str] = field(default_factory=list)
-
-
-METRIC_NAMES = ("rcbd", "lpsa", "cisr", "pmpa", "cpdm", "fphs")
 
 
 @dataclass
@@ -341,6 +340,7 @@ _METRIC_FUNCS = {
     "cpdm": cpdm,
     "fphs": fphs,
 }
+METRIC_NAMES = tuple(_METRIC_FUNCS)
 
 
 def evaluate_all(gen: Trajectory, gt: Trajectory, cfg: MetricConfig | None = None) -> MetricReport:

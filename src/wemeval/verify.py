@@ -149,27 +149,7 @@ def check_routing_partition(rng: np.random.Generator, trials: int) -> dict:
     return {"invariant": "routing_partition", "trials": trials, "passed": not failures, "failures": failures}
 
 
-def _maybe_flip(plan: RoutePlan, result: StateVector, world_out: StateVector,
-                ego_out: StateVector, inject_fault: str | None) -> StateVector:
-    if inject_fault != "unroute-flip":
-        return result
-    # Emulates a broken unroute that reads from the opposite expert wherever
-    # the expansion makes that possible.
-    values = result.values.copy()
-    for token in plan.base_ego():
-        pos = np.searchsorted(plan.world_expanded, token)
-        if pos < plan.world_expanded.size and plan.world_expanded[pos] == token:
-            values[token] = world_out.values[pos]
-    for token in plan.base_world():
-        pos = np.searchsorted(plan.ego_expanded, token)
-        if pos < plan.ego_expanded.size and plan.ego_expanded[pos] == token:
-            values[token] = ego_out.values[pos]
-    return StateVector(values)
-
-
-def check_unroute_reconstruction(
-    rng: np.random.Generator, trials: int, inject_fault: str | None = None
-) -> dict:
+def check_unroute_reconstruction(rng: np.random.Generator, trials: int) -> dict:
     failures = []
     for trial in range(trials):
         plan = _random_plan(rng)
@@ -186,7 +166,6 @@ def check_unroute_reconstruction(
         zeros = StateVector(np.zeros((plan.world_expanded.size, d)))
         ones = StateVector(np.ones((plan.ego_expanded.size, d)))
         broadcast = unroute(plan, zeros, ones)
-        broadcast = _maybe_flip(plan, broadcast, zeros, ones, inject_fault)
         expected = np.repeat(plan.base_mask.ravel().astype(np.float64)[:, None], d, axis=1)
         broadcast_ok = np.array_equal(broadcast.values, expected)
 
@@ -300,11 +279,11 @@ def check_anneal_endpoints(rng: np.random.Generator, trials: int) -> dict:
             "failures": failures}
 
 
-def run_verification(seed: int, trials: int, inject_fault: str | None = None) -> list[dict]:
+def run_verification(seed: int, trials: int) -> list[dict]:
     """Run every invariant checker over ``trials`` random instances each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    checkers: list[tuple[str, Callable[..., dict]]] = [
+    checkers: list[tuple[str, Callable[[np.random.Generator, int], dict]]] = [
         ("rca_rule_agreement", check_rca_agreement),
         ("routing_partition", check_routing_partition),
         ("unroute_reconstruction", check_unroute_reconstruction),
@@ -313,11 +292,5 @@ def run_verification(seed: int, trials: int, inject_fault: str | None = None) ->
         ("loss_floor", check_loss_floor),
         ("anneal_endpoints", check_anneal_endpoints),
     ]
-    records = []
-    for name, checker in checkers:
-        rng = np.random.default_rng([seed, INVARIANT_NAMES.index(name)])
-        if name == "unroute_reconstruction":
-            records.append(checker(rng, trials, inject_fault=inject_fault))
-        else:
-            records.append(checker(rng, trials))
-    return records
+    return [checker(np.random.default_rng([seed, INVARIANT_NAMES.index(name)]), trials)
+            for name, checker in checkers]

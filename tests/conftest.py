@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wemeval import verify
+from wemeval.mechanisms import StateVector
 from wemeval.metrics import MetricConfig
 from wemeval.microsim import (
     CameraMotion,
@@ -83,3 +85,24 @@ def default_config() -> MetricConfig:
 def mixed_identity_pair():
     traj, gt = generate_trajectory(mixed_fixture_config(seed=42))
     return traj, gt
+
+
+@pytest.fixture
+def flipped_unroute(monkeypatch):
+    """Breaks ``unroute`` inside the verifier: wherever the expansion makes it
+    possible, a token reads from the opposite expert's output."""
+    unroute = verify.unroute
+
+    def flipped(plan, world_out, ego_out):
+        values = unroute(plan, world_out, ego_out).values.copy()
+        for token in plan.base_ego():
+            pos = np.searchsorted(plan.world_expanded, token)
+            if pos < plan.world_expanded.size and plan.world_expanded[pos] == token:
+                values[token] = world_out.values[pos]
+        for token in plan.base_world():
+            pos = np.searchsorted(plan.ego_expanded, token)
+            if pos < plan.ego_expanded.size and plan.ego_expanded[pos] == token:
+                values[token] = ego_out.values[pos]
+        return StateVector(values)
+
+    monkeypatch.setattr(verify, "unroute", flipped)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ctypes
 import json
 import os
@@ -304,8 +305,9 @@ class TestEval:
         ({"lpsa_window": 3.7}, "'lpsa_window'"),
         ({"lpsa_window": float("inf")}, "'lpsa_window'"),
         ({"embedder": {"grid": 2.5}}, "'embedder.grid'"),
+        ({"tau_pmpa": float("inf")}, "tau_pmpa"),  # written as the non-JSON token Infinity
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
-            "infinite-int", "fractional-grid"])
+            "infinite-int", "fractional-grid", "infinite-float"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
@@ -327,6 +329,41 @@ class TestEval:
                      "--out", str(out)]) == 0
         config = _read_records(out)[0]["config"]
         assert config[key] == value and type(config[key]) is int
+
+    def test_metric_flags_follow_the_config_fields(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = [o for action in sub.choices["eval"]._actions for o in action.option_strings]
+        assert options == [
+            "-h", "--help", "--gen", "--gt", "--pairs", "--out", "--config", "--workers",
+            "--lpsa-window", "--fphs-window", "--tau-cpdm", "--tau-pmpa", "--resample-steps",
+            "--top-fraction", "--eps", "--embedder", "--embedder-grid", "--embedder-source",
+        ]
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--lpsa-window", "3.7"], "lpsa_window"),
+        (["--lpsa-window", "0"], "lpsa_window"),
+        (["--embedder", "bogus"], "embedder kind"),
+        (["--tau-cpdm", "nan"], "tau_cpdm"),
+        (["--tau-pmpa", "nan"], "tau_pmpa"),
+        (["--eps", "nan"], "eps"),
+        (["--tau-cpdm", "inf"], "tau_cpdm"),
+    ], ids=["fractional-window", "zero-window", "unknown-embedder", "nan-tau-cpdm", "nan-tau-pmpa",
+            "nan-eps", "infinite-tau-cpdm"])
+    def test_bad_metric_flag_exits_two(self, fixture_pair_dir, tmp_path, capsys, flags, key):
+        out = tmp_path / "r.jsonl"
+        assert main(_good_pair_args(*fixture_pair_dir) + flags + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("eval: bad configuration:") and key in err[0]
+        assert not out.exists()
+
+    def test_embedder_flag_overrides_one_file_key(self, fixture_pair_dir, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"embedder": {"grid": 2, "source": "kept.idx"}}))
+        out = tmp_path / "r.jsonl"
+        assert main(_good_pair_args(*fixture_pair_dir) + ["--config", str(cfg_file),
+                    "--embedder-grid", "4", "--out", str(out)]) == 0
+        config = _read_records(out)[0]["config"]
+        assert config["embedder"] == {"kind": "reference", "grid": 4, "source": "kept.idx"}
 
     def test_seed_flag_is_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -503,6 +540,55 @@ class TestDecomposeFlow:
         assert code == 2
         assert "at least 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[1, 2, 3, 4], [None], [[{}]]],
+                             ids=["flat-numbers", "null-entry", "object-match"])
+    def test_malformed_matches_exits_two(self, tmp_path, capsys, doc):
+        from wemeval.rollout import FlowField
+
+        flow_path = tmp_path / "flow.bin"
+        formats.write_flow_file(flow_path, [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
+        matches_path = tmp_path / "matches.json"
+        matches_path.write_text(json.dumps(doc))
+        code = main(["decompose-flow", "--flow", str(flow_path), "--matches", str(matches_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("decompose-flow: bad matches file: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestInputErrors:
+    """Each bad input or output prints one ``<command>: ...`` line and exits 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose-flow", "--flow", "missing.bin", "--matches", "ok.json", "--out-dir", "out"],
+         "decompose-flow: [Errno 2] No such file or directory: 'missing.bin'"),
+        (["decompose-flow", "--flow", "magic.bin", "--matches", "ok.json", "--out-dir", "out"],
+         "decompose-flow: magic.bin: bad magic b'XXXX', expected b'WEMF'"),
+        (["decompose-flow", "--flow", "flow.bin", "--matches", "bad.json", "--out-dir", "out"],
+         "decompose-flow: bad matches file: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["decompose-flow", "--flow", "flow.bin", "--matches", "two.json", "--out-dir", "out"],
+         "decompose-flow: 2 match sets for 1 flow fields"),
+        (["decompose-flow", "--flow", "flow.bin", "--matches", "ok.json", "--out-dir", "out"],
+         "decompose-flow: field 0: no non-degenerate 4-point hypothesis found in 500 iterations"),
+        (["gen-fixtures", "--out-dir", "a-file/sub"],
+         "gen-fixtures: cannot create a-file/sub: [Errno 20] Not a directory: 'a-file/sub'"),
+    ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
+            "uncreatable-out-dir"])
+    def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
+        from wemeval.rollout import FlowField
+
+        monkeypatch.chdir(tmp_path)
+        formats.write_flow_file("flow.bin", [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
+        Path("magic.bin").write_bytes(b"X" * 24)
+        Path("ok.json").write_text(json.dumps([[0, 0, 1, 1]] * 4))  # one point: degenerate
+        Path("two.json").write_text(json.dumps([[[0, 0, 1, 1]] * 4] * 2))
+        Path("bad.json").write_text("{not json")
+        Path("a-file").write_text("x")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestVerifyMechanisms:
     def test_default_run_passes(self, tmp_path):
@@ -513,10 +599,9 @@ class TestVerifyMechanisms:
         assert len(records) == 7
         assert all(r["passed"] for r in records)
 
-    def test_injected_fault_exits_one_with_counterexample(self, tmp_path):
+    def test_injected_fault_exits_one_with_counterexample(self, tmp_path, flipped_unroute):
         out = tmp_path / "verify.jsonl"
-        code = main(["verify-mechanisms", "--trials", "50", "--out", str(out),
-                     "--inject-fault", "unroute-flip"])
+        code = main(["verify-mechanisms", "--trials", "50", "--out", str(out)])
         assert code == 1
         broken = [r for r in _read_records(out) if not r["passed"]]
         assert broken and broken[0]["invariant"] == "unroute_reconstruction"

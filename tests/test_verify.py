@@ -22,8 +22,8 @@ def test_runs_are_deterministic_per_seed():
     assert a == b
 
 
-def test_injected_unroute_fault_is_caught_with_counterexample():
-    records = run_verification(seed=5, trials=100, inject_fault="unroute-flip")
+def test_injected_unroute_fault_is_caught_with_counterexample(flipped_unroute):
+    records = run_verification(seed=5, trials=100)
     by_name = {r["invariant"]: r for r in records}
     broken = by_name["unroute_reconstruction"]
     assert not broken["passed"]
