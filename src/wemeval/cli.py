@@ -117,9 +117,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
     """Config keys for dataclass ``cls``, from the file or as flag strings, cast
-    to the type of their default.
+    to the type of their default; a key whose default is None is a string or null.
 
-    A non-object ``doc``, an unknown key or an inexact cast (3.7 to int) is an error naming the key.
+    A non-object ``doc``, an unknown key, a bool for a non-bool key or an
+    inexact cast (3.7 to int) is an error naming the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config key '{prefix.rstrip('.')}' must be an object, got {doc!r}")
@@ -128,10 +129,16 @@ def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
     for key, value in doc.items():
         if key not in defaults:
             raise ValueError(f"unknown config key '{prefix}{key}'")
+        default = defaults[key]
         try:
-            typed[key] = value if defaults[key] is None else type(defaults[key])(value)
-            if isinstance(value, (int, float)) and typed[key] != value:
-                raise ValueError
+            if isinstance(value, bool) and not isinstance(default, bool):
+                raise ValueError  # int(True) == 1 would pass the exactness check
+            if default is None:
+                typed[key] = None if value is None else str(value)
+            else:
+                typed[key] = type(default)(value)
+                if isinstance(value, (int, float)) and typed[key] != value:
+                    raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"config key '{prefix}{key}' cannot hold {value!r}") from None
     return typed

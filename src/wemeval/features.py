@@ -78,24 +78,31 @@ def frame_content_key(frames: Sequence[Frame]) -> str:
 class EmbeddingStore:
     """Read-only lookup of precomputed embeddings.
 
-    The index is UTF-8 JSON mapping key -> {"dim": int, "file": path,
-    "offset": int}; ``offset`` is a byte offset into the named blob of
-    little-endian f32 values. Blobs are read once and cached.
+    The index is a UTF-8 JSON object mapping key -> {"dim": int >= 0,
+    "file": path, "offset": int >= 0}; ``offset`` is a byte offset into the
+    named blob of little-endian f32 values. Blobs are read once and cached.
+    A malformed index or entry is a ValueError naming the index (and key).
     """
 
     def __init__(self, index_path: str | Path) -> None:
         self.index_path = Path(index_path)
         self._index: dict[str, dict] = json.loads(self.index_path.read_text(encoding="utf-8"))
+        if not isinstance(self._index, dict):
+            raise ValueError(f"embedding index {self.index_path} must be a JSON object")
         self._blobs: dict[str, bytes] = {}
 
     def lookup(self, key: str) -> np.ndarray:
-        entry = self._index.get(key)
-        if entry is None:
+        if key not in self._index:
             raise KeyError(f"embedding key '{key}' not found in {self.index_path}")
+        entry = self._index[key]
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and all(type(entry.get(n)) is int and entry[n] >= 0 for n in ("dim", "offset"))):
+            raise ValueError(f"embedding index {self.index_path}: entry for key '{key}' must be "
+                             f'{{"dim": int >= 0, "file": str, "offset": int >= 0}}, got {entry!r}')
         blob_path = str(self.index_path.parent / entry["file"])
         if blob_path not in self._blobs:
             self._blobs[blob_path] = Path(blob_path).read_bytes()
-        dim, offset = int(entry["dim"]), int(entry["offset"])
+        dim, offset = entry["dim"], entry["offset"]
         raw = self._blobs[blob_path][offset : offset + 4 * dim]
         if len(raw) != 4 * dim:
             raise ValueError(f"embedding blob truncated for key '{key}'")

@@ -75,32 +75,18 @@ def load_manifest(path: str | Path) -> Trajectory:
             raise ManifestError(
                 f"{where}: field 'phase': invalid value '{phase_str}' (expected 'Nav' or 'Manip')"
             ) from None
-        frames_rel = _require(cdoc, "frames", str, where)
-        try:
-            frames = formats.read_frame_file(_resolve_asset(base, frames_rel, where, "frames"))
-        except formats.FormatError as exc:
-            raise ManifestError(f"{where}: field 'frames': {exc}") from exc
-
-        flows = None
-        if cdoc.get("flows") is not None:
-            flows_rel = _require(cdoc, "flows", str, where)
+        sidecars: dict[str, tuple | None] = {}
+        for field, read in (("frames", formats.read_frame_file), ("flows", formats.read_flow_file),
+                            ("masks", formats.read_mask_file)):
+            if field != "frames" and cdoc.get(field) is None:
+                sidecars[field] = None  # flows and masks are optional
+                continue
+            rel = _require(cdoc, field, str, where)
             try:
-                flows = formats.read_flow_file(_resolve_asset(base, flows_rel, where, "flows"))
+                sidecars[field] = tuple(read(_resolve_asset(base, rel, where, field)))
             except formats.FormatError as exc:
-                raise ManifestError(f"{where}: field 'flows': {exc}") from exc
-        masks = None
-        if cdoc.get("masks") is not None:
-            masks_rel = _require(cdoc, "masks", str, where)
-            try:
-                masks = formats.read_mask_file(_resolve_asset(base, masks_rel, where, "masks"))
-            except formats.FormatError as exc:
-                raise ManifestError(f"{where}: field 'masks': {exc}") from exc
-
-        chunks.append(
-            Chunk(frames=tuple(frames), instruction=instruction, phase=phase,
-                  flows=tuple(flows) if flows is not None else None,
-                  masks=tuple(masks) if masks is not None else None)
-        )
+                raise ManifestError(f"{where}: field '{field}': {exc}") from exc
+        chunks.append(Chunk(instruction=instruction, phase=phase, **sidecars))
 
     return Trajectory(id=str(traj_id), chunks=tuple(chunks))
 

@@ -26,10 +26,6 @@ from .rollout import (
 )
 
 
-class MetricNotApplicable(ValueError):
-    """The metric's preconditions are not met by this trajectory pair."""
-
-
 @dataclass(frozen=True)
 class MetricConfig:
     """Shipped defaults for every metric knob.
@@ -71,6 +67,11 @@ class MetricResult:
     score: float | None
     breakdown: list[float]
     notes: list[str] = field(default_factory=list)
+
+
+def _absent(*notes: str) -> MetricResult:
+    """A metric that does not apply to this pair: no score, no breakdown, the reasons."""
+    return MetricResult(score=None, breakdown=[], notes=list(notes))
 
 
 @dataclass
@@ -145,8 +146,6 @@ def _boundary_gaps(traj: Trajectory, k: int, cfg: MetricConfig) -> tuple[float, 
     """Appearance and motion gap at the boundary between chunks k and k+1 (0-based k)."""
     left, right = traj.chunks[k], traj.chunks[k + 1]
     b = perceptual_distance(left.frames[-1], right.frames[0], cfg.embedder)
-    if not left.flows or not right.flows:
-        raise MetricNotApplicable(f"rcbd: missing flows at boundary {k + 1}")
     m = abs(_mean_flow_magnitude(left, len(left.flows) - 1) - _mean_flow_magnitude(right, 0))
     return b, m
 
@@ -159,12 +158,15 @@ def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     difference of the mean flow magnitudes on the two sides (last flow field
     of the left chunk vs. first of the right). Each gap pair is compared with
     ``symmetric_match`` so over-smoothing is penalized like overshoot.
+    Absent (with a note) for K < 2 or a boundary without flows on either side.
     """
     gen, gt, k = pair.gen, pair.gt, len(pair.sims)
     if k < 2:
-        raise MetricNotApplicable("rcbd: needs K >= 2")
+        return _absent("rcbd: needs K >= 2")
     per_boundary = []
     for b_idx in range(k - 1):
+        if not all(t.chunks[c].flows for t in (gen, gt) for c in (b_idx, b_idx + 1)):
+            return _absent(f"rcbd: missing flows at boundary {b_idx + 1}")
         b_gen, m_gen = _boundary_gaps(gen, b_idx, cfg)
         b_gt, m_gt = _boundary_gaps(gt, b_idx, cfg)
         s_appearance = symmetric_match(b_gen, b_gt, cfg.eps)
@@ -216,7 +218,7 @@ def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     delta is the mean pointwise L2 distance between the resampled 4-component
     motion profiles of the generated and ground-truth chunk, so it is
     invariant to the resample count. Chunks too short for a profile (T < 2)
-    are skipped with a note.
+    are skipped with a note; a scorable chunk without flows makes it absent.
     """
     gen, gt, k = pair.gen, pair.gt, len(pair.sims)
     scores = []
@@ -226,7 +228,7 @@ def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
             notes.append(f"pmpa: chunk {i} skipped (T < 2)")
             continue
         if gen.chunks[i].flows is None or gt.chunks[i].flows is None:
-            raise MetricNotApplicable(f"pmpa: missing flows on chunk {i}")
+            return _absent(*notes, f"pmpa: missing flows on chunk {i}")
         p_gen = resample_profile(
             motion_profile(gen.chunks[i], top_fraction=cfg.top_fraction), cfg.resample_steps
         )
@@ -236,7 +238,7 @@ def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
         delta = float(np.linalg.norm(p_gen.steps - p_gt.steps, axis=1).mean())
         scores.append(math.exp(-delta / cfg.tau_pmpa))
     if not scores:
-        return MetricResult(score=None, breakdown=[], notes=notes + ["pmpa: no scorable chunks"])
+        return _absent(*notes, "pmpa: no scorable chunks")
     return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
 
 
@@ -248,7 +250,7 @@ def cpdm(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """
     phases = [c.phase for c in pair.gt.chunks]
     if len(set(phases)) < 2:
-        return MetricResult(score=None, breakdown=[], notes=["cpdm: single-phase trajectory"])
+        return _absent("cpdm: single-phase trajectory")
     scores = []
     for i, sims in enumerate(pair.sims):
         r_neg = max(sims[j] for j in range(len(sims)) if phases[j] != phases[i])
@@ -302,7 +304,7 @@ def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     gen, gt = pair.gen, pair.gt
     switches = phase_boundaries(gt)
     if not switches:
-        return MetricResult(score=None, breakdown=[], notes=["fphs: no phase switch"])
+        return _absent("fphs: no phase switch")
     scores = []
     notes = []
     for k1 in switches:  # 1-based: switch between chunks k1 and k1+1
@@ -328,7 +330,7 @@ def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
         e_gt = embed_frames(_crop(gt_window, bbox), cfg.embedder)
         scores.append(cosine_similarity(e_gen, e_gt))
     if not scores:
-        return MetricResult(score=None, breakdown=[], notes=notes + ["fphs: no scorable boundary"])
+        return _absent(*notes, "fphs: no scorable boundary")
     return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
 
 
@@ -344,7 +346,7 @@ METRIC_NAMES = tuple(_METRIC_FUNCS)
 
 
 def evaluate_all(gen: Trajectory, gt: Trajectory, cfg: MetricConfig | None = None) -> MetricReport:
-    """Run every applicable metric on one trajectory pair.
+    """Run every metric on one trajectory pair.
 
     Raises ValueError when ``ScoringPair.of`` rejects the pair; metrics whose
     preconditions fail on a valid pair are reported absent with a note.
@@ -352,19 +354,10 @@ def evaluate_all(gen: Trajectory, gt: Trajectory, cfg: MetricConfig | None = Non
     """
     cfg = cfg or MetricConfig()
     pair = ScoringPair.of(gen, gt, cfg)
-
-    scores: dict[str, float | None] = {}
-    breakdowns: dict[str, list[float]] = {}
-    notes: list[str] = []
-    for name, func in _METRIC_FUNCS.items():
-        try:
-            result = func(pair, cfg)
-        except MetricNotApplicable as exc:
-            scores[name] = None
-            breakdowns[name] = []
-            notes.append(str(exc))
-            continue
-        scores[name] = result.score
-        breakdowns[name] = result.breakdown
-        notes.extend(result.notes)
-    return MetricReport(trajectory=gen.id, scores=scores, breakdowns=breakdowns, notes=notes)
+    results = {name: func(pair, cfg) for name, func in _METRIC_FUNCS.items()}
+    return MetricReport(
+        trajectory=gen.id,
+        scores={name: r.score for name, r in results.items()},
+        breakdowns={name: r.breakdown for name, r in results.items()},
+        notes=[note for r in results.values() for note in r.notes],
+    )

@@ -1,9 +1,10 @@
 """Randomized verification of the mechanism-kernel invariants.
 
-Each checker runs a number of random trials and returns a JSON-friendly
-record; counterexamples are kept small so failures are directly actionable.
-The attention-mask checker re-derives visibility per (row, column) pair from
-the written rules, independently of the vectorized construction it verifies.
+Each invariant in ``CHECKS`` is a function of one random trial that returns a
+small, directly actionable counterexample dict, or None when the trial passes;
+``run_check`` runs it over many trials into a JSON-friendly record. The
+attention-mask check re-derives visibility per (row, column) pair from the
+written rules, independently of the vectorized construction it verifies.
 """
 
 from __future__ import annotations
@@ -26,16 +27,6 @@ from .mechanisms import (
     soft_fuse,
     standard_layout,
     unroute,
-)
-
-INVARIANT_NAMES = (
-    "rca_rule_agreement",
-    "routing_partition",
-    "unroute_reconstruction",
-    "fusion_convexity",
-    "gru_interpolation",
-    "loss_floor",
-    "anneal_endpoints",
 )
 
 _MAX_FAILURE_DUMPS = 3
@@ -78,38 +69,18 @@ def _rule_allowed(layout: SequenceLayout, k_window: int, row_seg, col_seg, i: in
     return j <= i  # plain causal history
 
 
-def check_rca_agreement(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        layout, k_window = _random_layout(rng)
-        mask = build_rca_mask(layout, k_window).allowed
-        seg_of = []
-        for seg, start, end in layout.ranges():
-            seg_of.extend([seg] * (end - start))
-        n = layout.total_tokens
-        for i in range(n):
-            row_seg = seg_of[i]
-            for j in range(n):
-                expected = _rule_allowed(layout, k_window, row_seg, seg_of[j], i, j)
-                if mask[i, j] != bool(expected):
-                    failures.append(
-                        {
-                            "trial": trial,
-                            "k_window": k_window,
-                            "row": i,
-                            "col": j,
-                            "row_kind": row_seg.kind.value,
-                            "col_kind": seg_of[j].kind.value,
-                            "got": bool(mask[i, j]),
-                            "expected": bool(expected),
-                        }
-                    )
-                    break
-            if failures and failures[-1]["trial"] == trial:
-                break
-        if len(failures) >= _MAX_FAILURE_DUMPS:
-            break
-    return {"invariant": "rca_rule_agreement", "trials": trials, "passed": not failures, "failures": failures}
+def _rca_rule_agreement(rng: np.random.Generator) -> dict | None:
+    layout, k_window = _random_layout(rng)
+    mask = build_rca_mask(layout, k_window).allowed
+    seg_of = [seg for seg, start, end in layout.ranges() for _ in range(start, end)]
+    n = layout.total_tokens
+    for i in range(n):
+        for j in range(n):
+            expected = bool(_rule_allowed(layout, k_window, seg_of[i], seg_of[j], i, j))
+            if mask[i, j] != expected:
+                return {"k_window": k_window, "row": i, "col": j, "row_kind": seg_of[i].kind.value,
+                        "col_kind": seg_of[j].kind.value, "got": bool(mask[i, j]), "expected": expected}
+    return None
 
 
 def _random_plan(rng: np.random.Generator) -> RoutePlan:
@@ -121,176 +92,145 @@ def _random_plan(rng: np.random.Generator) -> RoutePlan:
     return route_tokens(mask, radius)
 
 
-def check_routing_partition(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        plan = _random_plan(rng)
-        base_w, base_e = plan.base_world(), plan.base_ego()
-        problems = []
-        if np.intersect1d(base_w, base_e).size:
-            problems.append("base sets overlap")
-        if base_w.size + base_e.size != plan.size:
-            problems.append("base sets do not cover the grid")
-        if not np.isin(base_w, plan.world_expanded).all():
-            problems.append("world expansion lost base tokens")
-        if not np.isin(base_e, plan.ego_expanded).all():
-            problems.append("ego expansion lost base tokens")
-        if np.union1d(plan.world_expanded, plan.ego_expanded).size != plan.size:
-            problems.append("expanded sets do not jointly cover the grid")
-        if plan.radius == 0 and (
-            plan.world_expanded.size != base_w.size or plan.ego_expanded.size != base_e.size
-        ):
-            problems.append("radius 0 did not keep the exact partition")
-        if problems:
-            failures.append({"trial": trial, "grid": plan.grid_shape, "radius": plan.radius,
-                             "problems": problems})
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
-    return {"invariant": "routing_partition", "trials": trials, "passed": not failures, "failures": failures}
+def _routing_partition(rng: np.random.Generator) -> dict | None:
+    plan = _random_plan(rng)
+    base_w, base_e = plan.base_world(), plan.base_ego()
+    problems = []
+    if np.intersect1d(base_w, base_e).size:
+        problems.append("base sets overlap")
+    if base_w.size + base_e.size != plan.size:
+        problems.append("base sets do not cover the grid")
+    if not np.isin(base_w, plan.world_expanded).all():
+        problems.append("world expansion lost base tokens")
+    if not np.isin(base_e, plan.ego_expanded).all():
+        problems.append("ego expansion lost base tokens")
+    if np.union1d(plan.world_expanded, plan.ego_expanded).size != plan.size:
+        problems.append("expanded sets do not jointly cover the grid")
+    if plan.radius == 0 and (
+        plan.world_expanded.size != base_w.size or plan.ego_expanded.size != base_e.size
+    ):
+        problems.append("radius 0 did not keep the exact partition")
+    return {"grid": plan.grid_shape, "radius": plan.radius, "problems": problems} if problems else None
 
 
-def check_unroute_reconstruction(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        plan = _random_plan(rng)
-        d = int(rng.integers(1, 5))
-        full = rng.normal(size=(plan.size, d))
+def _unroute_reconstruction(rng: np.random.Generator) -> dict | None:
+    plan = _random_plan(rng)
+    d = int(rng.integers(1, 5))
+    full = rng.normal(size=(plan.size, d))
 
-        # Identity experts must reconstruct the input sequence exactly.
-        world_out = StateVector(full[plan.world_expanded])
-        ego_out = StateVector(full[plan.ego_expanded])
-        rebuilt = unroute(plan, world_out, ego_out)
-        identity_ok = np.array_equal(rebuilt.values, full)
+    # Identity experts must reconstruct the input sequence exactly.
+    world_out = StateVector(full[plan.world_expanded])
+    ego_out = StateVector(full[plan.ego_expanded])
+    identity_ok = np.array_equal(unroute(plan, world_out, ego_out).values, full)
 
-        # Constant experts must broadcast the base mask over channels.
-        zeros = StateVector(np.zeros((plan.world_expanded.size, d)))
-        ones = StateVector(np.ones((plan.ego_expanded.size, d)))
-        broadcast = unroute(plan, zeros, ones)
-        expected = np.repeat(plan.base_mask.ravel().astype(np.float64)[:, None], d, axis=1)
-        broadcast_ok = np.array_equal(broadcast.values, expected)
+    # Constant experts must broadcast the base mask over channels.
+    zeros = StateVector(np.zeros((plan.world_expanded.size, d)))
+    ones = StateVector(np.ones((plan.ego_expanded.size, d)))
+    expected = np.repeat(plan.base_mask.ravel().astype(np.float64)[:, None], d, axis=1)
+    broadcast_ok = np.array_equal(unroute(plan, zeros, ones).values, expected)
 
-        if not (identity_ok and broadcast_ok):
-            failures.append(
-                {
-                    "trial": trial,
-                    "grid": plan.grid_shape,
-                    "radius": plan.radius,
-                    "base_mask": plan.base_mask.tolist(),
-                    "identity_ok": identity_ok,
-                    "broadcast_ok": broadcast_ok,
-                }
-            )
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
-    return {"invariant": "unroute_reconstruction", "trials": trials, "passed": not failures,
-            "failures": failures}
+    if identity_ok and broadcast_ok:
+        return None
+    return {"grid": plan.grid_shape, "radius": plan.radius, "base_mask": plan.base_mask.tolist(),
+            "identity_ok": identity_ok, "broadcast_ok": broadcast_ok}
 
 
-def check_fusion_convexity(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        n = int(rng.integers(1, 16))
-        d = int(rng.integers(1, 6))
-        alpha = rng.random(n)
-        x_world = StateVector(rng.normal(size=(n, d)))
-        x_ego = StateVector(rng.normal(size=(n, d)))
-        fused = soft_fuse(alpha, x_world, x_ego).values
-        lo = np.minimum(x_world.values, x_ego.values) - 1e-12
-        hi = np.maximum(x_world.values, x_ego.values) + 1e-12
-        if not ((fused >= lo) & (fused <= hi)).all():
-            bad = np.argwhere((fused < lo) | (fused > hi))[0]
-            failures.append({"trial": trial, "token": int(bad[0]), "channel": int(bad[1]),
-                             "alpha": float(alpha[bad[0]])})
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
-    return {"invariant": "fusion_convexity", "trials": trials, "passed": not failures,
-            "failures": failures}
+def _first_outside(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
+    """(token, channel) of the first entry of ``values`` outside [min(a, b), max(a, b)], or None."""
+    inside = (values >= np.minimum(a, b) - 1e-12) & (values <= np.maximum(a, b) + 1e-12)
+    bad = np.argwhere(~inside)
+    return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
-def check_gru_interpolation(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        n = int(rng.integers(1, 8))
-        d = int(rng.integers(1, 6))
-        params = GateParams.random(d, seed=int(rng.integers(0, 2**31)))
-        prev = StateVector(rng.normal(size=(n, d)))
-        proposal = StateVector(rng.normal(size=(n, d)))
-        ego = rng.normal(size=d)
-        parts = gru_update_parts(prev, proposal, ego, params)
-        lo = np.minimum(prev.values, parts.candidate) - 1e-12
-        hi = np.maximum(prev.values, parts.candidate) + 1e-12
-        if not ((parts.output >= lo) & (parts.output <= hi)).all():
-            bad = np.argwhere((parts.output < lo) | (parts.output > hi))[0]
-            failures.append({"trial": trial, "token": int(bad[0]), "channel": int(bad[1]),
-                             "keep": float(parts.keep[bad[0], bad[1]])})
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
-    return {"invariant": "gru_interpolation", "trials": trials, "passed": not failures,
-            "failures": failures}
+def _fusion_convexity(rng: np.random.Generator) -> dict | None:
+    n = int(rng.integers(1, 16))
+    d = int(rng.integers(1, 6))
+    alpha = rng.random(n)
+    x_world = StateVector(rng.normal(size=(n, d)))
+    x_ego = StateVector(rng.normal(size=(n, d)))
+    fused = soft_fuse(alpha, x_world, x_ego).values
+    if (bad := _first_outside(fused, x_world.values, x_ego.values)) is None:
+        return None
+    return {"token": bad[0], "channel": bad[1], "alpha": float(alpha[bad[0]])}
 
 
-def check_loss_floor(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        n = int(rng.integers(4, 65))
-        gt = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.float64)
-        floor = bce_dice_loss(gt, gt).total
-        perturbed = None
-        for _ in range(50):
-            candidate = rng.random(n)
-            if np.abs(candidate - gt).sum() > 0.05 * n:
-                perturbed = candidate
-                break
-        if perturbed is None:
-            continue  # vanishingly unlikely; skip the trial rather than fake it
-        if not floor < bce_dice_loss(perturbed, gt).total:
-            failures.append({"trial": trial, "n": n, "floor": floor,
-                             "perturbed_total": bce_dice_loss(perturbed, gt).total})
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
-    return {"invariant": "loss_floor", "trials": trials, "passed": not failures, "failures": failures}
+def _gru_interpolation(rng: np.random.Generator) -> dict | None:
+    n = int(rng.integers(1, 8))
+    d = int(rng.integers(1, 6))
+    params = GateParams.random(d, seed=int(rng.integers(0, 2**31)))
+    prev = StateVector(rng.normal(size=(n, d)))
+    proposal = StateVector(rng.normal(size=(n, d)))
+    ego = rng.normal(size=d)
+    parts = gru_update_parts(prev, proposal, ego, params)
+    if (bad := _first_outside(parts.output, prev.values, parts.candidate)) is None:
+        return None
+    return {"token": bad[0], "channel": bad[1], "keep": float(parts.keep[bad])}
 
 
-def check_anneal_endpoints(rng: np.random.Generator, trials: int) -> dict:
-    failures = []
-    for trial in range(trials):
-        lambda0 = float(rng.uniform(0.05, 1.0))
-        total = int(rng.integers(1, 1000))
-        shape = "linear" if rng.random() < 0.5 else "cosine"
-        start = anneal_lambda(0, total, lambda0, shape)
-        end = anneal_lambda(total, total, lambda0, shape)
-        sweep = [anneal_lambda(s, total, lambda0, shape) for s in range(0, total + 1, max(1, total // 16))]
-        problems = []
-        if abs(start - lambda0) > 1e-12:
-            problems.append(f"start {start} != {lambda0}")
-        if abs(end - 0.2 * lambda0) > 1e-12:
-            problems.append(f"end {end} != {0.2 * lambda0}")
-        if any(b > a + 1e-12 for a, b in zip(sweep, sweep[1:])):
-            problems.append("schedule is not non-increasing")
-        if problems:
-            failures.append({"trial": trial, "lambda0": lambda0, "total": total, "shape": shape,
-                             "problems": problems})
-            if len(failures) >= _MAX_FAILURE_DUMPS:
-                break
+def _loss_floor(rng: np.random.Generator) -> dict | None:
+    n = int(rng.integers(4, 65))
+    gt = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.float64)
+    floor = bce_dice_loss(gt, gt).total
+    for _ in range(50):
+        perturbed = rng.random(n)
+        if np.abs(perturbed - gt).sum() > 0.05 * n:
+            break
+    else:
+        return None  # vanishingly unlikely; skip the trial rather than fake it
+    if floor < (total := bce_dice_loss(perturbed, gt).total):
+        return None
+    return {"n": n, "floor": floor, "perturbed_total": total}
+
+
+def _anneal_endpoints(rng: np.random.Generator) -> dict | None:
+    lambda0 = float(rng.uniform(0.05, 1.0))
+    total = int(rng.integers(1, 1000))
+    shape = "linear" if rng.random() < 0.5 else "cosine"
+    start = anneal_lambda(0, total, lambda0, shape)
+    end = anneal_lambda(total, total, lambda0, shape)
+    sweep = [anneal_lambda(s, total, lambda0, shape) for s in range(0, total + 1, max(1, total // 16))]
+    problems = []
+    if abs(start - lambda0) > 1e-12:
+        problems.append(f"start {start} != {lambda0}")
+    if abs(end - 0.2 * lambda0) > 1e-12:
+        problems.append(f"end {end} != {0.2 * lambda0}")
+    if any(b > a + 1e-12 for a, b in zip(sweep, sweep[1:])):
+        problems.append("schedule is not non-increasing")
     # The published schedule endpoints: 0.3 decaying to 0.06.
     if abs(anneal_lambda(0, 100, 0.3) - 0.3) > 1e-12 or abs(anneal_lambda(100, 100, 0.3) - 0.06) > 1e-12:
-        failures.append({"trial": -1, "problems": ["0.3 -> 0.06 endpoints violated"]})
-    return {"invariant": "anneal_endpoints", "trials": trials, "passed": not failures,
-            "failures": failures}
+        problems.append("0.3 -> 0.06 endpoints violated")
+    if not problems:
+        return None
+    return {"lambda0": lambda0, "total": total, "shape": shape, "problems": problems}
+
+
+# Invariant name -> one random trial, returning a counterexample or None. The
+# order fixes each invariant's random stream and the order of the records.
+CHECKS: dict[str, Callable[[np.random.Generator], dict | None]] = {
+    "rca_rule_agreement": _rca_rule_agreement,
+    "routing_partition": _routing_partition,
+    "unroute_reconstruction": _unroute_reconstruction,
+    "fusion_convexity": _fusion_convexity,
+    "gru_interpolation": _gru_interpolation,
+    "loss_floor": _loss_floor,
+    "anneal_endpoints": _anneal_endpoints,
+}
+INVARIANT_NAMES = tuple(CHECKS)
+
+
+def run_check(name: str, rng: np.random.Generator, trials: int) -> dict:
+    """Run invariant ``name`` for ``trials`` trials; keeps the first few counterexamples."""
+    failures = []
+    for trial in range(trials):
+        if (counterexample := CHECKS[name](rng)) is not None:
+            failures.append({"trial": trial, **counterexample})
+            if len(failures) >= _MAX_FAILURE_DUMPS:
+                break
+    return {"invariant": name, "trials": trials, "passed": not failures, "failures": failures}
 
 
 def run_verification(seed: int, trials: int) -> list[dict]:
-    """Run every invariant checker over ``trials`` random instances each."""
+    """Run every invariant over ``trials`` random instances each."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    checkers: list[tuple[str, Callable[[np.random.Generator, int], dict]]] = [
-        ("rca_rule_agreement", check_rca_agreement),
-        ("routing_partition", check_routing_partition),
-        ("unroute_reconstruction", check_unroute_reconstruction),
-        ("fusion_convexity", check_fusion_convexity),
-        ("gru_interpolation", check_gru_interpolation),
-        ("loss_floor", check_loss_floor),
-        ("anneal_endpoints", check_anneal_endpoints),
-    ]
-    return [checker(np.random.default_rng([seed, INVARIANT_NAMES.index(name)]), trials)
-            for name, checker in checkers]
+    return [run_check(name, np.random.default_rng([seed, i]), trials) for i, name in enumerate(CHECKS)]

@@ -306,8 +306,12 @@ class TestEval:
         ({"lpsa_window": float("inf")}, "'lpsa_window'"),
         ({"embedder": {"grid": 2.5}}, "'embedder.grid'"),
         ({"tau_pmpa": float("inf")}, "tau_pmpa"),  # written as the non-JSON token Infinity
+        ({"lpsa_window": True}, "'lpsa_window'"),
+        ({"tau_cpdm": True}, "'tau_cpdm'"),
+        ({"embedder": {"source": True}}, "'embedder.source'"),
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
-            "infinite-int", "fractional-grid", "infinite-float"])
+            "infinite-int", "fractional-grid", "infinite-float", "bool-int", "bool-float",
+            "bool-source"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
@@ -329,6 +333,22 @@ class TestEval:
                      "--out", str(out)]) == 0
         config = _read_records(out)[0]["config"]
         assert config[key] == value and type(config[key]) is int
+
+    @pytest.mark.parametrize("args, source", [
+        (["--config", "{cfg}"], "5"),
+        (["--embedder-source", "5"], "5"),
+        (["--config", "{cfg}", "--embedder-source", "6"], "6"),
+        (["--config", "{null_cfg}"], None),
+    ], ids=["file-number", "flag", "flag-over-file", "file-null"])
+    def test_source_key_is_a_string_like_its_flag(self, tmp_path, args, source):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=603, size=32, t=4))
+        path = str(save_manifest(traj, tmp_path / "traj" / "manifest.json"))
+        (tmp_path / "cfg.json").write_text(json.dumps({"embedder": {"source": 5}}))
+        (tmp_path / "null.json").write_text(json.dumps({"embedder": {"source": None}}))
+        args = [a.format(cfg=tmp_path / "cfg.json", null_cfg=tmp_path / "null.json") for a in args]
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", path, "--gt", path, "--out", str(out), *args]) == 0
+        assert _read_records(out)[0]["config"]["embedder"]["source"] == source
 
     def test_metric_flags_follow_the_config_fields(self):
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -464,6 +484,30 @@ class TestEval:
         scores = _read_records(out)[1]["scores"]
         for name, value in reference.scores.items():
             assert scores[name] == pytest.approx(value, abs=1e-5)
+
+    @pytest.mark.parametrize("defect", ["list-index", "int-entry", "negative-offset"])
+    def test_malformed_store_index_becomes_error_record(self, tmp_path, monkeypatch, capsys,
+                                                        defect):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=640, size=32, t=4))
+        path = str(save_manifest(traj, tmp_path / "t" / "manifest.json"))
+        index_path = tmp_path / "store.json"
+        features.EmbeddingStore.write(index_path, _recorded_embeddings(traj, traj, monkeypatch))
+        index = json.loads(index_path.read_text())
+        if defect == "list-index":
+            index = []
+        for key, entry in index.items() if defect != "list-index" else ():
+            index[key] = 5 if defect == "int-entry" else {**entry, "offset": -8 * entry["dim"]}
+        index_path.write_text(json.dumps(index))
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", path, "--gt", path, "--out", str(out), "--embedder",
+                     "external-file", "--embedder-source", str(index_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        message = _read_records(out)[1]["error"]["message"]
+        assert message.startswith(f"embedding index {index_path}")
+        if defect == "list-index":
+            assert message.endswith("must be a JSON object")
+        else:
+            assert any(f"entry for key '{key}' must be" in message for key in index)
 
     def test_missing_store_blob_fails_only_its_pair(self, tmp_path, monkeypatch):
         paths, index = [], {}

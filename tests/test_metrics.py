@@ -11,7 +11,6 @@ from wemeval import metrics
 from wemeval.features import embed_frames
 from wemeval.metrics import (
     MetricConfig,
-    MetricNotApplicable,
     ScoringPair,
     cisr,
     cpdm,
@@ -95,16 +94,25 @@ class TestRcbd:
 
     def test_single_chunk_not_applicable(self, default_config):
         traj = Trajectory(id="g", chunks=(_flow_chunk([1, 2], [1.0]),))
-        with pytest.raises(MetricNotApplicable, match="K >= 2"):
-            rcbd(ScoringPair.of(traj, traj, default_config), default_config)
+        result = rcbd(ScoringPair.of(traj, traj, default_config), default_config)
+        assert (result.score, result.breakdown) == (None, [])
+        assert result.notes == ["rcbd: needs K >= 2"]
 
     def test_missing_flows_not_applicable(self, default_config):
         gen = Trajectory(id="g", chunks=(
             _chunk([_textured_frame(1), _textured_frame(2)]),
             _chunk([_textured_frame(3), _textured_frame(4)]),
         ))
-        with pytest.raises(MetricNotApplicable, match="missing flows"):
-            rcbd(ScoringPair.of(gen, gen, default_config), default_config)
+        result = rcbd(ScoringPair.of(gen, gen, default_config), default_config)
+        assert (result.score, result.breakdown) == (None, [])
+        assert result.notes == ["rcbd: missing flows at boundary 1"]
+
+    def test_missing_gt_flows_name_their_boundary(self, default_config):
+        gen = Trajectory(id="g", chunks=tuple(_flow_chunk([s, s + 1], [1.0]) for s in (1, 3, 5)))
+        gt = Trajectory(id="t", chunks=gen.chunks[:2] + (_chunk(gen.chunks[2].frames),))
+        result = rcbd(ScoringPair.of(gen, gt, default_config), default_config)
+        assert (result.score, result.breakdown) == (None, [])
+        assert result.notes == ["rcbd: missing flows at boundary 2"]
 
 
 class TestLpsa:
@@ -213,8 +221,18 @@ class TestPmpa:
 
     def test_missing_flows_not_applicable(self, default_config):
         gen = Trajectory(id="g", chunks=(_chunk([_textured_frame(1), _textured_frame(2)]),))
-        with pytest.raises(MetricNotApplicable, match="missing flows"):
-            pmpa(ScoringPair.of(gen, gen, default_config), default_config)
+        result = pmpa(ScoringPair.of(gen, gen, default_config), default_config)
+        assert (result.score, result.breakdown) == (None, [])
+        assert result.notes == ["pmpa: missing flows on chunk 0"]
+
+    def test_missing_flows_keep_earlier_skip_notes(self, default_config):
+        gen = Trajectory(id="g", chunks=(
+            _chunk([_textured_frame(1)]),
+            _chunk([_textured_frame(2), _textured_frame(3)]),
+        ))
+        result = pmpa(ScoringPair.of(gen, gen, default_config), default_config)
+        assert (result.score, result.breakdown) == (None, [])
+        assert result.notes == ["pmpa: chunk 0 skipped (T < 2)", "pmpa: missing flows on chunk 1"]
 
 
 class TestCpdm:
