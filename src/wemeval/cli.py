@@ -109,7 +109,7 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config file must be a JSON object")
     return doc
@@ -177,8 +177,11 @@ def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
     gen_path, gt_path, cfg = task
     try:
         return evaluate_all(load_manifest(gen_path), load_manifest(gt_path), cfg).to_dict()
-    except (OSError, ValueError, KeyError) as exc:  # ManifestError is a ValueError
-        return {"error": {"gen": gen_path, "gt": gt_path, "message": str(exc)}}
+    except (OSError, ValueError) as exc:  # ManifestError is a ValueError
+        message = str(exc)
+    except KeyError as exc:  # a missing store key; str() would quote the message
+        message = exc.args[0]
+    return {"error": {"gen": gen_path, "gt": gt_path, "message": message}}
 
 
 def _aggregate_record(scored: list[dict], failed: int) -> dict:
@@ -191,7 +194,7 @@ def _aggregate_record(scored: list[dict], failed: int) -> dict:
 
 def _read_pairs(path: str) -> list[tuple[str, str]]:
     """Pairs file: a JSON list of {"gen": path, "gt": path}, paths relative to the file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, list):
         raise ValueError("must be a JSON list of {'gen', 'gt'} objects")
     for i, entry in enumerate(doc):
@@ -346,7 +349,7 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
     except (OSError, formats.FormatError) as exc:
         raise _CommandError(str(exc)) from None
     try:
-        matches = _parse_matches(json.loads(Path(args.matches).read_text(encoding="utf-8")))
+        matches = _parse_matches(formats.decode_json(Path(args.matches).read_text(encoding="utf-8")))
     except (OSError, ValueError, TypeError) as exc:
         raise _CommandError(f"bad matches file: {exc}") from None
     if isinstance(matches, list) and len(matches) != len(fields):
@@ -389,7 +392,7 @@ def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
 def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
     from .microsim import CameraMotion, ChunkSpec, ObjectSpec, SimConfig
 
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     entries = []
     for fx in doc["fixtures"]:
         chunks = []
@@ -428,7 +431,10 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
         except (OSError, KeyError, ValueError, TypeError, AttributeError, SimConfigError) as exc:
             raise _CommandError(f"bad catalog: {exc}") from None
     else:
-        entries = default_catalog(size=args.size, t=args.frames)
+        try:
+            entries = default_catalog(size=args.size, t=args.frames)
+        except SimConfigError as exc:
+            raise _CommandError(f"--size {args.size} --frames {args.frames}: {exc}") from None
 
     catalog = []
     had_error = False
@@ -467,15 +473,24 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     return 1 if had_error else 0
 
 
+def _is_score(value: object) -> bool:
+    """Null, or a number that is not a bool and lies within the finite floats:
+    NaN, the infinities and integers beyond them would poison the aggregate."""
+    if value is None:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
 def _is_report_record(record: object) -> bool:
-    """A JSON object; a trajectory record also needs numeric-or-null scores."""
+    """A JSON object; a trajectory record also needs scores that pass ``_is_score``."""
     if not isinstance(record, dict):
         return False
     if "trajectory" not in record:
         return True
     scores = record.get("scores")
-    return isinstance(scores, dict) and all(
-        v is None or isinstance(v, (int, float)) for v in scores.values())
+    return isinstance(scores, dict) and all(_is_score(v) for v in scores.values())
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -492,7 +507,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 if not raw.strip():
                     continue
                 try:
-                    record = json.loads(raw)
+                    record = formats.decode_json(raw)
                 except ValueError:
                     record = None
                 if not _is_report_record(record):
@@ -556,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-fixtures", help="emit simulator fixtures with exact ground truth")
     p_gen.add_argument("--out-dir", required=True)
     p_gen.add_argument("--catalog", help="catalog JSON (defaults to the built-in catalog)")
-    p_gen.add_argument("--size", type=_positive_int, default=64, help="frame side for the built-in catalog")
-    p_gen.add_argument("--frames", type=_positive_int, default=6, help="frames per chunk for the built-in catalog")
+    p_gen.add_argument("--size", type=int, default=64, help="frame side for the built-in catalog")
+    p_gen.add_argument("--frames", type=int, default=6, help="frames per chunk for the built-in catalog")
     p_gen.set_defaults(func=_cmd_gen_fixtures)
 
     p_report = sub.add_parser("report", help="merge report files and recompute the aggregate")

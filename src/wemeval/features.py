@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import formats
 from .rollout import Frame
 
 EMBEDDER_REFERENCE = "reference"
@@ -86,7 +87,7 @@ class EmbeddingStore:
 
     def __init__(self, index_path: str | Path) -> None:
         self.index_path = Path(index_path)
-        self._index: dict[str, dict] = json.loads(self.index_path.read_text(encoding="utf-8"))
+        self._index: dict[str, dict] = formats.decode_json(self.index_path.read_text(encoding="utf-8"))
         if not isinstance(self._index, dict):
             raise ValueError(f"embedding index {self.index_path} must be a JSON object")
         self._blobs: dict[str, bytes] = {}

@@ -157,7 +157,7 @@ def estimate_homography(
     n = arr.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 matches, got {n}")
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails this too
         raise ValueError("threshold must be positive")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -202,15 +202,13 @@ def estimate_homography(
     return final, reprojection_errors(final, arr) <= threshold
 
 
-def render_camera_flow(h: Homography, width: int, height: int) -> FlowField:
-    """Flow induced by applying the homography to every pixel coordinate.
+def project_pixel_grid(m: np.ndarray, width: int, height: int) -> tuple[np.ndarray, ...]:
+    """(xs, ys, xp, yp): the coordinates of every pixel of a width x height
+    grid and their images under the 3x3 projective matrix ``m``.
 
-    Pixel (x, y) maps to project(h, (x, y)); the flow is the displacement.
+    Raises ValueError if a pixel maps to infinity.
     """
-    if width < 1 or height < 1:
-        raise ValueError("width and height must be >= 1")
     xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    m = h.h
     w = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
     bad = np.abs(w) < 1e-12
     if bad.any():
@@ -218,6 +216,17 @@ def render_camera_flow(h: Homography, width: int, height: int) -> FlowField:
         raise ValueError(f"point at infinity at pixel ({xx}, {yy})")
     xp = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / w
     yp = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / w
+    return xs, ys, xp, yp
+
+
+def render_camera_flow(h: Homography, width: int, height: int) -> FlowField:
+    """Flow induced by applying the homography to every pixel coordinate.
+
+    Pixel (x, y) maps to project(h, (x, y)); the flow is the displacement.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("width and height must be >= 1")
+    xs, ys, xp, yp = project_pixel_grid(h.h, width, height)
     return FlowField(u=xp - xs, v=yp - ys)
 
 

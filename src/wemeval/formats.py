@@ -21,10 +21,14 @@ sidecar must not be truncated or rewritten in place while views of it are held:
 the process may then see changed data or end by SIGBUS. The writers here never
 do that: they write a new file beside the path and rename it onto the path, so
 a map of the old file keeps its bytes.
+
+``decode_json`` decodes every JSON input of the package: manifests, store
+indexes and the command line's files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import mmap
 import os
@@ -53,6 +57,15 @@ class FormatError(ValueError):
 # 26.1 / 32.8 / 41.9 / 49.1 / 109.3 us at 4 / 64 / 256 / 512 / 1024 KiB; the
 # two crossed between 384 and 512 KiB on both CPUs.
 MAP_MIN_BYTES = 512 << 10
+
+
+def decode_json(text: str) -> object:
+    """``json.loads``, with a document nested too deeply for the decoder a
+    ValueError like any other malformed one, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def _load(path: Path, header_len: int) -> bytes | mmap.mmap:

@@ -49,9 +49,10 @@ def load_manifest(path: str | Path) -> Trajectory:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"{path}: no such file")
+    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = formats.decode_json(text)
+    except ValueError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")

@@ -35,13 +35,18 @@ class Segment:
     length: int
 
 
+_TURN_KINDS = (SegmentKind.INSTRUCTION, SegmentKind.VIDEO_CHUNK)
+
+
 @dataclass(frozen=True)
 class SequenceLayout:
     """Token segments of one state-predictor input sequence.
 
     Layout shape: InitialFrame, then alternating Instruction/VideoChunk pairs
     for each completed turn, the current Instruction (which has no chunk yet),
-    and finally the WorldQuery and EgoQuery segments.
+    and finally the WorldQuery and EgoQuery segments. Only instruction and
+    chunk turns are checked. Any other shape, or a segment of length < 1, is
+    one ValueError.
     """
 
     segments: tuple[Segment, ...]
@@ -49,39 +54,25 @@ class SequenceLayout:
     def __post_init__(self) -> None:
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
-        if len(segs) < 4:
-            raise ValueError("layout needs at least initial frame, an instruction, and both query groups")
         for s in segs:
             if s.length < 1:
                 raise ValueError(f"segment {s.kind.value} has non-positive length")
-        if segs[0].kind is not SegmentKind.INITIAL_FRAME:
-            raise ValueError("first segment must be the initial frame")
-        if segs[-2].kind is not SegmentKind.WORLD_QUERY or segs[-1].kind is not SegmentKind.EGO_QUERY:
-            raise ValueError("last two segments must be the world and ego query groups")
-        kinds = [s.kind for s in segs]
-        for kind in (SegmentKind.INITIAL_FRAME, SegmentKind.WORLD_QUERY, SegmentKind.EGO_QUERY):
-            if kinds.count(kind) != 1:
-                raise ValueError(f"layout must contain exactly one {kind.value} segment")
-
-        history = segs[1:-2]
-        if not history or history[0].kind is not SegmentKind.INSTRUCTION:
-            raise ValueError("history must start with an instruction")
-        if history[-1].kind is not SegmentKind.INSTRUCTION:
-            raise ValueError("the final (current) instruction must not be followed by a chunk")
-        expect_turn = 1
-        i = 0
-        while i < len(history):
-            seg = history[i]
-            if seg.kind is not SegmentKind.INSTRUCTION or seg.turn != expect_turn:
-                raise ValueError(f"expected instruction for turn {expect_turn} at history position {i}")
-            if i + 1 < len(history):
-                video = history[i + 1]
-                if video.kind is not SegmentKind.VIDEO_CHUNK or video.turn != expect_turn:
-                    raise ValueError(f"expected video chunk for turn {expect_turn} after its instruction")
-                i += 2
-            else:
-                i += 1
-            expect_turn += 1
+        # The (kind, turn) sequence for n completed turns; None marks a turn
+        # that is not checked.
+        n = max(0, (len(segs) - 4) // 2)
+        expected = [(SegmentKind.INITIAL_FRAME, None)]
+        for turn in range(1, n + 1):
+            expected += [(SegmentKind.INSTRUCTION, turn), (SegmentKind.VIDEO_CHUNK, turn)]
+        expected += [(SegmentKind.INSTRUCTION, n + 1), (SegmentKind.WORLD_QUERY, None),
+                     (SegmentKind.EGO_QUERY, None)]
+        got = [(s.kind, s.turn if s.kind in _TURN_KINDS else None) for s in segs]
+        if got != expected:
+            position = 0
+            while position < min(len(got), len(expected)) and got[position] == expected[position]:
+                position += 1
+            raise ValueError("layout must be initial_frame, then instruction and video_chunk for each "
+                             "completed turn 1..n, then the instruction of turn n+1, world_query and "
+                             f"ego_query; segment {position} breaks it")
 
     @property
     def total_tokens(self) -> int:
@@ -151,38 +142,20 @@ def build_rca_mask(layout: SequenceLayout, k_window: int) -> AttentionMask:
     """
     if k_window < 1:
         raise ValueError("k_window must be >= 1")
-    n = layout.total_tokens
-    allowed = np.zeros((n, n), dtype=bool)
-    spans = layout.ranges()
-    current = layout.current_turn
-    completed = layout.completed_turns
-    ego_turns = set(range(max(1, completed - k_window + 1), completed + 1))
+    lengths = [s.length for s in layout.segments]
+    kind = np.repeat([s.kind.value for s in layout.segments], lengths)
+    # The initial frame counts as turn 0; the query groups' turns are never read.
+    turn = np.repeat([s.turn if s.kind in _TURN_KINDS else 0 for s in layout.segments], lengths)
+    world = kind == SegmentKind.WORLD_QUERY.value
+    ego = kind == SegmentKind.EGO_QUERY.value
+    current_instruction = (kind == SegmentKind.INSTRUCTION.value) & (turn == layout.current_turn)
+    # The history of the last k_window completed turns: with the current
+    # instruction, and with the initial frame once the window reaches turn 0.
+    recent = ~(world | ego) & (turn > layout.completed_turns - k_window)
 
-    causal = np.tril(np.ones((n, n), dtype=bool))
-    for seg, start, end in spans:
-        if seg.kind in (SegmentKind.WORLD_QUERY, SegmentKind.EGO_QUERY):
-            continue
-        allowed[start:end, :] = causal[start:end, :]
-
-    world_rows = next((s, e) for seg, s, e in spans if seg.kind is SegmentKind.WORLD_QUERY)
-    ego_rows = next((s, e) for seg, s, e in spans if seg.kind is SegmentKind.EGO_QUERY)
-    for seg, start, end in spans:
-        world_sees = (
-            seg.kind is SegmentKind.INITIAL_FRAME
-            or seg.kind is SegmentKind.VIDEO_CHUNK
-            or (seg.kind is SegmentKind.INSTRUCTION and seg.turn != current)
-            or seg.kind is SegmentKind.WORLD_QUERY
-        )
-        if world_sees:
-            allowed[world_rows[0] : world_rows[1], start:end] = True
-        ego_sees = (
-            seg.kind is SegmentKind.EGO_QUERY
-            or (seg.kind is SegmentKind.INSTRUCTION and seg.turn == current)
-            or (seg.kind in (SegmentKind.INSTRUCTION, SegmentKind.VIDEO_CHUNK) and seg.turn in ego_turns)
-            or (seg.kind is SegmentKind.INITIAL_FRAME and k_window > completed)
-        )
-        if ego_sees:
-            allowed[ego_rows[0] : ego_rows[1], start:end] = True
+    allowed = np.tril(np.ones((layout.total_tokens, layout.total_tokens), dtype=bool))
+    allowed[world] = ~(ego | current_instruction)
+    allowed[ego] = ego | recent
     return AttentionMask(allowed)
 
 
@@ -232,15 +205,16 @@ def pool_mask_to_tokens(mask: WorldEgoMask, token_grid: tuple[int, int]) -> np.n
 
 
 def _dilate_chebyshev(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary dilation with an 8-connected step repeated ``radius`` times."""
+    """Binary dilation over the last two axes with an 8-connected step repeated ``radius`` times."""
     out = mask.astype(bool)
-    h, w = out.shape
+    h, w = out.shape[-2:]
+    pad = [(0, 0)] * (out.ndim - 2) + [(1, 1), (1, 1)]
     for _ in range(radius):
-        padded = np.pad(out, 1)
+        padded = np.pad(out, pad)
         acc = np.zeros_like(out)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                acc |= padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+                acc |= padded[..., 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
         out = acc
     return out
 
@@ -308,14 +282,9 @@ def route_tokens(token_mask: np.ndarray, radius: int) -> RoutePlan:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     arr = arr.astype(np.uint8)
-    world_frames = []
-    ego_frames = []
-    for t in range(arr.shape[0]):
-        ego = arr[t] == 1
-        world_frames.append(_dilate_chebyshev(~ego, radius))
-        ego_frames.append(_dilate_chebyshev(ego, radius))
-    world_expanded = np.flatnonzero(np.stack(world_frames).ravel())
-    ego_expanded = np.flatnonzero(np.stack(ego_frames).ravel())
+    ego = arr == 1
+    world_expanded = np.flatnonzero(_dilate_chebyshev(~ego, radius))
+    ego_expanded = np.flatnonzero(_dilate_chebyshev(ego, radius))
     return RoutePlan(base_mask=arr, radius=radius, world_expanded=world_expanded, ego_expanded=ego_expanded)
 
 

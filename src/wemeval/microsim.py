@@ -13,17 +13,16 @@ moving object plus a fixed gripper glyph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import Homography, render_camera_flow
+from .flow import Homography, project_pixel_grid, render_camera_flow
 from .rollout import Chunk, FlowField, Frame, PhaseLabel, Trajectory, WorldEgoMask
 
 
 class SimConfigError(ValueError):
-    """Configuration problems detected before any rendering happens."""
+    """A bad simulator spec, or an ego object that leaves the frame during rendering."""
 
 
 @dataclass(frozen=True)
@@ -186,14 +185,6 @@ class _CameraState:
     pose: np.ndarray  # scene -> image homography matrix
     ego_center: tuple[float, float] | None
 
-    def scene_points(self, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-        inv = np.linalg.inv(self.pose)
-        w = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-        px = (inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]) / w
-        py = (inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]) / w
-        return px, py
-
 
 def _advance(state: _CameraState, spec: ChunkSpec, step_h: Homography) -> None:
     if spec.phase is PhaseLabel.NAV:
@@ -229,20 +220,6 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
     step_homs = [
         (c.camera or CameraMotion("none")).to_homography(cfg.width, cfg.height) for c in cfg.chunks
     ]
-
-    # Bounds pre-check: replay the state updates without rendering anything.
-    if ego_obj is not None:
-        probe = _CameraState(pose=state.pose.copy(), ego_center=state.ego_center)
-        for ci, spec in enumerate(cfg.chunks):
-            if ci > 0:
-                _advance(probe, spec, step_homs[ci])
-            for t in range(spec.steps):
-                x, y, r = _ego_image_footprint(probe, ego_obj)
-                if x - r < 0 or y - r < 0 or x + r > cfg.width - 1 or y + r > cfg.height - 1:
-                    raise SimConfigError(f"chunk {ci} frame {t}: ego object leaves frame bounds")
-                if t < spec.steps - 1:
-                    _advance(probe, spec, step_homs[ci])
-
     noise_rng = np.random.default_rng([cfg.seed, 0xFACE])
     glyph = _gripper_mask(cfg.height, cfg.width)
     zero_flow = FlowField(
@@ -250,7 +227,7 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
     )
 
     def render() -> tuple[np.ndarray, np.ndarray]:
-        px, py = state.scene_points(cfg.width, cfg.height)
+        _, _, px, py = project_pixel_grid(np.linalg.inv(state.pose), cfg.width, cfg.height)
         values = _value_noise(px, py, cfg.seed)
         for obj in statics:
             values = np.where(_membership(px, py, obj, obj.position), obj.intensity, values)
@@ -272,25 +249,23 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
         cam_flow = render_camera_flow(step_homs[ci], cfg.width, cfg.height) if is_nav else zero_flow
         frames, masks, cams, objs, homs = [], [], [], [], []
         for t in range(spec.steps):
+            if ego_obj is not None:
+                x, y, r = _ego_image_footprint(state, ego_obj)
+                if x - r < 0 or y - r < 0 or x + r > cfg.width - 1 or y + r > cfg.height - 1:
+                    raise SimConfigError(f"chunk {ci} frame {t}: ego object leaves frame bounds")
             values, support = render()
             frames.append(Frame(data=values[:, :, None].astype(np.float32)))
             ego_pixels = glyph | support if not is_nav else glyph
             masks.append(WorldEgoMask(data=ego_pixels.astype(np.uint8)))
             if t < spec.steps - 1:
+                cams.append(cam_flow)  # a manip chunk holds the camera: its step is the identity
+                homs.append(step_homs[ci])
                 if is_nav:
-                    cams.append(cam_flow)
                     objs.append(zero_flow)
-                    homs.append(step_homs[ci])
                 else:
                     dx, dy = spec.object_motion
-                    cams.append(zero_flow)
                     objs.append(FlowField(u=np.where(support, dx, 0.0), v=np.where(support, dy, 0.0)))
-                    homs.append(Homography.identity())
                 _advance(state, spec, step_homs[ci])
-        full = [
-            FlowField(u=c.u.astype(np.float64) + o.u, v=c.v.astype(np.float64) + o.v)
-            for c, o in zip(cams, objs)
-        ]
         instruction = (
             f"drive the viewpoint through the scene (leg {ci + 1})"
             if is_nav
@@ -298,7 +273,7 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
         )
         chunks.append(
             Chunk(frames=tuple(frames), instruction=instruction, phase=spec.phase,
-                  flows=tuple(full), masks=tuple(masks))
+                  flows=tuple(cams if is_nav else objs), masks=tuple(masks))
         )
         gt_masks.append(tuple(masks))
         gt_cam.append(tuple(cams))
@@ -347,11 +322,6 @@ def matches_from_homography(
 _PERTURB_KINDS = ("frame-noise", "chunk-shuffle", "phase-swap", "boundary-smooth")
 
 
-def _with_frames(chunk: Chunk, frames: Sequence[Frame]) -> Chunk:
-    return Chunk(frames=tuple(frames), instruction=chunk.instruction, phase=chunk.phase,
-                 flows=chunk.flows, masks=chunk.masks)
-
-
 def perturb_rollout(
     traj: Trajectory, gt: GroundTruth, kind: str, magnitude: float, seed: int
 ) -> Trajectory:
@@ -382,7 +352,7 @@ def perturb_rollout(
                 ).astype(np.float32))
                 for f in chunk.frames
             ]
-            chunks.append(_with_frames(chunk, frames))
+            chunks.append(replace(chunk, frames=frames))
         return Trajectory(id=new_id, chunks=tuple(chunks))
 
     if kind == "chunk-shuffle":
@@ -398,10 +368,8 @@ def perturb_rollout(
         idx = int(rng.integers(k))
         chunk = traj.chunks[idx]
         flipped = PhaseLabel.MANIP if chunk.phase is PhaseLabel.NAV else PhaseLabel.NAV
-        swapped = Chunk(frames=chunk.frames, instruction=chunk.instruction, phase=flipped,
-                        flows=chunk.flows, masks=chunk.masks)
         chunks = list(traj.chunks)
-        chunks[idx] = swapped
+        chunks[idx] = replace(chunk, phase=flipped)
         return Trajectory(id=new_id, chunks=tuple(chunks))
 
     # boundary-smooth
@@ -415,8 +383,8 @@ def perturb_rollout(
     new_last = Frame(data=((1 - blend) * f_last + blend * f_first).astype(np.float32))
     new_first = Frame(data=(blend * f_last + (1 - blend) * f_first).astype(np.float32))
     chunks = list(traj.chunks)
-    chunks[boundary - 1] = _with_frames(left, list(left.frames[:-1]) + [new_last])
-    chunks[boundary] = _with_frames(right, [new_first] + list(right.frames[1:]))
+    chunks[boundary - 1] = replace(left, frames=left.frames[:-1] + (new_last,))
+    chunks[boundary] = replace(right, frames=(new_first,) + right.frames[1:])
     return Trajectory(id=new_id, chunks=tuple(chunks))
 
 

@@ -26,6 +26,15 @@ from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_
 from wemeval.rollout import Chunk, Frame, Trajectory
 
 
+# Nested past the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def _json_text(doc) -> str:
+    """A malformed-input case as file text: DEEP_JSON as it is, any other document dumped."""
+    return doc if doc is DEEP_JSON else json.dumps(doc)
+
+
 def _read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
@@ -111,6 +120,22 @@ class TestEval:
         assert len(reports) == 9
         assert records[-1]["aggregate"]["pairs"] == 10
         assert records[-1]["aggregate"]["failed"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deep_manifest_fails_only_its_pair(self, fixture_pair_dir, tmp_path, workers):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, [0, 1, 2])
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        pairs[1]["gen"] = str(deep)
+        (tmp_path / "pairs.json").write_text(json.dumps(pairs))
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--pairs", str(tmp_path / "pairs.json"), "--out", str(out),
+                     "--workers", str(workers)]) == 1
+        records = _read_records(out)
+        assert "trajectory" in records[1] and "trajectory" in records[3]
+        assert records[2]["error"] == {"gen": str(deep), "gt": pairs[1]["gt"], "pair": 1,
+                                       "message": f"{deep}: invalid JSON: JSON nested too deeply to decode"}
 
     def test_single_invalid_pair_exits_two(self, tmp_path):
         bogus = tmp_path / "missing.json"
@@ -309,12 +334,13 @@ class TestEval:
         ({"lpsa_window": True}, "'lpsa_window'"),
         ({"tau_cpdm": True}, "'tau_cpdm'"),
         ({"embedder": {"source": True}}, "'embedder.source'"),
+        (DEEP_JSON, "JSON nested too deeply to decode"),
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
             "infinite-int", "fractional-grid", "infinite-float", "bool-int", "bool-float",
-            "bool-source"])
+            "bool-source", "deep-file"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(doc))
+        cfg_file.write_text(_json_text(doc))
         assert main(["eval", "--gen", "a", "--gt", "b", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("eval: bad configuration:") and key in err[0]
@@ -443,10 +469,11 @@ class TestEval:
         errors = [r["error"] for r in _read_records(out) if "error" in r]
         assert len(errors) == 1 and "non-binary mask" in errors[0]["message"]
 
-    @pytest.mark.parametrize("doc", [[{"gen": "a"}], {"gen": 1}], ids=["missing-gt", "not-a-list"])
+    @pytest.mark.parametrize("doc", [[{"gen": "a"}], {"gen": 1}, DEEP_JSON],
+                             ids=["missing-gt", "not-a-list", "deep-file"])
     def test_malformed_pairs_file_exits_two(self, tmp_path, capsys, doc):
         pairs_file = tmp_path / "pairs.json"
-        pairs_file.write_text(json.dumps(doc))
+        pairs_file.write_text(_json_text(doc))
         assert main(["eval", "--pairs", str(pairs_file)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bad pairs file" in err[0]
@@ -469,7 +496,9 @@ class TestEval:
         assert code == 1
         records = _read_records(out)
         assert "trajectory" in records[1]
-        assert records[2]["error"]["pair"] == 1 and "not found" in records[2]["error"]["message"]
+        assert records[2]["error"]["pair"] == 1
+        message = records[2]["error"]["message"]
+        assert message.startswith("embedding key '") and "not found" in message
 
     def test_recorded_store_serves_every_lookup(self, tmp_path, monkeypatch):
         gt, truth = generate_trajectory(mixed_fixture_config(seed=630, size=32, t=6))
@@ -485,7 +514,7 @@ class TestEval:
         for name, value in reference.scores.items():
             assert scores[name] == pytest.approx(value, abs=1e-5)
 
-    @pytest.mark.parametrize("defect", ["list-index", "int-entry", "negative-offset"])
+    @pytest.mark.parametrize("defect", ["list-index", "int-entry", "negative-offset", "deep-index"])
     def test_malformed_store_index_becomes_error_record(self, tmp_path, monkeypatch, capsys,
                                                         defect):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=640, size=32, t=4))
@@ -497,12 +526,15 @@ class TestEval:
             index = []
         for key, entry in index.items() if defect != "list-index" else ():
             index[key] = 5 if defect == "int-entry" else {**entry, "offset": -8 * entry["dim"]}
-        index_path.write_text(json.dumps(index))
+        index_path.write_text(_json_text(DEEP_JSON if defect == "deep-index" else index))
         out = tmp_path / "r.jsonl"
         assert main(["eval", "--gen", path, "--gt", path, "--out", str(out), "--embedder",
                      "external-file", "--embedder-source", str(index_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         message = _read_records(out)[1]["error"]["message"]
+        if defect == "deep-index":
+            assert message == "JSON nested too deeply to decode"
+            return
         assert message.startswith(f"embedding index {index_path}")
         if defect == "list-index":
             assert message.endswith("must be a JSON object")
@@ -584,15 +616,15 @@ class TestDecomposeFlow:
         assert code == 2
         assert "at least 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[1, 2, 3, 4], [None], [[{}]]],
-                             ids=["flat-numbers", "null-entry", "object-match"])
+    @pytest.mark.parametrize("doc", [[1, 2, 3, 4], [None], [[{}]], DEEP_JSON],
+                             ids=["flat-numbers", "null-entry", "object-match", "deep-file"])
     def test_malformed_matches_exits_two(self, tmp_path, capsys, doc):
         from wemeval.rollout import FlowField
 
         flow_path = tmp_path / "flow.bin"
         formats.write_flow_file(flow_path, [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
         matches_path = tmp_path / "matches.json"
-        matches_path.write_text(json.dumps(doc))
+        matches_path.write_text(_json_text(doc))
         code = main(["decompose-flow", "--flow", str(flow_path), "--matches", str(matches_path),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
@@ -618,8 +650,15 @@ class TestInputErrors:
          "decompose-flow: field 0: no non-degenerate 4-point hypothesis found in 500 iterations"),
         (["gen-fixtures", "--out-dir", "a-file/sub"],
          "gen-fixtures: cannot create a-file/sub: [Errno 20] Not a directory: 'a-file/sub'"),
+        (["gen-fixtures", "--out-dir", "out", "--size", "8"],
+         "gen-fixtures: --size 8 --frames 6: frame dims must be at least 16x16"),
+        (["gen-fixtures", "--out-dir", "out", "--frames", "1"],
+         "gen-fixtures: --size 64 --frames 1: chunks need steps >= 2"),
+        (["decompose-flow", "--flow", "flow.bin", "--matches", "ok.json", "--out-dir", "out",
+          "--threshold", "nan"],
+         "decompose-flow: field 0: threshold must be positive"),
     ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
-            "uncreatable-out-dir"])
+            "uncreatable-out-dir", "small-size", "one-frame", "nan-threshold"])
     def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
         from wemeval.rollout import FlowField
 
@@ -712,10 +751,12 @@ class TestGenFixtures:
         {"fixtures": [{"chunks": [1]}]},
         [1],
         {"fixtures": 5},
-    ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list"])
+        DEEP_JSON,
+    ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list",
+            "deep-file"])
     def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
         catalog_path = tmp_path / "catalog.json"
-        catalog_path.write_text(json.dumps(doc))
+        catalog_path.write_text(_json_text(doc))
         code = main(["gen-fixtures", "--out-dir", str(tmp_path / "fixtures"), "--catalog",
                      str(catalog_path)])
         assert code == 2
@@ -744,8 +785,18 @@ class TestReport:
         assert records[-1]["aggregate"]["failed"] == 1
         assert sum(1 for r in records if "trajectory" in r) == 9
 
-    @pytest.mark.parametrize("line", ["[1, 2]", "{not json", '{"trajectory": "t", "scores": {"rcbd": "a"}}'],
-                             ids=["array", "bad-json", "string-score"])
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        "{not json",
+        '{"trajectory": "t", "scores": {"rcbd": "a"}}',
+        DEEP_JSON,
+        '{"trajectory": "t", "scores": {"rcbd": NaN, "lpsa": 0.5}}',
+        '{"trajectory": "t", "scores": {"rcbd": 0.5, "lpsa": true}}',
+        '{"trajectory": "t", "scores": {"rcbd": Infinity}}',
+        '{"trajectory": "t", "scores": {"rcbd": -Infinity}}',
+        '{"trajectory": "t", "scores": {"rcbd": 1' + "0" * 400 + '}}',
+    ], ids=["array", "bad-json", "string-score", "deep-line", "nan-score", "bool-score",
+            "infinite-score", "negative-infinite-score", "huge-int-score"])
     def test_malformed_line_exits_two(self, tmp_path, capsys, line):
         report = tmp_path / "r.jsonl"
         report.write_text('{"config": {}}\n' + line + "\n")

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from wemeval.mechanisms import (
     GateParams,
+    Segment,
     SegmentKind,
+    SequenceLayout,
     StateVector,
     allocate_queries,
     anneal_lambda,
@@ -43,6 +45,52 @@ def _turn_positions(layout, turn: int) -> list[int]:
         if seg.kind in (SegmentKind.INSTRUCTION, SegmentKind.VIDEO_CHUNK) and seg.turn == turn:
             out.extend(range(start, end))
     return out
+
+
+_LAYOUT = list(standard_layout(2, [(1, 2), (3, 4)], 1, 2, 1).segments)  # frame, I1 C1 I2 C2, I3, W, E
+
+
+def _edited(index: int, segment: Segment | None = None, insert: bool = False) -> list[Segment]:
+    """The two-turn layout's segments with the one at ``index`` dropped, replaced or inserted."""
+    segs = list(_LAYOUT)
+    if insert:
+        segs.insert(index, segment)
+    elif segment is None:
+        del segs[index]
+    else:
+        segs[index] = segment
+    return segs
+
+
+class TestSequenceLayout:
+    @pytest.mark.parametrize("turns", [0, 1, 3])
+    def test_standard_layouts_are_accepted(self, turns):
+        layout = standard_layout(1, [(1, 1)] * turns, 1, 1, 1)
+        assert layout.completed_turns == turns and len(layout.segments) == 2 * turns + 4
+
+    @pytest.mark.parametrize("segments", [
+        _edited(2),
+        _edited(0),
+        _edited(6),
+        _edited(3, Segment(SegmentKind.VIDEO_CHUNK, 2, 1), insert=True),
+        _edited(1, Segment(SegmentKind.INITIAL_FRAME, 0, 1), insert=True),
+        [_LAYOUT[0], _LAYOUT[2], _LAYOUT[1]] + _LAYOUT[3:],
+        _edited(5, Segment(SegmentKind.INSTRUCTION, 4, 1)),
+        _edited(2, Segment(SegmentKind.VIDEO_CHUNK, 2, 2)),
+        _edited(6, Segment(SegmentKind.VIDEO_CHUNK, 3, 1), insert=True),
+        _LAYOUT + [Segment(SegmentKind.WORLD_QUERY, 3, 1)],
+        _edited(7, Segment(SegmentKind.WORLD_QUERY, 3, 1), insert=True),
+        _edited(3, Segment(SegmentKind.INSTRUCTION, 2, 0)),
+        _edited(7, Segment(SegmentKind.EGO_QUERY, 3, 0)),
+        [_LAYOUT[0], _LAYOUT[5], _LAYOUT[6]],
+        [],
+    ], ids=["dropped-chunk", "dropped-frame", "dropped-world-queries", "extra-chunk",
+            "second-frame", "swapped-instruction-chunk", "wrong-current-turn", "wrong-chunk-turn",
+            "trailing-chunk", "second-world-group", "world-groups-around-ego", "zero-length",
+            "zero-length-query", "three-segments", "no-segments"])
+    def test_bad_layout_raises_value_error(self, segments):
+        with pytest.raises(ValueError):
+            SequenceLayout(tuple(segments))
 
 
 class TestRcaMask:
@@ -168,6 +216,21 @@ class TestRouting:
         plan = route_tokens(mask, radius=0)
         assert np.array_equal(plan.world_expanded, plan.base_world())
         assert np.array_equal(plan.ego_expanded, plan.base_ego())
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_expanded_sets_follow_the_chebyshev_rule(self, t, radius):
+        rng = np.random.default_rng(10 * t + radius)
+        mask = (rng.random((t, 5, 7)) < 0.3).astype(np.uint8)
+        plan = route_tokens(mask, radius)
+        expected = {0: [], 1: []}
+        for index, (f, y, x) in enumerate(np.ndindex(mask.shape)):
+            for value in (0, 1):
+                near = mask[f, max(0, y - radius) : y + radius + 1, max(0, x - radius) : x + radius + 1]
+                if (near == value).any():
+                    expected[value].append(index)
+        assert plan.world_expanded.tolist() == expected[0]
+        assert plan.ego_expanded.tolist() == expected[1]
 
     def test_no_temporal_dilation(self):
         mask = np.zeros((2, 3, 3), dtype=np.uint8)

@@ -102,6 +102,22 @@ class TestGeneration:
         with pytest.raises(SimConfigError, match="leaves frame bounds"):
             generate_trajectory(cfg)
 
+    @pytest.mark.parametrize("chunk, message", [
+        (ChunkSpec(PhaseLabel.MANIP, 8, object_motion=(3.0, 0.0)),
+         "chunk 1 frame 4: ego object leaves frame bounds"),
+        (ChunkSpec(PhaseLabel.NAV, 6, camera=CameraMotion("translate", dx=0.0, dy=3.0)),
+         "chunk 1 frame 4: ego object leaves frame bounds"),
+    ], ids=["object-motion", "camera-motion"])
+    def test_object_leaving_bounds_in_a_later_chunk_names_it(self, chunk, message):
+        cfg = SimConfig(
+            seed=0, width=32, height=32,
+            chunks=(ChunkSpec(PhaseLabel.MANIP, 4, object_motion=(0.0, 1.0)), chunk),
+            objects=(ObjectSpec("disk", 3.0, 0.9, (14.0, 12.0)),),
+        )
+        with pytest.raises(SimConfigError) as excinfo:
+            generate_trajectory(cfg)
+        assert str(excinfo.value) == message
+
     def test_default_catalog_covers_all_phase_mixes(self):
         entries = default_catalog(size=32, t=4)
         assert len(entries) >= 20
