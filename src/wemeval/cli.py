@@ -355,7 +355,6 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
     if isinstance(matches, list) and len(matches) != len(fields):
         raise _CommandError(f"{len(matches)} match sets for {len(fields)} flow fields")
 
-    out_dir = _make_dir(args.out_dir)
     homographies = []
     camera_fields = []
     residual_fields = []
@@ -371,6 +370,7 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
         residual_fields.append(residual_object_flow(field, camera))
         homographies.append(h.h.tolist())
 
+    out_dir = _make_dir(args.out_dir)
     (out_dir / "homographies.json").write_text(
         json.dumps(homographies, indent=2) + "\n", encoding="utf-8"
     )
@@ -424,7 +424,6 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
 def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     from .microsim import SimConfigError, default_catalog, generate_trajectory  # 13-16 ms eval never needs
 
-    out_dir = _make_dir(args.out_dir)
     if args.catalog:
         try:
             entries = _catalog_from_file(args.catalog)
@@ -436,6 +435,7 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
         except SimConfigError as exc:
             raise _CommandError(f"--size {args.size} --frames {args.frames}: {exc}") from None
 
+    out_dir = _make_dir(args.out_dir)
     catalog = []
     had_error = False
     for name, cfg in entries:
@@ -474,13 +474,14 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
 
 def _is_score(value: object) -> bool:
-    """Null, or a number that is not a bool and lies within the finite floats:
-    NaN, the infinities and integers beyond them would poison the aggregate."""
+    """Null, or a number that is not a bool and lies in [-1, 1], the range of
+    every metric: NaN, the infinities and finite scores whose sum overflows
+    would poison the aggregate."""
     if value is None:
         return True
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return abs(value) <= sys.float_info.max
+    return -1 <= value <= 1
 
 
 def _is_report_record(record: object) -> bool:

@@ -87,7 +87,10 @@ class EmbeddingStore:
 
     def __init__(self, index_path: str | Path) -> None:
         self.index_path = Path(index_path)
-        self._index: dict[str, dict] = formats.decode_json(self.index_path.read_text(encoding="utf-8"))
+        try:
+            self._index: dict[str, dict] = formats.decode_json(self.index_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, not JSON, or nested too deeply
+            raise ValueError(f"embedding index {self.index_path}: {exc}") from None
         if not isinstance(self._index, dict):
             raise ValueError(f"embedding index {self.index_path} must be a JSON object")
         self._blobs: dict[str, bytes] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -202,13 +203,22 @@ def estimate_homography(
     return final, reprojection_errors(final, arr) <= threshold
 
 
+@lru_cache(maxsize=16)
+def _pixel_grid(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 (xs, ys) coordinates of every pixel of a width x height grid."""
+    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
+
+
 def project_pixel_grid(m: np.ndarray, width: int, height: int) -> tuple[np.ndarray, ...]:
     """(xs, ys, xp, yp): the coordinates of every pixel of a width x height
-    grid and their images under the 3x3 projective matrix ``m``.
+    grid and their images under the 3x3 projective matrix ``m``. ``xs`` and
+    ``ys`` are read-only and shared by every call of the same size.
 
     Raises ValueError if a pixel maps to infinity.
     """
-    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    xs, ys = _pixel_grid(width, height)
     w = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
     bad = np.abs(w) < 1e-12
     if bad.any():

@@ -139,7 +139,8 @@ def write_flow_file(path: str | Path, fields: Sequence[FlowField]) -> None:
     for f in fields:
         if (f.height, f.width) != (h, w):
             raise ValueError("all flow fields in one file must share dims")
-    _replace(path, FLOW_MAGIC, (w, h, len(fields)), np.stack([f.uv for f in fields]).astype("<f4"))
+    payload = np.stack([f.uv for f in fields]).astype("<f4", copy=False)
+    _replace(path, FLOW_MAGIC, (w, h, len(fields)), payload)
 
 
 def read_flow_file(path: str | Path) -> list[FlowField]:
@@ -156,7 +157,8 @@ def write_mask_file(path: str | Path, masks: Sequence[WorldEgoMask]) -> None:
             raise ValueError("all masks in one file must share dims")
         if not m.is_binary():
             raise ValueError("mask file format only holds binary masks")
-    _replace(path, MASK_MAGIC, (w, h, len(masks)), np.stack([m.data for m in masks]).astype(np.uint8))
+    payload = np.stack([m.data for m in masks]).astype(np.uint8, copy=False)
+    _replace(path, MASK_MAGIC, (w, h, len(masks)), payload)
 
 
 def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
@@ -171,7 +173,8 @@ def write_frame_file(path: str | Path, frames: Sequence[Frame]) -> None:
     for f in frames:
         if (f.height, f.width, f.channels) != (h, w, c):
             raise ValueError("all frames in one file must share dims")
-    _replace(path, FRAME_MAGIC, (w, h, c, len(frames)), np.stack([f.data for f in frames]).astype("<f4"))
+    payload = np.stack([f.data for f in frames]).astype("<f4", copy=False)
+    _replace(path, FRAME_MAGIC, (w, h, c, len(frames)), payload)
 
 
 def read_frame_file(path: str | Path) -> list[Frame]:

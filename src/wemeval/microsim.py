@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -148,18 +149,58 @@ def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     return (h >> np.uint64(40)).astype(np.float64) / float(1 << 24)
 
 
+def _smoothstep(f: np.ndarray) -> np.ndarray:
+    """``f * f * (3 - 2 f)``, in place."""
+    f2 = f * f
+    f *= -2.0
+    f += 3.0
+    f *= f2
+    return f
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``a + (b - a) * t``, in ``b``."""
+    b -= a
+    b *= t
+    b += a
+    return b
+
+
+def _cells(fx: np.ndarray, fy: np.ndarray, seed: int) -> Callable[[int, int], np.ndarray]:
+    """Split lattice coordinates in place into each pixel's offsets within its
+    cell (gx, gy), and return ``corner(dx, dy)``: ``_hash01`` at every pixel's
+    corner (gx + dx, gy + dy), for dx and dy in {0, 1}.
+
+    The lattice points of the cells' bounding box are hashed once and gathered
+    by flat index, unless the box holds more points than there are pixels (a
+    far zoom-out); then each corner is hashed per pixel, so memory stays
+    bounded by the frame. Both give the same bits.
+    """
+    gx, gy = (np.floor(f, out=np.empty(f.shape, np.intp), casting="unsafe") for f in (fx, fy))
+    fx -= gx
+    fy -= gy
+    x0, y0 = int(gx.min()), int(gy.min())
+    nx, ny = int(gx.max()) - x0 + 2, int(gy.max()) - y0 + 2
+    if nx * ny > gx.size:
+        return lambda dx, dy: _hash01(gx + dx, gy + dy, seed)
+    table = _hash01(np.arange(x0, x0 + nx), np.arange(y0, y0 + ny)[:, None], seed).ravel()
+    idx = gy  # the flat index of each cell's corner (gx, gy) in the table
+    idx -= y0
+    idx *= nx
+    idx += gx
+    idx -= x0
+    return lambda dx, dy: table[dy * nx + dx :].take(idx)
+
+
 def _value_noise(x: np.ndarray, y: np.ndarray, seed: int, scale: float = 8.0) -> np.ndarray:
-    gx, gy = np.floor(x / scale), np.floor(y / scale)
-    fx, fy = x / scale - gx, y / scale - gy
-    sx = fx * fx * (3.0 - 2.0 * fx)
-    sy = fy * fy * (3.0 - 2.0 * fy)
-    v00 = _hash01(gx, gy, seed)
-    v10 = _hash01(gx + 1, gy, seed)
-    v01 = _hash01(gx, gy + 1, seed)
-    v11 = _hash01(gx + 1, gy + 1, seed)
-    top = v00 + (v10 - v00) * sx
-    bottom = v01 + (v11 - v01) * sx
-    return top + (bottom - top) * sy
+    # A 128 px float64 frame is 128 KiB, which the default heap returns to the
+    # system when freed; so few full-frame temporaries live at once.
+    fx, fy = x / scale, y / scale
+    corner = _cells(fx, fy, seed)
+    sx = _smoothstep(fx)
+    top = _lerp(corner(0, 0), corner(1, 0), sx)
+    bottom = _lerp(corner(0, 1), corner(1, 1), sx)
+    return _lerp(top, bottom, _smoothstep(fy))
 
 
 def _membership(x: np.ndarray, y: np.ndarray, obj: ObjectSpec, center: tuple[float, float]) -> np.ndarray:
@@ -230,15 +271,15 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
         _, _, px, py = project_pixel_grid(np.linalg.inv(state.pose), cfg.width, cfg.height)
         values = _value_noise(px, py, cfg.seed)
         for obj in statics:
-            values = np.where(_membership(px, py, obj, obj.position), obj.intensity, values)
+            np.copyto(values, obj.intensity, where=_membership(px, py, obj, obj.position))
         support = np.zeros((cfg.height, cfg.width), dtype=bool)
         if ego_obj is not None:
             support = _membership(px, py, ego_obj, state.ego_center)
-            values = np.where(support, ego_obj.intensity, values)
-        values = np.where(glyph, 0.95, values)
+            np.copyto(values, ego_obj.intensity, where=support)
+        np.copyto(values, 0.95, where=glyph)
         if cfg.noise_sigma > 0:
-            values = values + noise_rng.normal(0.0, cfg.noise_sigma, values.shape)
-        return np.clip(values, 0.0, 1.0), support
+            values += noise_rng.normal(0.0, cfg.noise_sigma, values.shape)
+        return np.clip(values, 0.0, 1.0, out=values), support
 
     chunks: list[Chunk] = []
     gt_masks, gt_cam, gt_obj, gt_homs = [], [], [], []
@@ -254,7 +295,7 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
                 if x - r < 0 or y - r < 0 or x + r > cfg.width - 1 or y + r > cfg.height - 1:
                     raise SimConfigError(f"chunk {ci} frame {t}: ego object leaves frame bounds")
             values, support = render()
-            frames.append(Frame(data=values[:, :, None].astype(np.float32)))
+            frames.append(Frame(data=values))  # its float32 conversion is the frame's only copy
             ego_pixels = glyph | support if not is_nav else glyph
             masks.append(WorldEgoMask(data=ego_pixels.astype(np.uint8)))
             if t < spec.steps - 1:
@@ -344,15 +385,12 @@ def perturb_rollout(
     new_id = f"{traj.id}+{kind}"
 
     if kind == "frame-noise":
-        chunks = []
-        for chunk in traj.chunks:
-            frames = [
-                Frame(data=np.clip(
-                    f.data.astype(np.float64) + rng.normal(0.0, magnitude, f.data.shape), 0.0, 1.0
-                ).astype(np.float32))
-                for f in chunk.frames
-            ]
-            chunks.append(replace(chunk, frames=frames))
+        def noisy(f: Frame) -> Frame:
+            data = f.data.astype(np.float64)
+            data += rng.normal(0.0, magnitude, data.shape)
+            return Frame(data=np.clip(data, 0.0, 1.0, out=data))
+
+        chunks = [replace(c, frames=[noisy(f) for f in c.frames]) for c in traj.chunks]
         return Trajectory(id=new_id, chunks=tuple(chunks))
 
     if kind == "chunk-shuffle":

@@ -532,11 +532,10 @@ class TestEval:
                      "external-file", "--embedder-source", str(index_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         message = _read_records(out)[1]["error"]["message"]
-        if defect == "deep-index":
-            assert message == "JSON nested too deeply to decode"
-            return
         assert message.startswith(f"embedding index {index_path}")
-        if defect == "list-index":
+        if defect == "deep-index":
+            assert message.endswith(": JSON nested too deeply to decode")
+        elif defect == "list-index":
             assert message.endswith("must be a JSON object")
         else:
             assert any(f"entry for key '{key}' must be" in message for key in index)
@@ -671,6 +670,7 @@ class TestInputErrors:
         Path("a-file").write_text("x")
         assert main(argv) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not Path("out").exists()
 
 
 class TestVerifyMechanisms:
@@ -762,6 +762,7 @@ class TestGenFixtures:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("gen-fixtures: bad catalog: ")
+        assert not (tmp_path / "fixtures").exists()
 
 
 class TestReport:
@@ -795,13 +796,17 @@ class TestReport:
         '{"trajectory": "t", "scores": {"rcbd": Infinity}}',
         '{"trajectory": "t", "scores": {"rcbd": -Infinity}}',
         '{"trajectory": "t", "scores": {"rcbd": 1' + "0" * 400 + '}}',
+        '{"trajectory": "t", "scores": {"rcbd": 1e308}}\n{"trajectory": "u", "scores": {"rcbd": 1e308}}',
+        '{"trajectory": "t", "scores": {"lpsa": -1.5}}',
     ], ids=["array", "bad-json", "string-score", "deep-line", "nan-score", "bool-score",
-            "infinite-score", "negative-infinite-score", "huge-int-score"])
+            "infinite-score", "negative-infinite-score", "huge-int-score", "overflowing-scores",
+            "score-below-minus-one"])
     def test_malformed_line_exits_two(self, tmp_path, capsys, line):
         report = tmp_path / "r.jsonl"
         report.write_text('{"config": {}}\n' + line + "\n")
         assert main(["report", str(report)]) == 2
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert f"{report}:2" in err and "Traceback" not in err
 
     def test_missing_input_exits_two(self, tmp_path, capsys):

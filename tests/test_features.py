@@ -274,6 +274,17 @@ class TestExternalStore:
         with pytest.raises(KeyError, match="not found"):
             embed_frames([_textured(1)], spec)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[" * 100000 + "]" * 100000, "JSON nested too deeply to decode"),
+    ], ids=["not-json", "deep"])
+    def test_undecodable_index_names_the_index(self, tmp_path, text, reason):
+        index_path = tmp_path / "index.json"
+        index_path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            EmbeddingStore(index_path)
+        assert str(excinfo.value) == f"embedding index {index_path}: {reason}"
+
     def test_spec_requires_source(self):
         with pytest.raises(ValueError, match="source"):
             EmbedderSpec(kind="external-file")

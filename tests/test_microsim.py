@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from wemeval import microsim
 from wemeval.features import EmbedderSpec, perceptual_distance
-from wemeval.flow import estimate_homography, render_camera_flow, reprojection_errors
+from wemeval.flow import estimate_homography, project_pixel_grid, render_camera_flow, reprojection_errors
+from wemeval.manifest import save_manifest
 from wemeval.microsim import (
     CameraMotion,
     ChunkSpec,
@@ -18,6 +28,8 @@ from wemeval.microsim import (
     perturb_rollout,
 )
 from wemeval.rollout import PhaseLabel, validate_trajectory
+
+GOLDEN = Path(__file__).parent / "data" / "golden_fixtures.json"
 
 
 def _nav_config(seed: int = 0, dx: float = 1.0, dy: float = 0.0) -> SimConfig:
@@ -186,3 +198,112 @@ class TestPerturbations:
             smoothed.chunks[k].frames[-1], smoothed.chunks[k + 1].frames[0], spec
         )
         assert after < before
+
+
+def _sidecar_digests(traj, pattern: str = "*.bin") -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_manifest(traj, Path(tmp) / "manifest.json")
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(tmp).glob(pattern))}
+
+
+def _golden_fixtures() -> dict:
+    """The SHA-256 of every sidecar that ``save_manifest`` writes for the
+    fixtures in ``tests/data/golden_fixtures.json``.
+
+    ``catalog`` holds the translate-only and manip catalog entries at
+    ``<size>x<frames>``: their poses are translations, which every LAPACK
+    inverts exactly. ``noisy`` holds the frame sidecars of ``mixed-00`` at
+    32x4 under ``perturb_rollout`` frame-noise (magnitude 0.05, seed 3) and
+    rendered with ``noise_sigma=0.02``.
+    """
+    golden: dict = {"catalog": {}}
+    for size, t in ((32, 4), (64, 6)):
+        golden["catalog"][f"{size}x{t}"] = {
+            name: _sidecar_digests(generate_trajectory(cfg)[0])
+            for name, cfg in default_catalog(size=size, t=t)
+            if name.startswith(("mixed-", "manip-")) or name in ("nav-00", "nav-01", "nav-02")
+        }
+    cfg = dict(default_catalog(size=32, t=4))["mixed-00"]
+    traj, truth = generate_trajectory(cfg)
+    golden["noisy"] = {
+        "frame-noise": _sidecar_digests(perturb_rollout(traj, truth, "frame-noise", 0.05, 3),
+                                        "*frames.bin"),
+        "noise-sigma": _sidecar_digests(
+            generate_trajectory(dataclasses.replace(cfg, noise_sigma=0.02))[0], "*frames.bin"),
+    }
+    return golden
+
+
+def test_fixture_bytes_match_golden():
+    """The simulator's output bytes are pinned; regenerate the file only for an
+    intended output change, with ``PYTHONPATH=src python tests/test_microsim.py``."""
+    assert _golden_fixtures() == json.loads(GOLDEN.read_text())
+
+
+def _reference_noise(x, y, seed, scale=8.0):
+    """Value noise with four ``_hash01`` calls per pixel, one per cell corner."""
+    gx, gy = np.floor(x / scale), np.floor(y / scale)
+    fx, fy = x / scale - gx, y / scale - gy
+    sx = fx * fx * (3.0 - 2.0 * fx)
+    sy = fy * fy * (3.0 - 2.0 * fy)
+    v00 = microsim._hash01(gx, gy, seed)
+    v10 = microsim._hash01(gx + 1, gy, seed)
+    v01 = microsim._hash01(gx, gy + 1, seed)
+    v11 = microsim._hash01(gx + 1, gy + 1, seed)
+    top = v00 + (v10 - v00) * sx
+    bottom = v01 + (v11 - v01) * sx
+    return top + (bottom - top) * sy
+
+
+def _pose(angle: float, zoom: float, tx: float, ty: float, cx: float, cy: float) -> np.ndarray:
+    """Rotate by ``angle`` and scale by ``zoom`` about (cx, cy), then translate."""
+    c, s = zoom * math.cos(angle), zoom * math.sin(angle)
+    return np.array([[c, -s, cx - c * cx + s * cy + tx], [s, c, cy - s * cx - c * cy + ty], [0, 0, 1]])
+
+
+class TestValueNoise:
+    """The lattice-table noise equals the per-pixel reference bit for bit."""
+
+    def _noise(self, monkeypatch, pose, width, height, seed):
+        calls = []
+        hash01 = microsim._hash01
+
+        def counting(ix, iy, s):
+            calls.append(np.broadcast(ix, iy).size)
+            return hash01(ix, iy, s)
+
+        monkeypatch.setattr(microsim, "_hash01", counting)
+        _, _, px, py = project_pixel_grid(np.linalg.inv(pose), width, height)
+        got = microsim._value_noise(px, py, seed)
+        monkeypatch.setattr(microsim, "_hash01", hash01)
+        assert np.array_equal(got, _reference_noise(px, py, seed))
+        return calls
+
+    def test_random_affine_poses_use_the_table(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            width, height = (int(v) for v in rng.integers(16, 97, 2))
+            angle = 0.0 if trial % 4 == 0 else rng.uniform(-math.pi, math.pi)
+            zoom = 1.0 if trial % 4 < 2 else rng.uniform(0.5, 3.0)
+            tx, ty = rng.uniform(-300, 300, 2) if trial % 2 else rng.integers(-40, 40, 2)
+            pose = _pose(angle, zoom, tx, ty, (width - 1) / 2, (height - 1) / 2)
+            calls = self._noise(monkeypatch, pose, width, height, int(rng.integers(2**31)))
+            assert len(calls) == 1 and calls[0] <= width * height  # one table, no larger than the frame
+
+    def test_far_zoom_out_hashes_per_pixel_in_bounded_memory(self, monkeypatch):
+        pose = _pose(0.3, 1 / 64, 5.0, -7.0, 15.5, 15.5)  # 32 px span about 312 x 312 cells
+        calls = self._noise(monkeypatch, pose, 32, 32, 99)
+        assert calls == [32 * 32] * 4
+        _, _, px, py = project_pixel_grid(np.linalg.inv(pose), 32, 32)
+        tracemalloc.start()
+        try:
+            microsim._value_noise(px, py, 99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19  # the box's table alone would take 760 KiB
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_golden_fixtures(), indent=1, sort_keys=True) + "\n")
