@@ -484,14 +484,28 @@ def _is_score(value: object) -> bool:
     return -1 <= value <= 1
 
 
-def _is_report_record(record: object) -> bool:
-    """A JSON object; a trajectory record also needs scores that pass ``_is_score``."""
+_RECORD_KINDS = ("config", "trajectory", "error", "aggregate")
+
+
+def _record_kind(record: object) -> str | None:
+    """Which of the four record kinds ``eval`` writes ``record`` is, or None.
+
+    A trajectory record has a string id and a scores object whose values pass
+    ``_is_score``; each other kind is one object under its own key.
+    """
     if not isinstance(record, dict):
-        return False
-    if "trajectory" not in record:
-        return True
-    scores = record.get("scores")
-    return isinstance(scores, dict) and all(_is_score(v) for v in scores.values())
+        return None
+    kinds = [kind for kind in _RECORD_KINDS if kind in record]
+    if len(kinds) != 1:
+        return None
+    kind = kinds[0]
+    if kind == "trajectory":
+        scores = record.get("scores")
+        valid = (isinstance(record[kind], str) and isinstance(scores, dict)
+                 and all(_is_score(v) for v in scores.values()))
+    else:
+        valid = len(record) == 1 and isinstance(record[kind], dict)
+    return kind if valid else None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -511,15 +525,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     record = formats.decode_json(raw)
                 except ValueError:
                     record = None
-                if not _is_report_record(record):
+                kind = _record_kind(record)
+                if kind is None:
                     raise _CommandError(f"{path}:{lineno}: not a report record")
-                if "config" in record:
+                if kind == "config":
                     if config is not None and record != config:
                         raise _CommandError(f"{path}:{lineno}: config differs from the first input's")
                     config = record
-                elif "trajectory" in record:
+                elif kind == "trajectory":
                     trajectories.append(record)
-                elif "error" in record:
+                elif kind == "error":
                     errors += 1
         if config is not None:
             emit(config)

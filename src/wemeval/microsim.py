@@ -8,12 +8,20 @@ masks are all recorded from the generating transforms, so every fixture is an
 exact oracle: camera flow re-renders from the recorded homography, residual
 flow support equals the moving object's pixels, and masks label exactly the
 moving object plus a fixed gripper glyph.
+
+The static layer of a frame (every pixel's scene coordinates, the value noise
+and the static objects) depends only on the camera pose, so it is drawn once
+per pose and each frame at that pose paints the ego object, the gripper
+glyph and the sensor noise on a copy. The pose changes only at a navigation
+step, so a manipulation chunk reuses the layer of the frame before it. At
+128 px a navigation frame takes about 0.9 ms and a manipulation frame about
+0.4 ms on one core of a shared 2-vCPU Xeon (README, Simulator).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -225,15 +233,22 @@ def _gripper_mask(height: int, width: int) -> np.ndarray:
 class _CameraState:
     pose: np.ndarray  # scene -> image homography matrix
     ego_center: tuple[float, float] | None
+    inverse: np.ndarray = field(init=False)  # image -> scene, inverted once per pose
+
+    def __post_init__(self) -> None:
+        self.move_to(self.pose)
+
+    def move_to(self, pose: np.ndarray) -> None:
+        self.pose = pose
+        self.inverse = np.linalg.inv(pose)
 
 
 def _advance(state: _CameraState, spec: ChunkSpec, step_h: Homography) -> None:
     if spec.phase is PhaseLabel.NAV:
-        state.pose = step_h.h @ state.pose
+        state.move_to(step_h.h @ state.pose)
     else:
         dx, dy = spec.object_motion
-        lin = np.linalg.inv(state.pose)[:2, :2]
-        sdx, sdy = lin @ np.array([dx, dy])
+        sdx, sdy = state.inverse[:2, :2] @ np.array([dx, dy])
         state.ego_center = (state.ego_center[0] + sdx, state.ego_center[1] + sdy)
 
 
@@ -267,11 +282,32 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
         u=np.zeros((cfg.height, cfg.width)), v=np.zeros((cfg.height, cfg.width))
     )
 
-    def render() -> tuple[np.ndarray, np.ndarray]:
-        _, _, px, py = project_pixel_grid(np.linalg.inv(state.pose), cfg.width, cfg.height)
+    def static_layer() -> tuple[np.ndarray, ...]:
+        """(pose, px, py, values): every pixel's scene coordinates and the
+        scene without the ego object, seen from the current pose; read-only."""
+        _, _, px, py = project_pixel_grid(state.inverse, cfg.width, cfg.height)
         values = _value_noise(px, py, cfg.seed)
         for obj in statics:
             np.copyto(values, obj.intensity, where=_membership(px, py, obj, obj.position))
+        for a in (px, py, values):
+            a.flags.writeable = False
+        return state.pose, px, py, values
+
+    # The static layer is drawn once per pose: a manip chunk holds the camera,
+    # so it reuses the layer of the frame before it. The old layer is dropped
+    # only once the new one is drawn, and every frame is painted on the one
+    # canvas (``Frame`` makes the float32 copy), so the heap reuses the same
+    # blocks instead of trimming and faulting them in again on every frame.
+    layer = static_layer()
+    canvas = np.empty((cfg.height, cfg.width))
+
+    def render() -> tuple[np.ndarray, np.ndarray]:
+        nonlocal layer
+        if layer[0] is not state.pose:
+            layer = static_layer()
+        _, px, py, scene = layer
+        values = canvas
+        np.copyto(values, scene)
         support = np.zeros((cfg.height, cfg.width), dtype=bool)
         if ego_obj is not None:
             support = _membership(px, py, ego_obj, state.ego_center)
@@ -295,7 +331,7 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
                 if x - r < 0 or y - r < 0 or x + r > cfg.width - 1 or y + r > cfg.height - 1:
                     raise SimConfigError(f"chunk {ci} frame {t}: ego object leaves frame bounds")
             values, support = render()
-            frames.append(Frame(data=values))  # its float32 conversion is the frame's only copy
+            frames.append(Frame(data=values))  # a new float32 array; the canvas is painted again
             ego_pixels = glyph | support if not is_nav else glyph
             masks.append(WorldEgoMask(data=ego_pixels.astype(np.uint8)))
             if t < spec.steps - 1:

@@ -809,6 +809,29 @@ class TestReport:
         assert len(err.splitlines()) == 1
         assert f"{report}:2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", [
+        "{}",
+        '{"x": 1}',
+        '{"config": 3}',
+        '{"error": 5}',
+        '{"trajectory": 5, "scores": {}}',
+    ], ids=["empty-object", "unknown-key", "config-not-object", "error-not-object",
+            "trajectory-id-not-string"])
+    def test_object_of_no_record_kind_exits_two(self, tmp_path, capsys, line):
+        report = tmp_path / "r.jsonl"
+        report.write_text(line + "\n")
+        assert main(["report", str(report)]) == 2
+        assert capsys.readouterr().err == f"report: {report}:1: not a report record\n"
+
+    def test_eval_report_merges_byte_for_byte(self, fixture_pair_dir, tmp_path):
+        root, pairs_file = fixture_pair_dir
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1, 2, 4])))
+        report, merged = tmp_path / "r.jsonl", tmp_path / "m.jsonl"
+        assert main(["eval", "--pairs", str(pairs), "--out", str(report)]) == 0
+        assert main(["report", str(report), "--out", str(merged)]) == 0
+        assert merged.read_bytes() == report.read_bytes()
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "absent.jsonl"
         assert main(["report", str(missing)]) == 2

@@ -21,7 +21,7 @@ from wemeval.metrics import (
     rcbd,
     symmetric_match,
 )
-from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
+from wemeval.microsim import default_catalog, generate_trajectory, mixed_fixture_config, perturb_rollout
 from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel, Trajectory
 
 
@@ -293,6 +293,42 @@ class TestFphs:
         rows, cols = np.nonzero(moving)
         assert rows.min() >= r0 and rows.max() < r1
         assert cols.min() >= c0 and cols.max() < c1
+
+
+class TestIdentityScores:
+    """What an identical pair (gen equal to gt) scores, as the README states."""
+
+    def test_catalog_self_pairs(self, default_config):
+        cpdms = []
+        for name, cfg in default_catalog(size=32, t=4):
+            traj, _ = generate_trajectory(cfg)
+            scores = evaluate_all(traj, traj, default_config).scores
+            mixed = name.startswith("mixed-")
+            for metric in ("rcbd", "lpsa", "cisr", "pmpa") + (("fphs",) if mixed else ()):
+                assert scores[metric] == pytest.approx(1.0, abs=1e-12), (name, metric)
+            if not mixed:  # a single phase has no opposite-phase chunk and no switch
+                assert scores["cpdm"] is None and scores["fphs"] is None
+                continue
+            # sigmoid((1 - r_neg) / tau) per chunk: r_neg, the best opposite-phase
+            # similarity, is near 1 for chunks of one scene, and at least 0
+            # because reference vectors are nonnegative.
+            ceiling = 1.0 / (1.0 + math.exp(-1.0 / default_config.tau_cpdm))
+            assert 0.5 < scores["cpdm"] < ceiling < 1.0
+            cpdms.append(scores["cpdm"])
+        assert len(cpdms) == 8
+        assert float(np.median(cpdms)) == pytest.approx(0.5484878239077465, abs=1e-9)
+
+    def test_tied_chunk_lowers_cisr_and_zero_frames_have_cosine_zero(self, default_config):
+        a = _chunk([_textured_frame(1), _textured_frame(2)])
+        b = _chunk([_textured_frame(3), _textured_frame(4)])
+        black = _chunk([_frame(0.0), _frame(0.0)], phase=PhaseLabel.MANIP)
+        tied = Trajectory(id="t", chunks=(a, a, b))
+        assert evaluate_all(tied, tied, default_config).scores["cisr"] == pytest.approx(2.0 / 3.0)
+        dark = Trajectory(id="d", chunks=(a, black))
+        breakdowns = evaluate_all(dark, dark, default_config).breakdowns
+        assert breakdowns["lpsa"] == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert breakdowns["cisr"] == pytest.approx([1.0, 0.5])
+        assert breakdowns["cpdm"][1] == pytest.approx(0.5)
 
 
 class TestEvaluateAll:

@@ -200,6 +200,54 @@ class TestPerturbations:
         assert after < before
 
 
+class TestStaticLayer:
+    """The static scene is drawn once per camera pose and shared by every frame at it."""
+
+    def _draws(self, monkeypatch, cfg):
+        layers = []
+        value_noise = microsim._value_noise
+
+        def recording(x, y, seed, scale=8.0):
+            layers.append(value_noise(x, y, seed, scale))
+            return layers[-1]
+
+        monkeypatch.setattr(microsim, "_value_noise", recording)
+        traj, _ = generate_trajectory(cfg)
+        return traj, layers
+
+    def test_manip_only_config_draws_the_scene_once(self, monkeypatch):
+        cfg = dict(default_catalog(size=32, t=4))["manip-00"]
+        traj, layers = self._draws(monkeypatch, cfg)
+        assert len(layers) == 1 and sum(len(c.frames) for c in traj.chunks) == 8
+
+    def test_mixed_config_draws_once_per_nav_frame(self, monkeypatch):
+        # Each manip chunk follows a nav chunk and holds its last pose.
+        cfg = dict(default_catalog(size=32, t=4))["mixed-00"]
+        _, layers = self._draws(monkeypatch, cfg)
+        assert len(layers) == sum(c.steps for c in cfg.chunks if c.phase is PhaseLabel.NAV) == 8
+
+    def test_a_manip_run_before_any_nav_draws_once(self, monkeypatch):
+        manip = ChunkSpec(PhaseLabel.MANIP, 3, object_motion=(0.0, 1.0))
+        nav = ChunkSpec(PhaseLabel.NAV, 3, camera=CameraMotion("translate", dx=1.0, dy=0.0))
+        cfg = dataclasses.replace(_manip_config(), chunks=(manip, manip, nav, manip))
+        _, layers = self._draws(monkeypatch, cfg)
+        assert len(layers) == 1 + 3
+
+    def test_sensor_noise_is_fresh_per_frame(self):
+        traj, gt = generate_trajectory(dataclasses.replace(_manip_config(), noise_sigma=0.02))
+        frames, masks = traj.chunks[0].frames, gt.masks[0]
+        for a, b, ma, mb in zip(frames, frames[1:], masks, masks[1:]):
+            world = ~(ma.data.astype(bool) | mb.data.astype(bool))
+            assert not np.array_equal(a.data[world], b.data[world])
+
+    def test_cached_layer_is_read_only(self, monkeypatch):
+        _, layers = self._draws(monkeypatch, dict(default_catalog(size=32, t=4))["mixed-00"])
+        for layer in layers:
+            assert not layer.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                layer += 1.0
+
+
 def _sidecar_digests(traj, pattern: str = "*.bin") -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         save_manifest(traj, Path(tmp) / "manifest.json")
