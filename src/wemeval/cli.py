@@ -155,6 +155,14 @@ def _config_flags() -> Iterator[tuple[str, str, object]]:
         yield "--" + key.removesuffix(".kind").replace(".", "-").replace("_", "-"), key, default
 
 
+def _typed_config(doc: dict) -> tuple[dict, dict]:
+    """The ``MetricConfig`` keys of config object ``doc`` and the
+    ``EmbedderSpec`` keys of its ``embedder`` object, each by ``_typed_fields``."""
+    doc = dict(doc)
+    spec = _typed_fields(EmbedderSpec, doc.pop("embedder", {}), "embedder.")
+    return _typed_fields(MetricConfig, doc), spec
+
+
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
     """Precedence: flags > config file > built-in defaults, key by key. Flag
     strings take the file's cast; ranges are the dataclasses' to check."""
@@ -165,9 +173,9 @@ def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConf
                             for key, value in given.items() if "." in key}
     spec, updates = {}, {}
     for doc in (file_cfg, flag_cfg):
-        doc = dict(doc)
-        spec.update(_typed_fields(EmbedderSpec, doc.pop("embedder", {}), "embedder."))
-        updates.update(_typed_fields(MetricConfig, doc))
+        typed, typed_spec = _typed_config(doc)
+        updates.update(typed)
+        spec.update(typed_spec)
     return MetricConfig(**updates, embedder=EmbedderSpec(**spec))
 
 
@@ -247,33 +255,7 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
         pool.shutdown(cancel_futures=True)
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
-
-
-def _keep_freed_memory() -> None:
-    """Keep freed heap memory in the process until it exits, where the C
-    library allows it.
-
-    Scoring a pair allocates and frees a working set of tens of MB. With
-    glibc's default policy, the top of the heap is trimmed after each pair
-    and the next pair faults the same pages back in. Both thresholds are set:
-    setting the trim threshold alone stops glibc from raising the mmap
-    threshold above its 128 KiB start, so every larger temporary would get
-    its own mapping.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, TypeError):  # no mallopt, or no handle to the process (Windows)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _keep_freed_memory()
     try:
         file_cfg = _load_config_file(args.config)
         cfg = _build_metric_config(args, file_cfg)
@@ -394,16 +376,18 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
 
     doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     entries = []
+    names = set()
     for fx in doc["fixtures"]:
+        name = fx["name"]
+        # Each name is one directory under --out-dir, which it must not leave or share.
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ValueError(f"fixture name {name!r} is not one path component")
+        if name in names:
+            raise ValueError(f"fixture name {name!r} is used twice")
+        names.add(name)
         chunks = []
         for c in fx["chunks"]:
-            camera = None
-            if c.get("camera") is not None:
-                cam = c["camera"]
-                camera = CameraMotion(
-                    kind=cam["kind"], dx=cam.get("dx", 0.0), dy=cam.get("dy", 0.0),
-                    degrees=cam.get("degrees", 0.0), factor=cam.get("factor", 1.0),
-                )
+            camera = CameraMotion(**c["camera"]) if c.get("camera") is not None else None
             motion = tuple(c["object_motion"]) if c.get("object_motion") is not None else None
             chunks.append(ChunkSpec(phase=PhaseLabel(c["phase"]), steps=int(c["steps"]),
                                     camera=camera, object_motion=motion))
@@ -413,11 +397,11 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
             for o in fx.get("objects", [])
         )
         cfg = SimConfig(
-            seed=int(fx["seed"]), width=int(fx["width"]), height=int(fx["height"]),
+            seed=fx["seed"], width=int(fx["width"]), height=int(fx["height"]),
             chunks=tuple(chunks), objects=objects, ego_object=int(fx.get("ego_object", 0)),
             noise_sigma=float(fx.get("noise_sigma", 0.0)),
         )
-        entries.append((str(fx["name"]), cfg))
+        entries.append((name, cfg))
     return entries
 
 
@@ -427,7 +411,7 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     if args.catalog:
         try:
             entries = _catalog_from_file(args.catalog)
-        except (OSError, KeyError, ValueError, TypeError, AttributeError, SimConfigError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise _CommandError(f"bad catalog: {exc}") from None
     else:
         try:
@@ -487,25 +471,35 @@ def _is_score(value: object) -> bool:
 _RECORD_KINDS = ("config", "trajectory", "error", "aggregate")
 
 
-def _record_kind(record: object) -> str | None:
-    """Which of the four record kinds ``eval`` writes ``record`` is, or None.
+def _record_kind(record: object) -> str:
+    """Which of the four record kinds ``eval`` writes ``record`` is; ValueError
+    if it is none of them.
 
     A trajectory record has a string id and a scores object whose values pass
-    ``_is_score``; each other kind is one object under its own key.
+    ``_is_score``; each other kind is one object under its own key. A config's
+    keys pass ``_typed_fields``, and an error holds exactly the strings ``gen``,
+    ``gt`` and ``message`` and the pair's index ``pair``.
     """
-    if not isinstance(record, dict):
-        return None
-    kinds = [kind for kind in _RECORD_KINDS if kind in record]
+    kinds = [kind for kind in _RECORD_KINDS if kind in record] if isinstance(record, dict) else []
     if len(kinds) != 1:
-        return None
+        raise ValueError("not a report record")
     kind = kinds[0]
+    doc = record[kind]
     if kind == "trajectory":
         scores = record.get("scores")
-        valid = (isinstance(record[kind], str) and isinstance(scores, dict)
+        valid = (isinstance(doc, str) and isinstance(scores, dict)
                  and all(_is_score(v) for v in scores.values()))
     else:
-        valid = len(record) == 1 and isinstance(record[kind], dict)
-    return kind if valid else None
+        valid = len(record) == 1 and isinstance(doc, dict)
+    if valid and kind == "config":
+        _typed_config(doc)  # raises ValueError on a key that fails its cast
+    elif valid and kind == "error":
+        valid = (doc.keys() == {"gen", "gt", "message", "pair"}
+                 and all(isinstance(doc[key], str) for key in ("gen", "gt", "message"))
+                 and type(doc["pair"]) is int and doc["pair"] >= 0)  # type(True) is bool
+    if not valid:
+        raise ValueError("not a report record")
+    return kind
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -523,11 +517,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     continue
                 try:
                     record = formats.decode_json(raw)
+                    kind = _record_kind(record)
                 except ValueError:
-                    record = None
-                kind = _record_kind(record)
-                if kind is None:
-                    raise _CommandError(f"{path}:{lineno}: not a report record")
+                    raise _CommandError(f"{path}:{lineno}: not a report record") from None
                 if kind == "config":
                     if config is not None and record != config:
                         raise _CommandError(f"{path}:{lineno}: config differs from the first input's")

@@ -11,16 +11,16 @@ Readers check the layout only; ``rollout.validate_trajectory`` checks values.
 A file whose header declares records of zero size with a nonzero count is
 malformed, so a reader's work is bounded by its file's size.
 
-Readers make no copy of a payload: a file of at least ``MAP_MIN_BYTES`` is
-mapped read-only, a smaller one is read once into ``bytes``, and every frame,
-mask and flow field is a read-only view of its record there. A flow field holds
-its (h, w, 2) block of interleaved (u, v) pairs. A map lives as long as the
-views of it, and CPython's ``mmap`` keeps a duplicate of the file descriptor as
-long as the map, so each loaded mapped sidecar holds one open descriptor. A
-sidecar must not be truncated or rewritten in place while views of it are held:
-the process may then see changed data or end by SIGBUS. The writers here never
-do that: they write a new file beside the path and rename it onto the path, so
-a map of the old file keeps its bytes.
+Readers make no copy of a payload: a file of at least ``MAP_MIN_BYTES`` (128
+KiB) is mapped read-only, a smaller one is read once into ``bytes``, and every
+frame, mask and flow field is a read-only view of its record there. A flow
+field holds its (h, w, 2) block of interleaved (u, v) pairs. A map lives as
+long as the views of it, and CPython's ``mmap`` keeps a duplicate of the file
+descriptor as long as the map, so each loaded mapped sidecar holds one open
+descriptor. A sidecar must not be truncated or rewritten in place while views
+of it are held: the process may then see changed data or end by SIGBUS. The
+writers here never do that: they write a new file beside the path and rename it
+onto the path, so a map of the old file keeps its bytes.
 
 ``decode_json`` decodes every JSON input of the package: manifests, store
 indexes and the command line's files.
@@ -50,13 +50,13 @@ class FormatError(ValueError):
 
 
 # A sidecar of at least this many bytes is mapped; a smaller one is read into
-# immutable bytes, because below it a map costs more than a read. Per cached
-# file, with one np.isfinite pass over the payload and the views then dropped,
-# under eval's malloc policy on one pinned CPU of a shared 2-vCPU Xeon (Python
-# 3.11, numpy 2.4): read 13.9 / 17.9 / 28.8 / 43.9 / 156.9 us against map
-# 26.1 / 32.8 / 41.9 / 49.1 / 109.3 us at 4 / 64 / 256 / 512 / 1024 KiB; the
-# two crossed between 384 and 512 KiB on both CPUs.
-MAP_MIN_BYTES = 512 << 10
+# immutable bytes. 128 KiB is glibc's default mmap threshold: malloc serves a
+# read of that size or more from memory that it unmaps or trims again, so each
+# such read faults its pages in anew. Scoring the 20 hd-mixed benchmark pairs
+# in one process under the default heap (one pinned CPU of a shared 2-vCPU
+# Xeon, Python 3.11, numpy 2.4) took 11.4k minor faults with a 512 KiB bound,
+# 6.7k in load_manifest, and 3.0-4.0k with this one, 0.35k in load_manifest.
+MAP_MIN_BYTES = 128 << 10
 
 
 def decode_json(text: str) -> object:

@@ -44,8 +44,10 @@ class ObjectSpec:
     def __post_init__(self) -> None:
         if self.shape not in ("disk", "square"):
             raise SimConfigError(f"unknown object shape '{self.shape}'")
-        if self.size <= 0:
-            raise SimConfigError("object size must be positive")
+        if not 0 < self.size < math.inf:  # NaN fails too
+            raise SimConfigError("object size must be positive and finite")
+        if len(self.position) != 2 or not all(map(math.isfinite, self.position)):
+            raise SimConfigError(f"object position must be a finite (x, y), got {self.position!r}")
         if not 0.0 <= self.intensity <= 1.0:
             raise SimConfigError("object intensity must be in [0, 1]")
 
@@ -63,6 +65,8 @@ class CameraMotion:
     def __post_init__(self) -> None:
         if self.kind not in ("translate", "rotate", "zoom", "none"):
             raise SimConfigError(f"unknown camera motion '{self.kind}'")
+        if not (all(map(math.isfinite, (self.dx, self.dy, self.degrees))) and 0 < self.factor < math.inf):
+            raise SimConfigError(f"camera motion must be finite with a positive zoom factor: {self!r}")
 
     def to_homography(self, width: int, height: int) -> Homography:
         if self.kind == "translate":
@@ -96,8 +100,9 @@ class ChunkSpec:
             if self.object_motion is not None:
                 raise SimConfigError("nav chunk must not move objects")
         else:
-            if self.object_motion is None:
-                raise SimConfigError("manip chunk needs an object motion")
+            motion = self.object_motion
+            if motion is None or len(motion) != 2 or not all(map(math.isfinite, motion)):
+                raise SimConfigError(f"manip chunk needs a finite object motion (dx, dy), got {motion!r}")
             if self.camera is not None and self.camera.kind != "none":
                 raise SimConfigError("manip chunk must hold the camera")
 
@@ -115,12 +120,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunks", tuple(self.chunks))
         object.__setattr__(self, "objects", tuple(self.objects))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise SimConfigError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.width < 16 or self.height < 16:
             raise SimConfigError("frame dims must be at least 16x16")
         if not self.chunks:
             raise SimConfigError("config needs at least one chunk")
-        if self.noise_sigma < 0:
-            raise SimConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise SimConfigError("noise_sigma must be finite and >= 0")
         needs_object = any(c.phase is PhaseLabel.MANIP for c in self.chunks)
         if needs_object and not (0 <= self.ego_object < len(self.objects)):
             raise SimConfigError("manip chunks need a valid ego_object index")

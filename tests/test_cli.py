@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import signal
@@ -11,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -167,31 +165,6 @@ class TestEval:
             out = tmp_path / f"report_w{workers}.jsonl"
             assert main(["eval", "--pairs", str(pairs_file), "--out", str(out),
                          "--workers", str(workers)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_allocator_policy_sets_both_thresholds(self, fixture_pair_dir, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
-        assert main(_good_pair_args(*fixture_pair_dir)) == 0
-        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
-        assert sorted(calls) == [(-3, 32 << 20), (-1, 256 << 20)]
-
-    def test_missing_mallopt_does_not_change_bytes(self, fixture_pair_dir, tmp_path):
-        _, pairs_file = fixture_pair_dir
-        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
-        outputs = []
-        for patch in ("", "ctypes.CDLL = lambda name: object(); "):  # a libc without mallopt
-            script = f"import ctypes, sys; {patch}from wemeval.cli import main; sys.exit(main())"
-            out = tmp_path / f"report_{len(outputs)}.jsonl"
-            proc = subprocess.run([sys.executable, "-c", script, "eval", "--pairs", str(pairs_file),
-                                   "--out", str(out)], env=env, capture_output=True, timeout=120)
-            assert proc.returncode == 1, proc.stderr  # pair 3 is a mismatch
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -696,6 +669,15 @@ class TestVerifyMechanisms:
         assert excinfo.value.code == 2
 
 
+def _catalog(*names: str, chunk: dict | None = None, **fields) -> dict:
+    """A catalog of one 32 px fixture per name (one unnamed "f" by default),
+    with one chunk and ``fields`` replacing the fixture's own."""
+    chunk = chunk or {"phase": "Manip", "steps": 4, "object_motion": [0, 1]}
+    fixture = {"seed": 1, "width": 32, "height": 32, "chunks": [chunk],
+               "objects": [{"shape": "disk", "size": 3, "intensity": 0.9, "position": [14, 12]}]}
+    return {"fixtures": [{**fixture, "name": name, **fields} for name in names or ("f",)]}
+
+
 class TestGenFixtures:
     def test_default_catalog_emits_at_least_twenty(self, tmp_path):
         out_dir = tmp_path / "fixtures"
@@ -748,12 +730,25 @@ class TestGenFixtures:
 
     @pytest.mark.parametrize("doc", [
         {"fixtures": [1]},
-        {"fixtures": [{"chunks": [1]}]},
+        {"fixtures": [{"name": "a", "chunks": [1]}]},
         [1],
         {"fixtures": 5},
         DEEP_JSON,
+        _catalog(seed=1e400),
+        _catalog(seed=-1),
+        _catalog(seed=True),
+        _catalog(seed=2.5),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "zoom", "factor": 0}}),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "zoom", "factor": -1.5}}),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "translate", "dx": 1e400}}),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "rotate", "degrees": -1e400}}),
+        _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, 1e400]}),
+        _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, 1, 2]}),
+        _catalog(width=1e400),
     ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list",
-            "deep-file"])
+            "deep-file", "infinite-seed", "negative-seed", "bool-seed", "fractional-seed",
+            "zero-zoom", "negative-zoom", "infinite-dx", "infinite-degrees",
+            "infinite-object-motion", "three-component-object-motion", "infinite-width"])
     def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
         catalog_path = tmp_path / "catalog.json"
         catalog_path.write_text(_json_text(doc))
@@ -763,6 +758,25 @@ class TestGenFixtures:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("gen-fixtures: bad catalog: ")
         assert not (tmp_path / "fixtures").exists()
+
+    @pytest.mark.parametrize("names", [
+        ("../../escape",), ("..",), (".",), ("",), ("a/b",), ("/abs",), ("nul\0",), ("twin", "twin"),
+    ], ids=["escape", "parent", "current", "empty", "two-components", "absolute", "nul", "duplicate"])
+    def test_fixture_name_must_be_one_new_directory(self, tmp_path, capsys, names):
+        out_dir = tmp_path / "a" / "b" / "fixtures"
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(_catalog(*names)))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["gen-fixtures", "--out-dir", str(out_dir), "--catalog", str(catalog_path)]) == 2
+        assert capsys.readouterr().err.startswith("gen-fixtures: bad catalog: fixture name ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_each_fixture_name_gets_its_own_directory(self, tmp_path):
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(_catalog("one", "two.v2", "..three")))
+        out_dir = tmp_path / "fixtures"
+        assert main(["gen-fixtures", "--out-dir", str(out_dir), "--catalog", str(catalog_path)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["..three", "catalog.json", "one", "two.v2"]
 
 
 class TestReport:
@@ -815,8 +829,25 @@ class TestReport:
         '{"config": 3}',
         '{"error": 5}',
         '{"trajectory": 5, "scores": {}}',
+        '{"error": {}}',
+        '{"error": {"gen": "g", "gt": "t", "message": "m"}}',
+        '{"error": {"gen": "g", "gt": "t", "message": 3, "pair": 0}}',
+        '{"error": {"gen": "g", "gt": null, "message": "m", "pair": 0}}',
+        '{"error": {"gen": "g", "gt": "t", "message": "m", "pair": -1}}',
+        '{"error": {"gen": "g", "gt": "t", "message": "m", "pair": true}}',
+        '{"error": {"gen": "g", "gt": "t", "message": "m", "pair": 1.0}}',
+        '{"error": {"gen": "g", "gt": "t", "message": "m", "pair": 0, "x": 1}}',
+        '{"config": {"bogus": 1}}',
+        '{"config": {"lpsa_window": "four"}}',
+        '{"config": {"lpsa_window": 3.7}}',
+        '{"config": {"embedder": 3}}',
+        '{"config": {"embedder": {"bogus": 1}}}',
+        '{"config": {"embedder": {"grid": true}}}',
     ], ids=["empty-object", "unknown-key", "config-not-object", "error-not-object",
-            "trajectory-id-not-string"])
+            "trajectory-id-not-string", "error-empty", "error-without-pair", "error-message-not-string",
+            "error-gt-null", "error-negative-pair", "error-bool-pair", "error-float-pair",
+            "error-extra-key", "config-unknown-key", "config-string-for-int", "config-inexact-int",
+            "config-embedder-not-object", "config-embedder-unknown-key", "config-embedder-bool-grid"])
     def test_object_of_no_record_kind_exits_two(self, tmp_path, capsys, line):
         report = tmp_path / "r.jsonl"
         report.write_text(line + "\n")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -115,6 +116,22 @@ def test_saving_over_a_loaded_trajectory_leaves_it_unchanged(tmp_path, monkeypat
     assert all(np.array_equal(got, want) for got, want in zip(_arrays(loaded), arrays, strict=True))
     assert all(np.array_equal(got, want) for got, want in zip(_vectors(loaded), vectors, strict=True))
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sidecars_from_map_min_bytes_are_mapped(tmp_path):
+    # One 1 x n x 1 frame: a 20-byte header and 4 payload bytes per pixel.
+    below = (formats.MAP_MIN_BYTES - 20 - 1) // 4
+    for n, kind in ((below, bytes), (below + 1, mmap.mmap)):
+        path = tmp_path / f"{n}.bin"
+        formats.write_frame_file(path, [Frame(data=np.full((1, n, 1), 0.5, dtype=np.float32))])
+        size = path.stat().st_size
+        assert size < formats.MAP_MIN_BYTES if kind is bytes else size >= formats.MAP_MIN_BYTES
+        (frame,) = formats.read_frame_file(path)
+        owner = frame.data
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner.obj if isinstance(owner, memoryview) else owner, kind)
+        assert float(frame.data.mean()) == 0.5
 
 
 # --- the batch contract under mutated inputs, in-process through cli.main ---

@@ -130,6 +130,29 @@ class TestGeneration:
             generate_trajectory(cfg)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: _nav_config(seed=-1), "seed must be an int >= 0"),
+        (lambda: _nav_config(seed=math.inf), "seed must be an int >= 0"),
+        (lambda: _nav_config(seed=True), "seed must be an int >= 0"),
+        (lambda: _nav_config(dx=math.inf), "camera motion must be finite"),
+        (lambda: _nav_config(dy=math.nan), "camera motion must be finite"),
+        (lambda: CameraMotion("zoom", factor=0.0), "positive zoom factor"),
+        (lambda: _manip_config(motion=(0.0, -math.inf)), "finite object motion"),
+        (lambda: _manip_config(motion=(1.0,)), "finite object motion"),
+        (lambda: ObjectSpec("disk", math.inf, 0.9, (14.0, 12.0)), "size must be positive and finite"),
+        (lambda: ObjectSpec("disk", 3.0, 0.9, (14.0, math.nan)), "finite \\(x, y\\)"),
+        (lambda: dataclasses.replace(_nav_config(), noise_sigma=math.nan), "noise_sigma must be finite"),
+    ], ids=["negative-seed", "infinite-seed", "bool-seed", "infinite-dx", "nan-dy", "zero-zoom",
+            "infinite-object-motion", "short-object-motion", "infinite-size", "nan-position",
+            "nan-noise"])
+    def test_bad_spec_is_refused_at_construction(self, build, message):
+        with pytest.raises(SimConfigError, match=message):
+            build()
+
+    def test_large_seed_is_accepted(self):
+        traj, _ = generate_trajectory(_nav_config(seed=2**70))
+        assert traj.id == f"sim-{2**70}"
+
     def test_default_catalog_covers_all_phase_mixes(self):
         entries = default_catalog(size=32, t=4)
         assert len(entries) >= 20
