@@ -4,11 +4,13 @@ verification, and fixture generation.
 Reports are line-delimited JSON: one effective-config record, one record per
 trajectory pair (or a per-pair error record), and a final aggregate. They are
 a pure function of (inputs, config). Each record is written and flushed as
-soon as it exists. ``eval --workers N`` scores pairs in up to N fork worker
-processes and writes their records in index order, so N never changes the
-report bytes. A regular-file or new ``--out`` is written to a temp file beside
-it and renamed onto it only when the report is complete. Timing goes to
-stderr only.
+soon as it exists. ``eval --workers N`` scores pairs in up to N forked worker
+processes, which take pair indices from one pipe of tickets and send records
+back over a pipe each; the records are written in index order, so N never
+changes the report bytes. A regular-file or new ``--out`` is written to a temp
+file beside it and renamed onto it only when the report is complete. Timing
+goes to stderr only. ``python -m wemeval.cli`` exits without the interpreter's
+teardown; ``main`` itself returns as usual.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import stat
 import sys
 import threading
 import time
+import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import fields
 from pathlib import Path
@@ -181,7 +184,7 @@ def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConf
 
 def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
     """The report record of a (gen path, gt path, config) task, or an error
-    record when the pair cannot be scored. One argument, for ``Executor.map``."""
+    record when the pair cannot be scored. One argument, for ``map``."""
     gen_path, gt_path, cfg = task
     try:
         return evaluate_all(load_manifest(gen_path), load_manifest(gt_path), cfg).to_dict()
@@ -212,47 +215,91 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
     return [(str(base / e["gen"]), str(base / e["gt"])) for e in doc]
 
 
-def _exit_with_caller(caller: int) -> None:
-    """Pool worker initializer. A worker whose calling ``eval`` was killed
-    (SIGTERM, SIGKILL) would otherwise wait for work forever; it exits
-    within half a second instead. SIGTERM gets its default action back from
-    the report writer's handler, which only the caller can act on."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+def _work(tasks: list[tuple[str, str, MetricConfig]], tickets: int, out: int) -> None:
+    """A forked worker: writes ``<index> <record JSON>`` lines to ``out`` for the
+    pairs of the 4-byte tickets it reads, and exits when they run out, when
+    ``out`` has no reader, or on an error, after printing its traceback."""
+    code = 1
+    try:
+        with open(out, "w", encoding="utf-8") as stream:
+            while ticket := os.read(tickets, 4):
+                index = int.from_bytes(ticket, "little")
+                stream.write(f"{index} ")
+                _emit(stream, _eval_pair(tasks[index]))
+        code = 0
+    except BrokenPipeError:
+        pass  # the caller is gone
+    except Exception:
+        import traceback  # only a failing worker needs it
 
-    def watch() -> None:
-        while os.getppid() == caller:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
 
 
-@contextlib.contextmanager
-def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterator[Iterator[dict]]:
-    """Yields the tasks' records in index order, scored by up to ``workers``
-    fork processes (at most one per usable CPU); with one, on the calling
-    thread and no process starts. A worker that dies raises
-    ``BrokenProcessPool``. Leaving the block cancels the tasks not yet
-    started and waits for the workers to exit."""
+def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterator[dict]:
+    """The tasks' records in index order, scored by up to ``workers`` fork
+    processes (at most one per usable CPU); with one, on the calling thread.
+    Workers take pair indices from one pipe of tickets kept about two per
+    worker ahead of the records received, so a slow pair holds up no other.
+    Closing the generator closes the pipes and waits for the workers, each of
+    which exits after the pair it holds. A dead worker is a ``_CommandError``."""
     n = min(workers, len(tasks))
     if n > 1:
         n = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if n <= 1:
-        yield map(_eval_pair, tasks)
+        yield from map(_eval_pair, tasks)
         return
-    # Not at the top: they add about 15 ms to every one-worker run.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import selectors  # one-worker runs never need it
 
-    # fork, not spawn: a forked worker starts without importing numpy and the
-    # package again. Python 3.12 and later warn on fork when the process has
-    # other threads, which a BLAS library under numpy may have started.
-    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_exit_with_caller, initargs=(os.getpid(),))
+    tickets, feed_fd = os.pipe()
+    feed = open(feed_fd, "wb", buffering=0)
+    sent = min(2 * n, len(tasks))
+    feed.write(b"".join(i.to_bytes(4, "little") for i in range(sent)))  # far below the 64 KiB a pipe holds
+    outs, pids = [], []
     try:
-        yield pool.map(_eval_pair, tasks)
+        for _ in range(n):
+            out, into = os.pipe()
+            outs.append(out)
+            # fork, not spawn: a worker does not import numpy and the package again. A BLAS
+            # pool under numpy stops at fork (pthread_atfork), so 3.12's warning does not apply.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                for fd in (feed_fd, *outs):  # else the tickets never run out and no write fails
+                    os.close(fd)
+                _work(tasks, tickets, into)
+            pids.append(pid)
+            os.close(into)
+        received, partial = {}, dict.fromkeys(outs, b"")
+        with selectors.DefaultSelector() as sel:
+            for fd in outs:
+                sel.register(fd, selectors.EVENT_READ)
+            for index in range(len(tasks)):
+                while index not in received:
+                    if sent == len(tasks):
+                        feed.close()  # each worker exits once the pipe is empty
+                    # With tickets left, a worker exits only by dying.
+                    if len(sel.get_map()) < (1 if feed.closed else n):
+                        raise _CommandError(f"a worker process died; pair {index} and later pairs were not scored")
+                    for key, _ in sel.select():
+                        if not (data := os.read(key.fd, 1 << 16)):
+                            sel.unregister(key.fd)
+                        *lines, partial[key.fd] = (partial[key.fd] + data).split(b"\n")
+                        for at, record in (line.split(b" ", 1) for line in lines):
+                            received[int(at)] = json.loads(record)
+                            if sent < len(tasks):
+                                feed.write(sent.to_bytes(4, "little"))
+                                sent += 1
+                yield received.pop(index)
     finally:
-        pool.shutdown(cancel_futures=True)
+        feed.close()
+        for fd in (tickets, *outs):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -276,7 +323,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     failed = 0
     started = time.perf_counter()
     tasks = [(gen, gt, cfg) for gen, gt in pairs]
-    with _report_writer(args.out) as emit, _scored(tasks, args.workers) as records:
+    with _report_writer(args.out) as emit, contextlib.closing(_scored(tasks, args.workers)) as records:
         emit({"config": cfg.to_dict()})
         for index, record in enumerate(records):
             if "error" in record:
@@ -610,5 +657,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """``main`` for ``python -m wemeval.cli`` and the ``wemeval`` script, ending
+    without the interpreter's teardown (about 20 ms once numpy is loaded)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -31,7 +31,6 @@ cosine-based similarity and distance used throughout the metric suite.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import weakref
 from dataclasses import dataclass
@@ -69,6 +68,8 @@ class EmbedderSpec:
 
 def frame_content_key(frames: Sequence[Frame]) -> str:
     """Stable hex key over the frame payload, used to index external stores."""
+    import hashlib  # loads OpenSSL, 4-5 ms of start-up that reference-embedder runs never need
+
     digest = hashlib.sha256()
     for f in frames:
         digest.update(np.asarray([f.height, f.width, f.channels], dtype="<u4").tobytes())

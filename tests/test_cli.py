@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +171,8 @@ class TestEval:
         env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
         script = ("import sys, wemeval.cli; "
                   "print(sorted(set(sys.modules) & {'wemeval.verify', 'wemeval.mechanisms', "
-                  "'wemeval.microsim'})); print(wemeval.SimConfig.__module__)")
+                  "'wemeval.microsim', 'hashlib', 'multiprocessing', 'concurrent.futures'})); "
+                  "print(wemeval.SimConfig.__module__)")
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
         assert out.stdout.split() == ["[]", "wemeval.microsim"], out.stderr
 
@@ -235,23 +235,101 @@ class TestEval:
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"evaluated" not in err
 
-    def test_dead_worker_raises_instead_of_hanging(self, fixture_pair_dir, tmp_path, monkeypatch):
+    def test_dead_worker_exits_two_instead_of_hanging(self, fixture_pair_dir, tmp_path, monkeypatch, capfd):
         root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, range(10))
         absolute = tmp_path / "pairs.json"
-        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1])))
-        caller = os.getpid()
+        absolute.write_text(json.dumps(pairs))
+        scored = tmp_path / "scored.log"
+        score = cli._eval_pair
 
-        def die_in_worker(*args):
-            if os.getpid() != caller:
+        def die_on_pair_0(task):
+            if task[0] == pairs[0]["gen"]:
                 os._exit(1)  # as an out-of-memory kill would end it
-            raise AssertionError("scored in the calling process")
+            with open(scored, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            time.sleep(0.1)
+            return score(task)
 
-        monkeypatch.setattr(cli, "evaluate_all", die_in_worker)
+        monkeypatch.setattr(cli, "_eval_pair", die_on_pair_0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "report.jsonl"
-        with pytest.raises(BrokenProcessPool):
-            main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)])
+        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert err.splitlines() == ["eval: a worker process died; pair 0 and later pairs were not scored"]
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        workers = scored.read_text().split()
+        assert str(os.getpid()) not in workers and len(workers) <= 2  # the run stopped at the death
+
+    def test_worker_exception_prints_its_traceback(self, fixture_pair_dir, tmp_path, monkeypatch, capfd):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, [0, 1, 2])
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        score = cli._eval_pair
+
+        def fail_on_pair_1(task):
+            if task[0] == pairs[1]["gen"]:
+                raise RuntimeError("bug in a metric")
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", fail_on_pair_1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):" and "RuntimeError: bug in a metric" in err
+        assert err[-1].startswith("eval: a worker process died; pair ")
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    def test_free_worker_takes_the_next_pair(self, fixture_pair_dir, tmp_path, monkeypatch):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, range(10))
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        score = cli._eval_pair
+
+        def pid_recording(task):
+            if task[0] == pairs[0]["gen"]:
+                time.sleep(1.0)
+            return {**score(task), "pid": os.getpid()}
+
+        monkeypatch.setattr(cli, "_eval_pair", pid_recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 1
+        pids = [r["pid"] for r in _read_records(out)[1:-1]]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert pids[1:].count(pids[0]) <= 1  # the other worker scored the pairs behind the slow one
+
+    @pytest.mark.parametrize("padding", [0, 100_000], ids=["records", "records-over-a-pipe-read"])
+    def test_three_workers_over_many_pairs_write_the_one_worker_bytes(self, fixture_pair_dir, tmp_path,
+                                                                      monkeypatch, padding):
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, range(10)) * 5))  # > 6 tickets
+        score = cli._eval_pair
+        monkeypatch.setattr(cli, "_eval_pair", lambda task: {**score(task), "padding": "x" * padding})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        outputs = []
+        for workers in (1, 3):
+            out = tmp_path / f"report_w{workers}.jsonl"
+            assert main(["eval", "--pairs", str(absolute), "--out", str(out),
+                         "--workers", str(workers)]) == 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and len(_read_records(tmp_path / "report_w3.jsonl")) == 52
+
+    def test_worker_run_writes_only_the_throughput_line_to_stderr(self, fixture_pair_dir, tmp_path):
+        # Python 3.12+ warns when a process with threads (a BLAS pool under
+        # numpy) forks, and shows the warning when the fork runs in __main__.
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1, 2, 4])))
+        env = {**os.environ, "PYTHONPATH": str(Path(wemeval.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "wemeval.cli", "eval", "--pairs", str(absolute),
+                               "--workers", "2"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 6
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("evaluated 4 pair(s) in ")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads a process's children from /proc")
     def test_workers_exit_when_eval_is_killed(self, fixture_pair_dir, tmp_path):
