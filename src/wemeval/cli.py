@@ -3,7 +3,8 @@ verification, and fixture generation.
 
 Reports are line-delimited JSON: one effective-config record, one record per
 trajectory pair (or a per-pair error record), and a final aggregate. They are
-a pure function of (inputs, config). Each record is written and flushed as
+a pure function of (inputs, config). ``eval`` and ``report`` (which merges
+whole reports) write the pair records and the aggregate with one function. Each record is written and flushed as
 soon as it exists. ``eval --workers N`` scores pairs in up to N forked worker
 processes, which take pair indices from one pipe of tickets and send records
 back over a pipe each; the records are written in index order, so N never
@@ -26,7 +27,7 @@ import sys
 import threading
 import time
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
@@ -195,12 +196,24 @@ def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
     return {"error": {"gen": gen_path, "gt": gt_path, "message": message}}
 
 
-def _aggregate_record(scored: list[dict], failed: int) -> dict:
-    scores = {}
+def _write_pairs(emit: Callable[[dict], None], records: Iterable[dict]) -> tuple[int, int]:
+    """Writes the pair records in order, each error record's ``pair`` set to its
+    position, then their aggregate; returns (pairs, failed). Of each record
+    only its scores (None for an error) are kept."""
+    scores = []
+    for index, record in enumerate(records):
+        if "error" in record:
+            record["error"]["pair"] = index
+        emit(record)
+        scores.append(record.get("scores"))
+    scored = [s for s in scores if s is not None]
+    means = {}
     for name in METRIC_NAMES:
-        values = [r["scores"][name] for r in scored if r["scores"].get(name) is not None]
-        scores[name] = float(np.mean(values)) if values else None
-    return {"aggregate": {"scores": scores, "pairs": len(scored) + failed, "failed": failed}}
+        values = [s[name] for s in scored if s[name] is not None]
+        means[name] = float(np.mean(values)) if values else None
+    failed = len(scores) - len(scored)
+    emit({"aggregate": {"scores": means, "pairs": len(scores), "failed": failed}})
+    return len(scores), failed
 
 
 def _read_pairs(path: str) -> list[tuple[str, str]]:
@@ -309,6 +322,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except (OSError, ValueError, TypeError) as exc:
         raise _CommandError(f"bad configuration: {exc}") from None
 
+    if args.pairs and (args.gen or args.gt):
+        raise _CommandError("give --pairs or --gen/--gt, not both")
     if args.pairs:
         try:
             pairs = _read_pairs(args.pairs)
@@ -319,26 +334,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         raise _CommandError("provide --gen/--gt or --pairs")
 
-    succeeded = []
-    failed = 0
     started = time.perf_counter()
     tasks = [(gen, gt, cfg) for gen, gt in pairs]
     with _report_writer(args.out) as emit, contextlib.closing(_scored(tasks, args.workers)) as records:
         emit({"config": cfg.to_dict()})
-        for index, record in enumerate(records):
-            if "error" in record:
-                record["error"]["pair"] = index
-                failed += 1
-            else:
-                succeeded.append(record)
-            emit(record)
-        emit(_aggregate_record(succeeded, failed))
+        total, failed = _write_pairs(emit, records)
     elapsed = time.perf_counter() - started
     print(f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
           f"({len(pairs) / elapsed:.2f} trajectories/s)", file=sys.stderr)
-    if failed == 0:
-        return 0
-    return 2 if not succeeded else 1
+    return 0 if not failed else 2 if failed == total else 1
 
 
 def _parse_matches(doc: object) -> list[np.ndarray] | np.ndarray:
@@ -504,15 +508,13 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
     return 1 if had_error else 0
 
 
-def _is_score(value: object) -> bool:
-    """Null, or a number that is not a bool and lies in [-1, 1], the range of
-    every metric: NaN, the infinities and finite scores whose sum overflows
-    would poison the aggregate."""
-    if value is None:
-        return True
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return -1 <= value <= 1
+def _are_scores(scores: object) -> bool:
+    """An object of the six metrics' scores, each null or a number that is not
+    a bool and lies in [-1, 1], the range of every metric: NaN, the infinities
+    and finite scores whose sum overflows would poison the aggregate."""
+    return (isinstance(scores, dict) and scores.keys() == set(METRIC_NAMES)
+            and all(v is None or (isinstance(v, (int, float)) and not isinstance(v, bool) and -1 <= v <= 1)
+                    for v in scores.values()))
 
 
 _RECORD_KINDS = ("config", "trajectory", "error", "aggregate")
@@ -522,10 +524,12 @@ def _record_kind(record: object) -> str:
     """Which of the four record kinds ``eval`` writes ``record`` is; ValueError
     if it is none of them.
 
-    A trajectory record has a string id and a scores object whose values pass
-    ``_is_score``; each other kind is one object under its own key. A config's
-    keys pass ``_typed_fields``, and an error holds exactly the strings ``gen``,
-    ``gt`` and ``message`` and the pair's index ``pair``.
+    A trajectory record has a string id and scores that pass ``_are_scores``;
+    each other kind is one object under its own key. A config's keys pass
+    ``_typed_fields``; an error holds exactly the strings ``gen``, ``gt`` and
+    ``message`` and the pair's index ``pair``; an aggregate holds exactly
+    ``scores``, which pass ``_are_scores``, the count ``pairs`` and the count
+    ``failed`` of at most ``pairs``.
     """
     kinds = [kind for kind in _RECORD_KINDS if kind in record] if isinstance(record, dict) else []
     if len(kinds) != 1:
@@ -533,9 +537,7 @@ def _record_kind(record: object) -> str:
     kind = kinds[0]
     doc = record[kind]
     if kind == "trajectory":
-        scores = record.get("scores")
-        valid = (isinstance(doc, str) and isinstance(scores, dict)
-                 and all(_is_score(v) for v in scores.values()))
+        valid = isinstance(doc, str) and _are_scores(record.get("scores"))
     else:
         valid = len(record) == 1 and isinstance(doc, dict)
     if valid and kind == "config":
@@ -544,6 +546,10 @@ def _record_kind(record: object) -> str:
         valid = (doc.keys() == {"gen", "gt", "message", "pair"}
                  and all(isinstance(doc[key], str) for key in ("gen", "gt", "message"))
                  and type(doc["pair"]) is int and doc["pair"] >= 0)  # type(True) is bool
+    elif valid and kind == "aggregate":
+        valid = (doc.keys() == {"scores", "pairs", "failed"} and _are_scores(doc["scores"])
+                 and type(doc["pairs"]) is int and type(doc["failed"]) is int
+                 and 0 <= doc["failed"] <= doc["pairs"])
     if not valid:
         raise ValueError("not a report record")
     return kind
@@ -551,14 +557,14 @@ def _record_kind(record: object) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     with _report_writer(args.out) as emit:
-        config = None
-        trajectories = []
-        errors = 0
+        config, lines = None, []  # the first config record; the text of each pair record
+        configured = unconfigured = None  # the first input with a config record, and without
         for path in args.inputs:
             try:
                 text = Path(path).read_text(encoding="utf-8")
             except (OSError, ValueError) as exc:
                 raise _CommandError(f"{path}: {exc}") from None
+            has_config, aggregate, start, failed = False, None, len(lines), 0
             for lineno, raw in enumerate(text.splitlines(), start=1):
                 if not raw.strip():
                     continue
@@ -567,19 +573,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     kind = _record_kind(record)
                 except ValueError:
                     raise _CommandError(f"{path}:{lineno}: not a report record") from None
+                if aggregate is not None:
+                    raise _CommandError(f"{path}:{lineno}: a record after the aggregate")
                 if kind == "config":
                     if config is not None and record != config:
                         raise _CommandError(f"{path}:{lineno}: config differs from the first input's")
-                    config = record
-                elif kind == "trajectory":
-                    trajectories.append(record)
-                elif kind == "error":
-                    errors += 1
+                    config, has_config = record, True
+                elif kind == "aggregate":
+                    aggregate = record["aggregate"]
+                else:
+                    lines.append(raw)
+                    failed += kind == "error"
+            pairs = len(lines) - start
+            if aggregate is None or (aggregate["pairs"], aggregate["failed"]) != (pairs, failed):
+                raise _CommandError(f"{path}: incomplete: it needs an aggregate record, last, that "
+                                    f"counts its {pairs} pair(s) and {failed} failed")
+            if has_config:
+                configured = configured or path
+            else:
+                unconfigured = unconfigured or path
+            if configured and unconfigured:
+                raise _CommandError(f"{unconfigured}: no config record, so it cannot be merged "
+                                    f"with {configured}")
         if config is not None:
             emit(config)
-        for record in trajectories:
-            emit(record)
-        emit(_aggregate_record(trajectories, errors))
+        _write_pairs(emit, map(json.loads, lines))
     return 0
 
 

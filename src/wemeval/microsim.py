@@ -416,6 +416,10 @@ def perturb_rollout(
     boundary-smooth cross-fades the two frames at one chunk boundary with blend
     factor = magnitude, shrinking the true appearance gap. Magnitude 0 is the
     identity for every kind.
+
+    phase-swap changes no score, breakdown or note of ``evaluate_all``: no
+    metric reads the generated chunks' phase labels (``cpdm`` and ``fphs``
+    read the ground truth's).
     """
     if kind not in _PERTURB_KINDS:
         raise ValueError(f"unknown perturbation kind '{kind}'")

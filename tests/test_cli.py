@@ -36,6 +36,15 @@ def _read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
+def _scores_text(**scores) -> str:
+    """A scores object, as JSON text, of all six metrics at 0.5 but for ``scores``."""
+    return json.dumps({**dict.fromkeys(metrics.METRIC_NAMES, 0.5), **scores})
+
+
+def _trajectory_line(**scores) -> str:
+    return '{"trajectory": "t", "scores": ' + _scores_text(**scores) + "}"
+
+
 def _absolute_pairs(root, pairs_file, indices):
     """The fixture pairs at ``indices`` with absolute paths, as a pairs-file list."""
     pairs = json.loads(pairs_file.read_text())
@@ -88,6 +97,16 @@ def fixture_pair_dir(tmp_path_factory):
     pairs_file = root / "pairs.json"
     pairs_file.write_text(json.dumps(pairs))
     return root, pairs_file
+
+
+@pytest.fixture(scope="module")
+def ten_pair_report(fixture_pair_dir, tmp_path_factory):
+    """``eval``'s report of the ten fixture pairs: config, pairs 0-9 (pair 3 an
+    error record) and the aggregate, one record a line."""
+    _, pairs_file = fixture_pair_dir
+    report = tmp_path_factory.mktemp("report") / "r.jsonl"
+    assert main(["eval", "--pairs", str(pairs_file), "--out", str(report)]) == 1
+    return report
 
 
 class TestEval:
@@ -707,8 +726,10 @@ class TestInputErrors:
         (["decompose-flow", "--flow", "flow.bin", "--matches", "ok.json", "--out-dir", "out",
           "--threshold", "nan"],
          "decompose-flow: field 0: threshold must be positive"),
+        (["eval", "--pairs", "missing.json", "--gen", "g.json", "--gt", "g.json", "--out", "out"],
+         "eval: give --pairs or --gen/--gt, not both"),
     ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
-            "uncreatable-out-dir", "small-size", "one-frame", "nan-threshold"])
+            "uncreatable-out-dir", "small-size", "one-frame", "nan-threshold", "pairs-and-gen-gt"])
     def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
         from wemeval.rollout import FlowField
 
@@ -881,15 +902,15 @@ class TestReport:
     @pytest.mark.parametrize("line", [
         "[1, 2]",
         "{not json",
-        '{"trajectory": "t", "scores": {"rcbd": "a"}}',
+        _trajectory_line(rcbd="a"),
         DEEP_JSON,
-        '{"trajectory": "t", "scores": {"rcbd": NaN, "lpsa": 0.5}}',
-        '{"trajectory": "t", "scores": {"rcbd": 0.5, "lpsa": true}}',
-        '{"trajectory": "t", "scores": {"rcbd": Infinity}}',
-        '{"trajectory": "t", "scores": {"rcbd": -Infinity}}',
-        '{"trajectory": "t", "scores": {"rcbd": 1' + "0" * 400 + '}}',
-        '{"trajectory": "t", "scores": {"rcbd": 1e308}}\n{"trajectory": "u", "scores": {"rcbd": 1e308}}',
-        '{"trajectory": "t", "scores": {"lpsa": -1.5}}',
+        _trajectory_line(rcbd=float("nan")),
+        _trajectory_line(lpsa=True),
+        _trajectory_line(rcbd=float("inf")),
+        _trajectory_line(rcbd=float("-inf")),
+        _trajectory_line(rcbd=10 ** 400),
+        _trajectory_line(rcbd=1e308) + "\n" + _trajectory_line(rcbd=1e308),
+        _trajectory_line(lpsa=-1.5),
     ], ids=["array", "bad-json", "string-score", "deep-line", "nan-score", "bool-score",
             "infinite-score", "negative-infinite-score", "huge-int-score", "overflowing-scores",
             "score-below-minus-one"])
@@ -921,11 +942,29 @@ class TestReport:
         '{"config": {"embedder": 3}}',
         '{"config": {"embedder": {"bogus": 1}}}',
         '{"config": {"embedder": {"grid": true}}}',
+        '{"aggregate": {"x": 1}}',
+        '{"trajectory": "t", "scores": {"bogus": 0.5}}',
+        '{"trajectory": "t", "scores": ' + _scores_text(bogus=0.5) + "}",
+        '{"trajectory": "t", "scores": {"rcbd": 0.5}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": 1}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": 1, "failed": 0, "x": 1}}',
+        '{"aggregate": {"scores": {"rcbd": 0.5}, "pairs": 1, "failed": 0}}',
+        '{"aggregate": {"scores": ' + _scores_text(rcbd=2.0) + ', "pairs": 1, "failed": 0}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": -1, "failed": 0}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": 1, "failed": 2}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": 1, "failed": -1}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": true, "failed": 0}}',
+        '{"aggregate": {"scores": ' + _scores_text() + ', "pairs": 1.0, "failed": 0}}',
     ], ids=["empty-object", "unknown-key", "config-not-object", "error-not-object",
             "trajectory-id-not-string", "error-empty", "error-without-pair", "error-message-not-string",
             "error-gt-null", "error-negative-pair", "error-bool-pair", "error-float-pair",
             "error-extra-key", "config-unknown-key", "config-string-for-int", "config-inexact-int",
-            "config-embedder-not-object", "config-embedder-unknown-key", "config-embedder-bool-grid"])
+            "config-embedder-not-object", "config-embedder-unknown-key", "config-embedder-bool-grid",
+            "aggregate-unknown-key", "trajectory-unknown-metric", "trajectory-seventh-metric",
+            "trajectory-missing-metrics", "aggregate-without-failed", "aggregate-extra-key",
+            "aggregate-missing-metrics", "aggregate-score-out-of-range", "aggregate-negative-pairs",
+            "aggregate-more-failed-than-pairs", "aggregate-negative-failed", "aggregate-bool-pairs",
+            "aggregate-float-pairs"])
     def test_object_of_no_record_kind_exits_two(self, tmp_path, capsys, line):
         report = tmp_path / "r.jsonl"
         report.write_text(line + "\n")
@@ -934,12 +973,81 @@ class TestReport:
 
     def test_eval_report_merges_byte_for_byte(self, fixture_pair_dir, tmp_path):
         root, pairs_file = fixture_pair_dir
-        pairs = tmp_path / "pairs.json"
-        pairs.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1, 2, 4])))
-        report, merged = tmp_path / "r.jsonl", tmp_path / "m.jsonl"
-        assert main(["eval", "--pairs", str(pairs), "--out", str(report)]) == 0
-        assert main(["report", str(report), "--out", str(merged)]) == 0
-        assert merged.read_bytes() == report.read_bytes()
+        for indices, code in (([0, 1, 2, 4], 0), (range(10), 1)):  # pair 3 fails
+            pairs = tmp_path / "pairs.json"
+            pairs.write_text(json.dumps(_absolute_pairs(root, pairs_file, indices)))
+            report, merged = tmp_path / "r.jsonl", tmp_path / "m.jsonl"
+            assert main(["eval", "--pairs", str(pairs), "--out", str(report)]) == code
+            assert main(["report", str(report), "--out", str(merged)]) == 0
+            assert merged.read_bytes() == report.read_bytes()
+
+    def test_merge_keeps_error_records_in_merged_order(self, fixture_pair_dir, tmp_path):
+        """Merged bytes are those of one ``eval`` over the inputs' pairs in
+        order, and merging the merged report gives them back."""
+        root, pairs_file = fixture_pair_dir
+        reports = []
+        for name, indices in (("a", [5, 6]), ("b", [0, 1, 2, 3, 4]), ("all", [5, 6, 0, 1, 2, 3, 4])):
+            pairs = tmp_path / f"{name}.json"
+            pairs.write_text(json.dumps(_absolute_pairs(root, pairs_file, indices)))
+            reports.append(tmp_path / f"{name}.jsonl")
+            main(["eval", "--pairs", str(pairs), "--out", str(reports[-1])])
+        merged, again = tmp_path / "merged.jsonl", tmp_path / "again.jsonl"
+        assert main(["report", str(reports[0]), str(reports[1]), "--out", str(merged)]) == 0
+        records = _read_records(merged)
+        assert records[6]["error"]["pair"] == 5  # pair 3 of b, after a's two
+        assert (records[-1]["aggregate"]["pairs"], records[-1]["aggregate"]["failed"]) == (7, 1)
+        assert merged.read_bytes() == reports[2].read_bytes()
+        assert main(["report", str(merged), "--out", str(again)]) == 0
+        assert again.read_bytes() == merged.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3],  # `head -n 3`: the config and two of ten pairs
+        lambda lines: lines[:-1],
+        lambda lines: lines[:-1] + [lines[-1].replace('"pairs":10', '"pairs":11')],
+        lambda lines: lines[:-1] + [lines[-1].replace('"failed":1', '"failed":0')],
+        lambda lines: [line for line in lines if not line.startswith('{"error"')],  # an old merge
+    ], ids=["cut-after-two-pairs", "no-aggregate", "pairs-miscounted", "failed-miscounted",
+            "error-record-dropped"])
+    def test_incomplete_input_exits_two(self, ten_pair_report, tmp_path, capsys, edit):
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(edit(ten_pair_report.read_text().splitlines())) + "\n")
+        assert main(["report", str(ten_pair_report), str(cut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report: {cut}: incomplete: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tail", ["aggregate", "trajectory"])
+    def test_record_after_the_aggregate_exits_two(self, ten_pair_report, tmp_path, capsys, tail):
+        lines = ten_pair_report.read_text().splitlines()
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text("\n".join(lines + [lines[-1] if tail == "aggregate" else lines[1]]) + "\n")
+        assert main(["report", str(twice)]) == 2
+        assert capsys.readouterr().err == f"report: {twice}:13: a record after the aggregate\n"
+
+    def test_input_without_config_is_not_merged_with_one_that_has_it(self, ten_pair_report, tmp_path, capsys):
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(ten_pair_report.read_text().splitlines(keepends=True)[1:]))
+        for inputs in ([ten_pair_report, bare], [bare, ten_pair_report]):
+            assert main(["report", *map(str, inputs), "--out", str(tmp_path / "m.jsonl")]) == 2
+            assert capsys.readouterr().err == (f"report: {bare}: no config record, so it cannot be "
+                                               f"merged with {ten_pair_report}\n")
+        assert not (tmp_path / "m.jsonl").exists()
+
+    def test_inputs_without_config_merge(self, ten_pair_report, tmp_path):
+        bare, merged = tmp_path / "bare.jsonl", tmp_path / "m.jsonl"
+        bare.write_text("".join(ten_pair_report.read_text().splitlines(keepends=True)[1:]))
+        assert main(["report", str(bare), str(bare), "--out", str(merged)]) == 0
+        records = _read_records(merged)
+        assert "trajectory" in records[0] and len(records) == 21
+        assert [r["error"]["pair"] for r in records if "error" in r] == [3, 13]
+        assert (records[-1]["aggregate"]["pairs"], records[-1]["aggregate"]["failed"]) == (20, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_eval_record_has_a_record_kind(self, fixture_pair_dir, tmp_path, workers):
+        _, pairs_file = fixture_pair_dir
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--workers", str(workers)]) == 1
+        kinds = [cli._record_kind(record) for record in _read_records(out)]
+        assert kinds == ["config"] + ["trajectory"] * 3 + ["error"] + ["trajectory"] * 6 + ["aggregate"]
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "absent.jsonl"

@@ -367,6 +367,23 @@ class TestEvaluateAll:
         assert report.scores["cisr"] is not None and report.scores["cpdm"] is not None
         assert len(whole_chunk_calls) == 2 * len(gt.chunks)
 
+    def test_phase_swap_changes_no_score_breakdown_or_note(self, default_config):
+        """ROADMAP item 3 ("phase-swap is invisible"), as it stands: no metric
+        reads the generated chunks' phase labels, since ``cpdm`` and ``fphs``
+        read the ground truth's. Making the kind visible, or dropping it,
+        changes this test on purpose."""
+        mixed = [cfg for name, cfg in default_catalog(size=32, t=4) if name.startswith("mixed-")]
+        assert len(mixed) == 8
+        for seed, cfg in enumerate(mixed):
+            traj, truth = generate_trajectory(cfg)
+            swapped = perturb_rollout(traj, truth, "phase-swap", 1.0, seed=seed)
+            assert [c.phase for c in swapped.chunks] != [c.phase for c in traj.chunks]
+            clean = evaluate_all(traj, traj, default_config)
+            perturbed = evaluate_all(swapped, traj, default_config)
+            assert perturbed.scores == clean.scores
+            assert perturbed.breakdowns == clean.breakdowns
+            assert perturbed.notes == clean.notes
+
     def test_shuffled_gen_reduces_cisr(self, default_config):
         traj, gt_aux = generate_trajectory(mixed_fixture_config(seed=33, size=32, t=4))
         shuffled = perturb_rollout(traj, gt_aux, "chunk-shuffle", 1.0, seed=2)
