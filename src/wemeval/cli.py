@@ -8,8 +8,8 @@ whole reports) write the pair records and the aggregate with one function. Each 
 soon as it exists. ``eval --workers N`` scores pairs in up to N forked worker
 processes, which take pair indices from one pipe of tickets and send records
 back over a pipe each; the records are written in index order, so N never
-changes the report bytes. A regular-file or new ``--out`` is written to a temp
-file beside it and renamed onto it only when the report is complete. Timing
+changes the report bytes. A regular-file or new ``--out`` is written through
+``formats.replacing``, so it is replaced only by a complete report. Timing
 goes to stderr only. ``python -m wemeval.cli`` exits without the interpreter's
 teardown; ``main`` itself returns as usual.
 """
@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import json
 import os
-import shutil
 import signal
 import stat
 import sys
@@ -67,13 +66,12 @@ def _emit(stream: TextIO, record: dict) -> None:
 def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
     """Yields a function that writes one record as a JSON line and flushes it.
 
-    Lines go to stdout, or to ``<path>.<pid>.tmp`` beside ``path``, which is
-    renamed onto ``path`` (keeping an existing file's mode) when the block
-    completes and removed when it raises or, on the main thread, when SIGTERM
-    arrives: a report at ``path`` is only ever replaced by a whole one. Only a
-    new name or a regular file is replaced; anything else (a symlink's
-    target, ``/dev/null``, a FIFO) is written in place. An unwritable ``path``
-    is a ``_CommandError`` before the block starts.
+    Lines go to stdout, or to ``path`` through ``formats.replacing``; on the
+    main thread, SIGTERM raises ``_Terminated`` while the block runs, so the
+    temp file goes then too: a report at ``path`` is only ever replaced by a
+    whole one. Only a new name or a regular file is replaced; anything else
+    (a symlink's target, ``/dev/null``, a FIFO) is written in place. An
+    unwritable ``path`` is a ``_CommandError`` before the block starts.
     """
     if path is None:
         yield lambda record: _emit(sys.stdout, record)
@@ -84,27 +82,17 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
         replaceable = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         replaceable = True
-    tmp = f"{path}.{os.getpid()}.tmp" if replaceable else path
-    try:
-        stream = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:
-        raise _CommandError(f"cannot write {path}: {exc.strerror}") from None
-    if tmp == path:
-        with stream:
-            yield lambda record: _emit(stream, record)
-        return
-    on_main = threading.current_thread() is threading.main_thread()  # only it may set handlers
+    # Only the main thread may set handlers, and only a temp file needs one.
+    on_main = replaceable and threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
     try:
-        with stream:
-            if os.path.exists(path):
-                shutil.copymode(path, tmp)
+        with contextlib.ExitStack() as stack:
+            try:
+                stream = stack.enter_context(formats.replacing(path, "w") if replaceable
+                                             else open(path, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise _CommandError(f"cannot write {path}: {exc.strerror}") from None
             yield lambda record: _emit(stream, record)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):  # SIGTERM just after the replace
-            os.unlink(tmp)
-        raise
     finally:
         if on_main:
             signal.signal(signal.SIGTERM, previous)
@@ -341,7 +329,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         total, failed = _write_pairs(emit, records)
     elapsed = time.perf_counter() - started
     print(f"evaluated {len(pairs)} pair(s) in {elapsed:.3f}s "
-          f"({len(pairs) / elapsed:.2f} trajectories/s)", file=sys.stderr)
+          f"({len(pairs) / elapsed:.2f} pairs/s)", file=sys.stderr)
     return 0 if not failed else 2 if failed == total else 1
 
 
@@ -404,9 +392,8 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
         homographies.append(h.h.tolist())
 
     out_dir = _make_dir(args.out_dir)
-    (out_dir / "homographies.json").write_text(
-        json.dumps(homographies, indent=2) + "\n", encoding="utf-8"
-    )
+    with formats.replacing(out_dir / "homographies.json", "w") as fh:
+        fh.write(json.dumps(homographies, indent=2) + "\n")
     formats.write_flow_file(out_dir / "camera_flow.bin", camera_fields)
     formats.write_flow_file(out_dir / "residual_flow.bin", residual_fields)
     return 0
@@ -483,27 +470,18 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
         fixture_dir = out_dir / name
         fixture_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = save_manifest(traj, fixture_dir / "manifest.json")
-        phases = [c.phase.value for c in cfg.chunks]
         catalog.append(
             {
                 "name": name,
                 "seed": cfg.seed,
                 "manifest": str(manifest_path.relative_to(out_dir)),
-                "phases": phases,
+                "phases": [c.phase.value for c in cfg.chunks],
                 "frames_per_chunk": [c.steps for c in cfg.chunks],
                 "dims": [cfg.width, cfg.height],
-                "expected": {
-                    "self_eval_unit_scores": True,
-                    "camera_flow_matches_recorded_homography": True,
-                    "residual_flow_within_ego_mask": "Manip" in phases,
-                    "cpdm_applicable": len(set(phases)) > 1,
-                    "fphs_applicable": any(a != b for a, b in zip(phases, phases[1:])),
-                },
             }
         )
-    (out_dir / "catalog.json").write_text(
-        json.dumps({"fixtures": catalog}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with formats.replacing(out_dir / "catalog.json", "w") as fh:
+        fh.write(json.dumps({"fixtures": catalog}, indent=2, sort_keys=True) + "\n")
     print(f"gen-fixtures: wrote {len(catalog)} fixture(s) to {out_dir}", file=sys.stderr)
     return 1 if had_error else 0
 

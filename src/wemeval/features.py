@@ -119,15 +119,13 @@ class EmbeddingStore:
         index_path = Path(index_path)
         blob_name = index_path.stem + ".blob"
         index: dict[str, dict] = {}
-        chunks: list[bytes] = []
-        offset = 0
-        for key in sorted(vectors):
-            data = np.asarray(vectors[key], dtype="<f4").tobytes()
-            index[key] = {"dim": int(np.asarray(vectors[key]).size), "file": blob_name, "offset": offset}
-            chunks.append(data)
-            offset += len(data)
-        (index_path.parent / blob_name).write_bytes(b"".join(chunks))
-        index_path.write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
+        with formats.replacing(index_path.parent / blob_name) as blob:
+            for key in sorted(vectors):
+                data = np.asarray(vectors[key], dtype="<f4")
+                index[key] = {"dim": int(data.size), "file": blob_name, "offset": blob.tell()}
+                blob.write(data.tobytes())
+        with formats.replacing(index_path, "w") as fh:
+            fh.write(json.dumps(index, indent=2, sort_keys=True))
 
 
 _stores: dict[str, EmbeddingStore] = {}  # by resolved index path

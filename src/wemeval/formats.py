@@ -18,9 +18,17 @@ field holds its (h, w, 2) block of interleaved (u, v) pairs. A map lives as
 long as the views of it, and CPython's ``mmap`` keeps a duplicate of the file
 descriptor as long as the map, so each loaded mapped sidecar holds one open
 descriptor. A sidecar must not be truncated or rewritten in place while views
-of it are held: the process may then see changed data or end by SIGBUS. The
-writers here never do that: they write a new file beside the path and rename it
-onto the path, so a map of the old file keeps its bytes.
+of it are held: the process may then see changed data or end by SIGBUS.
+
+``replacing`` is the one way the package writes a file: it writes a temp file
+beside the path and renames it onto the path, so a reader sees the old file or
+the new one whole and a map of the old file keeps its bytes. Every file the
+package creates or replaces takes it: the three sidecars, manifests
+(``manifest.save_manifest``), embedding store blobs and indexes
+(``features.EmbeddingStore.write``), ``gen-fixtures``' ``catalog.json``,
+``decompose-flow``'s ``homographies.json`` and the reports of ``--out``. The
+one exception is a report written in place to an ``--out`` that is not a
+regular file (a symlink's target, ``/dev/null``, a FIFO).
 
 ``decode_json`` decodes every JSON input of the package: manifests, store
 indexes and the command line's files.
@@ -28,13 +36,16 @@ indexes and the command line's files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import os
+import stat
 import struct
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -114,33 +125,50 @@ def _records(
     return np.frombuffer(buf, dtype, count * size, header_len).reshape(count, *shape)
 
 
-def _replace(path: str | Path, magic: bytes, header: tuple[int, ...], payload: np.ndarray) -> None:
-    """Write a sidecar to ``<path>.<pid>.tmp`` and rename it onto ``path``, so
-    that maps of the file it replaces keep their bytes."""
-    if 0 in header:
-        raise ValueError(f"cannot write records of zero size {'x'.join(map(str, header[:-1]))}")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+@contextlib.contextmanager
+def replacing(path: str | Path, mode: str = "wb") -> Iterator[IO]:
+    """Yields ``<path>.<pid>.tmp`` opened for writing in ``mode`` (text as
+    UTF-8), which is renamed onto ``path`` when the block completes and
+    removed when it raises anything, so a reader of ``path`` sees the old file
+    or the new one whole, never part of one, and maps of the old file keep
+    their bytes. A regular file at ``path`` passes its mode on to the new one.
+    Opening the temp file raises before the block starts."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
-        with tmp.open("wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack(f"<{len(header)}I", *header))
-            fh.write(payload)
+        with fh:
+            with contextlib.suppress(FileNotFoundError):
+                if stat.S_ISREG((st := os.stat(path)).st_mode):
+                    os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):  # a signal just after the replace
+            os.unlink(tmp)
         raise
 
 
+def _write_records(
+    path: str | Path, magic: bytes, dims: Callable[..., tuple[int, ...]], arrays: Sequence[np.ndarray],
+    dtype: str,
+) -> None:
+    """Write ``arrays``, records of one shape, as the sidecar at ``path``.
+    ``dims`` maps a record's shape to the header's dims, as ``_records``'
+    ``record`` maps them back."""
+    if not arrays:
+        raise ValueError("cannot write a sidecar of no records")
+    payload = np.stack(arrays).astype(dtype, copy=False)  # ValueError on unequal shapes
+    header = (*dims(*payload.shape[1:]), len(arrays))
+    if not payload.size:
+        raise ValueError(f"cannot write records of zero size {'x'.join(map(str, header[:-1]))}")
+    with replacing(path) as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(header)}I", *header))
+        fh.write(payload)
+
+
 def write_flow_file(path: str | Path, fields: Sequence[FlowField]) -> None:
-    if not fields:
-        raise ValueError("cannot write an empty flow file")
-    h, w = fields[0].height, fields[0].width
-    for f in fields:
-        if (f.height, f.width) != (h, w):
-            raise ValueError("all flow fields in one file must share dims")
-    payload = np.stack([f.uv for f in fields]).astype("<f4", copy=False)
-    _replace(path, FLOW_MAGIC, (w, h, len(fields)), payload)
+    _write_records(path, FLOW_MAGIC, lambda h, w, _: (w, h), [f.uv for f in fields], "<f4")
 
 
 def read_flow_file(path: str | Path) -> list[FlowField]:
@@ -149,16 +177,9 @@ def read_flow_file(path: str | Path) -> list[FlowField]:
 
 
 def write_mask_file(path: str | Path, masks: Sequence[WorldEgoMask]) -> None:
-    if not masks:
-        raise ValueError("cannot write an empty mask file")
-    h, w = masks[0].height, masks[0].width
-    for m in masks:
-        if (m.height, m.width) != (h, w):
-            raise ValueError("all masks in one file must share dims")
-        if not m.is_binary():
-            raise ValueError("mask file format only holds binary masks")
-    payload = np.stack([m.data for m in masks]).astype(np.uint8, copy=False)
-    _replace(path, MASK_MAGIC, (w, h, len(masks)), payload)
+    if not all(m.is_binary() for m in masks):
+        raise ValueError("mask file format only holds binary masks")
+    _write_records(path, MASK_MAGIC, lambda h, w: (w, h), [m.data for m in masks], "u1")
 
 
 def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
@@ -167,14 +188,7 @@ def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
 
 
 def write_frame_file(path: str | Path, frames: Sequence[Frame]) -> None:
-    if not frames:
-        raise ValueError("cannot write an empty frame file")
-    h, w, c = frames[0].height, frames[0].width, frames[0].channels
-    for f in frames:
-        if (f.height, f.width, f.channels) != (h, w, c):
-            raise ValueError("all frames in one file must share dims")
-    payload = np.stack([f.data for f in frames]).astype("<f4", copy=False)
-    _replace(path, FRAME_MAGIC, (w, h, c, len(frames)), payload)
+    _write_records(path, FRAME_MAGIC, lambda h, w, c: (w, h, c), [f.data for f in frames], "<f4")
 
 
 def read_frame_file(path: str | Path) -> list[Frame]:

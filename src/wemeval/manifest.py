@@ -103,25 +103,16 @@ def save_manifest(traj: Trajectory, path: str | Path) -> Path:
     stem = path.stem
     chunk_docs = []
     for ci, chunk in enumerate(traj.chunks):
-        frames_rel = f"{stem}_chunk{ci}_frames.bin"
-        formats.write_frame_file(path.parent / frames_rel, chunk.frames)
-        cdoc: dict[str, object] = {
-            "instruction": chunk.instruction,
-            "phase": chunk.phase.value,
-            "frames": frames_rel,
-            "flows": None,
-            "masks": None,
-        }
-        if chunk.flows:
-            flows_rel = f"{stem}_chunk{ci}_flows.bin"
-            formats.write_flow_file(path.parent / flows_rel, chunk.flows)
-            cdoc["flows"] = flows_rel
-        if chunk.masks:
-            masks_rel = f"{stem}_chunk{ci}_masks.bin"
-            formats.write_mask_file(path.parent / masks_rel, chunk.masks)
-            cdoc["masks"] = masks_rel
+        cdoc: dict[str, object] = {"instruction": chunk.instruction, "phase": chunk.phase.value}
+        for field, write in (("frames", formats.write_frame_file), ("flows", formats.write_flow_file),
+                             ("masks", formats.write_mask_file)):
+            if field != "frames" and not getattr(chunk, field):
+                cdoc[field] = None  # flows and masks are optional
+                continue
+            cdoc[field] = f"{stem}_chunk{ci}_{field}.bin"
+            write(path.parent / cdoc[field], getattr(chunk, field))
         chunk_docs.append(cdoc)
 
-    doc = {"id": traj.id, "chunks": chunk_docs}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with formats.replacing(path, "w") as fh:
+        fh.write(json.dumps({"id": traj.id, "chunks": chunk_docs}, indent=2, sort_keys=True) + "\n")
     return path

@@ -26,15 +26,20 @@ from .rollout import (
 )
 
 
+# The most steps a motion profile is resampled to: a profile of 4096 steps of
+# four float64 components is 128 KiB, however large the configured value.
+MAX_RESAMPLE_STEPS = 4096
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """Shipped defaults for every metric knob.
 
     ``lpsa_window`` and ``fphs_window`` are the per-side frame windows (both
     default 4), ``tau_cpdm`` the margin sharpness (0.05), ``resample_steps``
-    the motion-profile length (16), and ``top_fraction`` the high-motion
-    selection share (0.2). ``tau_pmpa`` has no published value; 0.5 is this
-    toolkit's default.
+    the motion-profile length (16, at most ``MAX_RESAMPLE_STEPS``), and
+    ``top_fraction`` the high-motion selection share (0.2). ``tau_pmpa`` has
+    no published value; 0.5 is this toolkit's default.
     """
 
     lpsa_window: int = 4
@@ -50,6 +55,8 @@ class MetricConfig:
         for name in ("lpsa_window", "fphs_window", "resample_steps"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.resample_steps > MAX_RESAMPLE_STEPS:
+            raise ValueError(f"resample_steps must be <= {MAX_RESAMPLE_STEPS}, got {self.resample_steps!r}")
         for name in ("tau_cpdm", "tau_pmpa", "eps"):
             if not 0 < (value := getattr(self, name)) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")

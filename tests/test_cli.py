@@ -349,6 +349,7 @@ class TestEval:
                                "--workers", "2"], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 6
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("evaluated 4 pair(s) in ")
+        assert proc.stderr.endswith(" pairs/s)\n")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads a process's children from /proc")
     def test_workers_exit_when_eval_is_killed(self, fixture_pair_dir, tmp_path):
@@ -405,9 +406,10 @@ class TestEval:
         ({"tau_cpdm": True}, "'tau_cpdm'"),
         ({"embedder": {"source": True}}, "'embedder.source'"),
         (DEEP_JSON, "JSON nested too deeply to decode"),
+        ({"resample_steps": 100000000}, "resample_steps must be <= 4096"),
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
             "infinite-int", "fractional-grid", "infinite-float", "bool-int", "bool-float",
-            "bool-source", "deep-file"])
+            "bool-source", "deep-file", "huge-resample-steps"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(_json_text(doc))
@@ -463,8 +465,9 @@ class TestEval:
         (["--tau-pmpa", "nan"], "tau_pmpa"),
         (["--eps", "nan"], "eps"),
         (["--tau-cpdm", "inf"], "tau_cpdm"),
+        (["--resample-steps", "100000000"], "resample_steps must be <= 4096"),
     ], ids=["fractional-window", "zero-window", "unknown-embedder", "nan-tau-cpdm", "nan-tau-pmpa",
-            "nan-eps", "infinite-tau-cpdm"])
+            "nan-eps", "infinite-tau-cpdm", "huge-resample-steps"])
     def test_bad_metric_flag_exits_two(self, fixture_pair_dir, tmp_path, capsys, flags, key):
         out = tmp_path / "r.jsonl"
         assert main(_good_pair_args(*fixture_pair_dir) + flags + ["--out", str(out)]) == 2
@@ -723,13 +726,16 @@ class TestInputErrors:
          "gen-fixtures: --size 8 --frames 6: frame dims must be at least 16x16"),
         (["gen-fixtures", "--out-dir", "out", "--frames", "1"],
          "gen-fixtures: --size 64 --frames 1: chunks need steps >= 2"),
+        (["gen-fixtures", "--out-dir", "out", "--size", "4096", "--frames", "4"],
+         "gen-fixtures: --size 4096 --frames 4: width x height x frames is 268435456, more than 16777216"),
         (["decompose-flow", "--flow", "flow.bin", "--matches", "ok.json", "--out-dir", "out",
           "--threshold", "nan"],
          "decompose-flow: field 0: threshold must be positive"),
         (["eval", "--pairs", "missing.json", "--gen", "g.json", "--gt", "g.json", "--out", "out"],
          "eval: give --pairs or --gen/--gt, not both"),
     ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
-            "uncreatable-out-dir", "small-size", "one-frame", "nan-threshold", "pairs-and-gen-gt"])
+            "uncreatable-out-dir", "small-size", "one-frame", "huge-size", "nan-threshold",
+            "pairs-and-gen-gt"])
     def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
         from wemeval.rollout import FlowField
 
@@ -784,6 +790,8 @@ class TestGenFixtures:
         assert code == 0
         catalog = json.loads((out_dir / "catalog.json").read_text())
         assert len(catalog["fixtures"]) >= 20
+        assert all(f.keys() == {"name", "seed", "manifest", "phases", "frames_per_chunk", "dims"}
+                   for f in catalog["fixtures"])
         phases = {tuple(f["phases"]) for f in catalog["fixtures"]}
         assert any(set(p) == {"Nav"} for p in phases)
         assert any(set(p) == {"Manip"} for p in phases)
@@ -844,10 +852,12 @@ class TestGenFixtures:
         _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, 1e400]}),
         _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, 1, 2]}),
         _catalog(width=1e400),
+        _catalog(width=40000, height=40000),
     ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list",
             "deep-file", "infinite-seed", "negative-seed", "bool-seed", "fractional-seed",
             "zero-zoom", "negative-zoom", "infinite-dx", "infinite-degrees",
-            "infinite-object-motion", "three-component-object-motion", "infinite-width"])
+            "infinite-object-motion", "three-component-object-motion", "infinite-width",
+            "huge-frames"])
     def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
         catalog_path = tmp_path / "catalog.json"
         catalog_path.write_text(_json_text(doc))

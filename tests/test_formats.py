@@ -10,6 +10,7 @@ import json
 import mmap
 import os
 import shutil
+import stat
 import struct
 import tempfile
 import time
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 
 from wemeval import formats
 from wemeval.cli import main
-from wemeval.features import EmbedderSpec, embed_frames
+from wemeval.features import EmbedderSpec, EmbeddingStore, embed_frames
+from wemeval.flow import Homography
 from wemeval.manifest import load_manifest, save_manifest
-from wemeval.microsim import generate_trajectory, mixed_fixture_config
+from wemeval.microsim import generate_trajectory, matches_from_homography, mixed_fixture_config
 from wemeval.rollout import FlowField, Frame, WorldEgoMask
 
 # kind -> (reader, magic, number of u32 header fields)
@@ -116,6 +118,74 @@ def test_saving_over_a_loaded_trajectory_leaves_it_unchanged(tmp_path, monkeypat
     assert all(np.array_equal(got, want) for got, want in zip(_arrays(loaded), arrays, strict=True))
     assert all(np.array_equal(got, want) for got, want in zip(_vectors(loaded), vectors, strict=True))
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _small_manifest(root: Path) -> str:
+    traj, _ = generate_trajectory(mixed_fixture_config(seed=14, size=16, t=2))
+    return str(save_manifest(traj, root / "in" / "m.json"))
+
+
+def _decompose_flow(root: Path) -> int:
+    formats.write_flow_file(root / "flow.bin", [FlowField(u=np.zeros((16, 16)), v=np.zeros((16, 16)))])
+    (root / "matches.json").write_text(json.dumps(
+        matches_from_homography(Homography.identity(), 16, 16, 12, seed=2).tolist()))
+    return main(["decompose-flow", "--flow", str(root / "flow.bin"), "--matches", str(root / "matches.json"),
+                 "--out-dir", str(root / "out")])
+
+
+def _gen_fixtures(root: Path) -> int:
+    (root / "catalog-in.json").write_text(json.dumps({"fixtures": [{
+        "name": "a", "seed": 1, "width": 16, "height": 16,
+        "chunks": [{"phase": "Nav", "steps": 2, "camera": {"kind": "translate", "dx": 1}}]}]}))
+    return main(["gen-fixtures", "--out-dir", str(root / "fx"), "--catalog", str(root / "catalog-in.json")])
+
+
+def _eval_out(root: Path) -> int:
+    manifest = _small_manifest(root)
+    return main(["eval", "--gen", manifest, "--gt", manifest, "--out", str(root / "r.jsonl")])
+
+
+# case -> (the file it writes, relative to the directory it is given; the write)
+_WRITERS = {
+    "frames": ("s.bin", lambda root: formats.write_frame_file(
+        root / "s.bin", [Frame(data=np.ones((4, 4, 1), dtype=np.float32))])),
+    "flows": ("s.bin", lambda root: formats.write_flow_file(
+        root / "s.bin", [FlowField(u=np.ones((4, 4)), v=np.zeros((4, 4)))])),
+    "masks": ("s.bin", lambda root: formats.write_mask_file(
+        root / "s.bin", [WorldEgoMask(data=np.ones((4, 4), dtype=np.uint8))])),
+    "manifest": ("in/m.json", _small_manifest),
+    "store-blob": ("s.blob", lambda root: EmbeddingStore.write(root / "s.json", {"k": np.ones(3)})),
+    "store-index": ("s.json", lambda root: EmbeddingStore.write(root / "s.json", {"k": np.ones(3)})),
+    "catalog": ("fx/catalog.json", _gen_fixtures),
+    "homographies": ("out/homographies.json", _decompose_flow),
+    "eval-out": ("r.jsonl", _eval_out),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITERS))
+def test_every_writer_replaces_its_file_whole(tmp_path, monkeypatch, case):
+    """A write that fails before its rename leaves the previous file as it
+    was and no temp file; one that completes keeps the previous file's mode."""
+    name, write = _WRITERS[case]
+    target = tmp_path / name
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(b"previous\n")
+    target.chmod(0o600)
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst) == target:
+            raise OSError("injected failure")
+        replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="injected failure"):
+            write(tmp_path)
+    assert target.read_bytes() == b"previous\n" and not list(tmp_path.rglob("*.tmp"))
+    write(tmp_path)
+    assert target.read_bytes() != b"previous\n" and stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_sidecars_from_map_min_bytes_are_mapped(tmp_path):
