@@ -63,6 +63,15 @@ def _emit(stream: TextIO, record: dict) -> None:
 
 
 @contextlib.contextmanager
+def _writing(target: str | Path) -> Iterator[None]:
+    """Turns an OSError in the block into a ``_CommandError`` naming ``target``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CommandError(f"cannot write {target}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
 def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
     """Yields a function that writes one record as a JSON line and flushes it.
 
@@ -87,11 +96,9 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
     previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
     try:
         with contextlib.ExitStack() as stack:
-            try:
+            with _writing(path):
                 stream = stack.enter_context(formats.replacing(path, "w") if replaceable
                                              else open(path, "w", encoding="utf-8"))
-            except OSError as exc:
-                raise _CommandError(f"cannot write {path}: {exc.strerror}") from None
             yield lambda record: _emit(stream, record)
     finally:
         if on_main:
@@ -105,6 +112,21 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config file must be a JSON object")
     return doc
+
+
+def _exact(kind: type, value: object, what: str) -> object:
+    """``kind(value)``, or a ValueError saying that ``what`` cannot hold
+    ``value``: a failed cast, a bool for a non-bool ``kind`` and an inexact
+    cast of a number (3.7 to int) alike."""
+    try:
+        if isinstance(value, bool) and kind is not bool:
+            raise ValueError  # int(True) == 1 would pass the exactness check
+        typed = kind(value)
+        if isinstance(value, (int, float)) and typed != value:
+            raise ValueError
+        return typed
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} cannot hold {value!r}") from None
 
 
 def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
@@ -122,17 +144,10 @@ def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
         if key not in defaults:
             raise ValueError(f"unknown config key '{prefix}{key}'")
         default = defaults[key]
-        try:
-            if isinstance(value, bool) and not isinstance(default, bool):
-                raise ValueError  # int(True) == 1 would pass the exactness check
-            if default is None:
-                typed[key] = None if value is None else str(value)
-            else:
-                typed[key] = type(default)(value)
-                if isinstance(value, (int, float)) and typed[key] != value:
-                    raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"config key '{prefix}{key}' cannot hold {value!r}") from None
+        if default is None and not isinstance(value, bool):
+            typed[key] = None if value is None else str(value)
+        else:
+            typed[key] = _exact(type(default), value, f"config key '{prefix}{key}'")
     return typed
 
 
@@ -369,6 +384,8 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
         fields = formats.read_flow_file(args.flow)
     except (OSError, formats.FormatError) as exc:
         raise _CommandError(str(exc)) from None
+    if not fields:
+        raise _CommandError(f"{args.flow}: holds no flow fields")
     try:
         matches = _parse_matches(formats.decode_json(Path(args.matches).read_text(encoding="utf-8")))
     except (OSError, ValueError, TypeError) as exc:
@@ -392,10 +409,11 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
         homographies.append(h.h.tolist())
 
     out_dir = _make_dir(args.out_dir)
-    with formats.replacing(out_dir / "homographies.json", "w") as fh:
+    for name, flows in (("camera_flow.bin", camera_fields), ("residual_flow.bin", residual_fields)):
+        with _writing(out_dir / name):
+            formats.write_flow_file(out_dir / name, flows)
+    with _writing(out_dir / "homographies.json"), formats.replacing(out_dir / "homographies.json", "w") as fh:
         fh.write(json.dumps(homographies, indent=2) + "\n")
-    formats.write_flow_file(out_dir / "camera_flow.bin", camera_fields)
-    formats.write_flow_file(out_dir / "residual_flow.bin", residual_fields)
     return 0
 
 
@@ -412,14 +430,20 @@ def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
 def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
     from .microsim import CameraMotion, ChunkSpec, ObjectSpec, SimConfig
 
+    def integer(doc: dict, key: str, default: int | None = None) -> int:
+        """``doc[key]`` (``default`` if it is absent) as an int by ``_exact``, naming the fixture."""
+        return _exact(int, doc.get(key, default), f"fixture {name!r}: '{key}'")
+
     doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     entries = []
     names = set()
     for fx in doc["fixtures"]:
         name = fx["name"]
-        # Each name is one directory under --out-dir, which it must not leave or share.
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise ValueError(f"fixture name {name!r} is not one path component")
+        # Each name is one directory under --out-dir, which it must not leave or
+        # share with another fixture or the catalog.json that gen-fixtures writes.
+        if (not isinstance(name, str) or name in ("", ".", "..", "catalog.json")
+                or "/" in name or "\0" in name):
+            raise ValueError(f"fixture name {name!r} is not one path component other than catalog.json")
         if name in names:
             raise ValueError(f"fixture name {name!r} is used twice")
         names.add(name)
@@ -427,7 +451,7 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
         for c in fx["chunks"]:
             camera = CameraMotion(**c["camera"]) if c.get("camera") is not None else None
             motion = tuple(c["object_motion"]) if c.get("object_motion") is not None else None
-            chunks.append(ChunkSpec(phase=PhaseLabel(c["phase"]), steps=int(c["steps"]),
+            chunks.append(ChunkSpec(phase=PhaseLabel(c["phase"]), steps=integer(c, "steps"),
                                     camera=camera, object_motion=motion))
         objects = tuple(
             ObjectSpec(shape=o["shape"], size=float(o["size"]), intensity=float(o["intensity"]),
@@ -435,8 +459,8 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
             for o in fx.get("objects", [])
         )
         cfg = SimConfig(
-            seed=fx["seed"], width=int(fx["width"]), height=int(fx["height"]),
-            chunks=tuple(chunks), objects=objects, ego_object=int(fx.get("ego_object", 0)),
+            seed=fx["seed"], width=integer(fx, "width"), height=integer(fx, "height"),
+            chunks=tuple(chunks), objects=objects, ego_object=integer(fx, "ego_object", 0),
             noise_sigma=float(fx.get("noise_sigma", 0.0)),
         )
         entries.append((name, cfg))
@@ -467,9 +491,8 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
             print(f"gen-fixtures: fixture '{name}': {exc}", file=sys.stderr)
             had_error = True
             continue
-        fixture_dir = out_dir / name
-        fixture_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path = save_manifest(traj, fixture_dir / "manifest.json")
+        with _writing(out_dir / name):
+            manifest_path = save_manifest(traj, out_dir / name / "manifest.json")
         catalog.append(
             {
                 "name": name,
@@ -480,7 +503,7 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
                 "dims": [cfg.width, cfg.height],
             }
         )
-    with formats.replacing(out_dir / "catalog.json", "w") as fh:
+    with _writing(out_dir / "catalog.json"), formats.replacing(out_dir / "catalog.json", "w") as fh:
         fh.write(json.dumps({"fixtures": catalog}, indent=2, sort_keys=True) + "\n")
     print(f"gen-fixtures: wrote {len(catalog)} fixture(s) to {out_dir}", file=sys.stderr)
     return 1 if had_error else 0

@@ -333,13 +333,13 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
         return np.clip(values, 0.0, 1.0, out=values), support
 
     chunks: list[Chunk] = []
-    gt_masks, gt_cam, gt_obj, gt_homs = [], [], [], []
+    gt_cam, gt_obj, gt_homs = [], [], []
     for ci, spec in enumerate(cfg.chunks):
         if ci > 0:
             _advance(state, spec, step_homs[ci])
         is_nav = spec.phase is PhaseLabel.NAV
         cam_flow = render_camera_flow(step_homs[ci], cfg.width, cfg.height) if is_nav else zero_flow
-        frames, masks, cams, objs, homs = [], [], [], [], []
+        frames, masks, objs = [], [], []
         for t in range(spec.steps):
             if ego_obj is not None:
                 x, y, r = _ego_image_footprint(state, ego_obj)
@@ -350,32 +350,29 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
             ego_pixels = glyph | support if not is_nav else glyph
             masks.append(WorldEgoMask(data=ego_pixels.astype(np.uint8)))
             if t < spec.steps - 1:
-                cams.append(cam_flow)  # a manip chunk holds the camera: its step is the identity
-                homs.append(step_homs[ci])
-                if is_nav:
-                    objs.append(zero_flow)
-                else:
+                if not is_nav:
                     dx, dy = spec.object_motion
                     objs.append(FlowField(u=np.where(support, dx, 0.0), v=np.where(support, dy, 0.0)))
                 _advance(state, spec, step_homs[ci])
-        instruction = (
-            f"drive the viewpoint through the scene (leg {ci + 1})"
-            if is_nav
-            else f"slide the target object (leg {ci + 1})"
-        )
+        # The pairs of a chunk share its step, its camera flow (a manip chunk
+        # holds the camera: its step is the identity) and a nav chunk's zero object flow.
+        pairs = spec.steps - 1
+        cams = (cam_flow,) * pairs
+        objs = (zero_flow,) * pairs if is_nav else tuple(objs)
+        instruction = (f"drive the viewpoint through the scene (leg {ci + 1})" if is_nav
+                       else f"slide the target object (leg {ci + 1})")
         chunks.append(
             Chunk(frames=tuple(frames), instruction=instruction, phase=spec.phase,
-                  flows=tuple(cams if is_nav else objs), masks=tuple(masks))
+                  flows=cams if is_nav else objs, masks=tuple(masks))
         )
-        gt_masks.append(tuple(masks))
-        gt_cam.append(tuple(cams))
-        gt_obj.append(tuple(objs))
-        gt_homs.append(tuple(homs))
+        gt_cam.append(cams)
+        gt_obj.append(objs)
+        gt_homs.append((step_homs[ci],) * pairs)
 
     traj = Trajectory(id=f"sim-{cfg.seed}", chunks=tuple(chunks))
     gt = GroundTruth(
         phases=tuple(s.phase for s in cfg.chunks),
-        masks=tuple(gt_masks),
+        masks=tuple(c.masks for c in chunks),
         camera_flows=tuple(gt_cam),
         object_flows=tuple(gt_obj),
         homographies=tuple(gt_homs),
@@ -481,22 +478,18 @@ def perturb_rollout(
     return Trajectory(id=new_id, chunks=tuple(chunks))
 
 
-def _mixed_chunks(t: int) -> tuple[ChunkSpec, ...]:
-    return (
-        ChunkSpec(PhaseLabel.NAV, t, camera=CameraMotion("translate", dx=1.0, dy=0.0)),
-        ChunkSpec(PhaseLabel.MANIP, t, object_motion=(0.0, 1.0)),
-        ChunkSpec(PhaseLabel.NAV, t, camera=CameraMotion("translate", dx=-1.0, dy=0.5)),
-        ChunkSpec(PhaseLabel.MANIP, t, object_motion=(1.0, -1.0)),
-    )
-
-
 def mixed_fixture_config(seed: int, size: int = 64, t: int = 6) -> SimConfig:
     """Standard mixed-phase fixture: Nav/Manip alternation with one ego disk."""
     return SimConfig(
         seed=seed,
         width=size,
         height=size,
-        chunks=_mixed_chunks(t),
+        chunks=(
+            ChunkSpec(PhaseLabel.NAV, t, camera=CameraMotion("translate", dx=1.0, dy=0.0)),
+            ChunkSpec(PhaseLabel.MANIP, t, object_motion=(0.0, 1.0)),
+            ChunkSpec(PhaseLabel.NAV, t, camera=CameraMotion("translate", dx=-1.0, dy=0.5)),
+            ChunkSpec(PhaseLabel.MANIP, t, object_motion=(1.0, -1.0)),
+        ),
         objects=(
             ObjectSpec("disk", size / 10.0, 0.85, (size * 0.45, size * 0.35)),
             ObjectSpec("square", size / 12.0, 0.15, (size * 0.7, size * 0.25)),
@@ -507,9 +500,13 @@ def mixed_fixture_config(seed: int, size: int = 64, t: int = 6) -> SimConfig:
 
 def default_catalog(size: int = 64, t: int = 6) -> list[tuple[str, SimConfig]]:
     """At least 20 fixtures spanning Nav-only, Manip-only, and mixed-phase configs."""
-    entries: list[tuple[str, SimConfig]] = []
-    for i in range(8):
-        entries.append((f"mixed-{i:02d}", mixed_fixture_config(seed=100 + i, size=size, t=t)))
+    entries = [(f"mixed-{i:02d}", mixed_fixture_config(seed=100 + i, size=size, t=t)) for i in range(8)]
+
+    def family(name: str, seed: int, chunk: ChunkSpec, objects: tuple[ObjectSpec, ...]) -> None:
+        """Adds fixture ``name``: ``chunk`` twice, with ``objects[0]`` the ego object."""
+        cfg = SimConfig(seed=seed, width=size, height=size, chunks=(chunk, chunk), objects=objects)
+        entries.append((name, cfg))
+
     nav_motions = [
         CameraMotion("translate", dx=1.0, dy=0.0),
         CameraMotion("translate", dx=0.0, dy=1.0),
@@ -519,33 +516,11 @@ def default_catalog(size: int = 64, t: int = 6) -> list[tuple[str, SimConfig]]:
         CameraMotion("zoom", factor=0.99),
     ]
     for i, motion in enumerate(nav_motions):
-        cfg = SimConfig(
-            seed=200 + i,
-            width=size,
-            height=size,
-            chunks=(
-                ChunkSpec(PhaseLabel.NAV, t, camera=motion),
-                ChunkSpec(PhaseLabel.NAV, t, camera=motion),
-            ),
-            objects=(ObjectSpec("disk", size / 12.0, 0.9, (size * 0.5, size * 0.4)),),
-            ego_object=0,
-        )
-        entries.append((f"nav-{i:02d}", cfg))
+        family(f"nav-{i:02d}", 200 + i, ChunkSpec(PhaseLabel.NAV, t, camera=motion),
+               (ObjectSpec("disk", size / 12.0, 0.9, (size * 0.5, size * 0.4)),))
     manip_motions = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-1.0, 1.0)]
     for i, motion in enumerate(manip_motions):
-        cfg = SimConfig(
-            seed=300 + i,
-            width=size,
-            height=size,
-            chunks=(
-                ChunkSpec(PhaseLabel.MANIP, t, object_motion=motion),
-                ChunkSpec(PhaseLabel.MANIP, t, object_motion=motion),
-            ),
-            objects=(
-                ObjectSpec("disk", size / 10.0, 0.85, (size * 0.5, size * 0.45)),
-                ObjectSpec("square", size / 12.0, 0.2, (size * 0.25, size * 0.3)),
-            ),
-            ego_object=0,
-        )
-        entries.append((f"manip-{i:02d}", cfg))
+        family(f"manip-{i:02d}", 300 + i, ChunkSpec(PhaseLabel.MANIP, t, object_motion=motion),
+               (ObjectSpec("disk", size / 10.0, 0.85, (size * 0.5, size * 0.45)),
+                ObjectSpec("square", size / 12.0, 0.2, (size * 0.25, size * 0.3))))
     return entries

@@ -704,6 +704,17 @@ class TestDecomposeFlow:
         assert len(err) == 1 and err[0].startswith("decompose-flow: bad matches file: ")
         assert not (tmp_path / "out").exists()
 
+    def test_flow_file_of_no_fields_exits_two(self, tmp_path, capsys):
+        flow_path = tmp_path / "flow.bin"
+        flow_path.write_bytes(formats.FLOW_MAGIC + struct.pack("<3I", 16, 16, 0))
+        matches_path = tmp_path / "matches.json"
+        matches_path.write_text(json.dumps([[0, 0, 0, 0], [15, 0, 15, 0], [0, 15, 0, 15], [15, 15, 15, 15]]))
+        code = main(["decompose-flow", "--flow", str(flow_path), "--matches", str(matches_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"decompose-flow: {flow_path}: holds no flow fields\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestInputErrors:
     """Each bad input or output prints one ``<command>: ...`` line and exits 2."""
@@ -733,9 +744,13 @@ class TestInputErrors:
          "decompose-flow: field 0: threshold must be positive"),
         (["eval", "--pairs", "missing.json", "--gen", "g.json", "--gt", "g.json", "--out", "out"],
          "eval: give --pairs or --gen/--gt, not both"),
+        (["gen-fixtures", "--out-dir", "gf", "--size", "16", "--frames", "2"],
+         "gen-fixtures: cannot write gf/mixed-00: File exists"),
+        (["decompose-flow", "--flow", "flow.bin", "--matches", "identity.json", "--out-dir", "o"],
+         "decompose-flow: cannot write o/camera_flow.bin: Is a directory"),
     ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
             "uncreatable-out-dir", "small-size", "one-frame", "huge-size", "nan-threshold",
-            "pairs-and-gen-gt"])
+            "pairs-and-gen-gt", "fixture-dir-is-a-file", "flow-output-is-a-directory"])
     def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
         from wemeval.rollout import FlowField
 
@@ -746,9 +761,15 @@ class TestInputErrors:
         Path("two.json").write_text(json.dumps([[[0, 0, 1, 1]] * 4] * 2))
         Path("bad.json").write_text("{not json")
         Path("a-file").write_text("x")
+        Path("identity.json").write_text(json.dumps([[0, 0, 0, 0], [7, 0, 7, 0], [0, 7, 0, 7], [7, 7, 7, 7],
+                                                     [3, 5, 3, 5]]))
+        Path("gf").mkdir()
+        Path("gf/mixed-00").write_text("x")  # where gen-fixtures puts its first fixture's directory
+        Path("o/camera_flow.bin").mkdir(parents=True)
         assert main(argv) == 2
         assert capsys.readouterr().err == message + "\n"
         assert not Path("out").exists()
+        assert not [*Path().rglob("*.tmp"), *Path().rglob("homographies.json")]
 
 
 class TestVerifyMechanisms:
@@ -853,11 +874,16 @@ class TestGenFixtures:
         _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, 1, 2]}),
         _catalog(width=1e400),
         _catalog(width=40000, height=40000),
+        _catalog("catalog.json"),
+        _catalog(width=16.9, height="16"),
+        _catalog(chunk={"phase": "Manip", "steps": 2.7, "object_motion": [0, 1]}),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "none"}}, ego_object=True),
     ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list",
             "deep-file", "infinite-seed", "negative-seed", "bool-seed", "fractional-seed",
             "zero-zoom", "negative-zoom", "infinite-dx", "infinite-degrees",
             "infinite-object-motion", "three-component-object-motion", "infinite-width",
-            "huge-frames"])
+            "huge-frames", "named-catalog-json", "fractional-width", "fractional-steps",
+            "bool-ego-object"])
     def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
         catalog_path = tmp_path / "catalog.json"
         catalog_path.write_text(_json_text(doc))
@@ -879,6 +905,13 @@ class TestGenFixtures:
         assert main(["gen-fixtures", "--out-dir", str(out_dir), "--catalog", str(catalog_path)]) == 2
         assert capsys.readouterr().err.startswith("gen-fixtures: bad catalog: fixture name ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_catalog_ints_may_be_exact_floats_or_strings(self, tmp_path):
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(_catalog(width="32", height=32.0, ego_object="0")))
+        out_dir = tmp_path / "fixtures"
+        assert main(["gen-fixtures", "--out-dir", str(out_dir), "--catalog", str(catalog_path)]) == 0
+        assert json.loads((out_dir / "catalog.json").read_text())["fixtures"][0]["dims"] == [32, 32]
 
     def test_each_fixture_name_gets_its_own_directory(self, tmp_path):
         catalog_path = tmp_path / "catalog.json"

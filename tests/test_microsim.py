@@ -278,23 +278,39 @@ def _sidecar_digests(traj, pattern: str = "*.bin") -> dict[str, str]:
                 for p in sorted(Path(tmp).glob(pattern))}
 
 
+def _truth_digest(gt) -> str:
+    """One SHA-256 over every phase, mask, flow component and homography of a
+    ``GroundTruth``, chunk by chunk."""
+    digest = hashlib.sha256()
+    for ci, phase in enumerate(gt.phases):
+        digest.update(phase.value.encode())
+        for mask in gt.masks[ci]:
+            digest.update(mask.data.tobytes())
+        for flow in (*gt.camera_flows[ci], *gt.object_flows[ci]):
+            digest.update(flow.uv.tobytes())
+        for h in gt.homographies[ci]:
+            digest.update(h.h.tobytes())
+    return digest.hexdigest()
+
+
 def _golden_fixtures() -> dict:
     """The SHA-256 of every sidecar that ``save_manifest`` writes for the
     fixtures in ``tests/data/golden_fixtures.json``.
 
     ``catalog`` holds the translate-only and manip catalog entries at
     ``<size>x<frames>``: their poses are translations, which every LAPACK
-    inverts exactly. ``noisy`` holds the frame sidecars of ``mixed-00`` at
-    32x4 under ``perturb_rollout`` frame-noise (magnitude 0.05, seed 3) and
+    inverts exactly. ``truth`` holds the ``_truth_digest`` of the same
+    entries' ground truth. ``noisy`` holds the frame sidecars of ``mixed-00``
+    at 32x4 under ``perturb_rollout`` frame-noise (magnitude 0.05, seed 3) and
     rendered with ``noise_sigma=0.02``.
     """
-    golden: dict = {"catalog": {}}
+    golden: dict = {"catalog": {}, "truth": {}}
     for size, t in ((32, 4), (64, 6)):
-        golden["catalog"][f"{size}x{t}"] = {
-            name: _sidecar_digests(generate_trajectory(cfg)[0])
-            for name, cfg in default_catalog(size=size, t=t)
-            if name.startswith(("mixed-", "manip-")) or name in ("nav-00", "nav-01", "nav-02")
-        }
+        for name, cfg in default_catalog(size=size, t=t):
+            if name.startswith(("mixed-", "manip-")) or name in ("nav-00", "nav-01", "nav-02"):
+                traj, truth = generate_trajectory(cfg)
+                golden["catalog"].setdefault(f"{size}x{t}", {})[name] = _sidecar_digests(traj)
+                golden["truth"].setdefault(f"{size}x{t}", {})[name] = _truth_digest(truth)
     cfg = dict(default_catalog(size=32, t=4))["mixed-00"]
     traj, truth = generate_trajectory(cfg)
     golden["noisy"] = {
