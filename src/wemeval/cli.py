@@ -80,7 +80,9 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
     temp file goes then too: a report at ``path`` is only ever replaced by a
     whole one. Only a new name or a regular file is replaced; anything else
     (a symlink's target, ``/dev/null``, a FIFO) is written in place. An
-    unwritable ``path`` is a ``_CommandError`` before the block starts.
+    unwritable ``path`` is a ``_CommandError`` before the block starts, and a
+    failed write, close or rename of it one when the block ends; other
+    OSErrors of the block pass through as they are.
     """
     if path is None:
         yield lambda record: _emit(sys.stdout, record)
@@ -99,7 +101,19 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
             with _writing(path):
                 stream = stack.enter_context(formats.replacing(path, "w") if replaceable
                                              else open(path, "w", encoding="utf-8"))
-            yield lambda record: _emit(stream, record)
+
+            def write(record: dict) -> None:
+                with _writing(path):
+                    try:
+                        _emit(stream, record)
+                    except OSError:
+                        with contextlib.suppress(OSError):
+                            stream.close()  # drop the unwritten rest, which the cleanup would fail on anew
+                        raise
+
+            yield write
+            with _writing(path):
+                stack.close()  # the last flush and the rename, once the block has completed
     finally:
         if on_main:
             signal.signal(signal.SIGTERM, previous)
@@ -188,10 +202,12 @@ def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConf
 
 def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
     """The report record of a (gen path, gt path, config) task, or an error
-    record when the pair cannot be scored. One argument, for ``map``."""
+    record when the pair cannot be scored. One argument, for ``map``. No
+    metric reads the world-ego masks, so their sidecars are not loaded."""
     gen_path, gt_path, cfg = task
     try:
-        return evaluate_all(load_manifest(gen_path), load_manifest(gt_path), cfg).to_dict()
+        return evaluate_all(load_manifest(gen_path, masks=False), load_manifest(gt_path, masks=False),
+                            cfg).to_dict()
     except (OSError, ValueError) as exc:  # ManifestError is a ValueError
         message = str(exc)
     except KeyError as exc:  # a missing store key; str() would quote the message
@@ -434,6 +450,10 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
         """``doc[key]`` (``default`` if it is absent) as an int by ``_exact``, naming the fixture."""
         return _exact(int, doc.get(key, default), f"fixture {name!r}: '{key}'")
 
+    def number(value: object, key: str) -> float:
+        """``value`` of ``key`` as a float by ``_exact``, naming the fixture."""
+        return _exact(float, value, f"fixture {name!r}: '{key}'")
+
     doc = formats.decode_json(Path(path).read_text(encoding="utf-8"))
     entries = []
     names = set()
@@ -449,19 +469,23 @@ def _catalog_from_file(path: str) -> list[tuple[str, SimConfig]]:
         names.add(name)
         chunks = []
         for c in fx["chunks"]:
-            camera = CameraMotion(**c["camera"]) if c.get("camera") is not None else None
-            motion = tuple(c["object_motion"]) if c.get("object_motion") is not None else None
+            camera = (CameraMotion(**{k: v if k == "kind" else number(v, f"camera.{k}")
+                                      for k, v in c["camera"].items()})
+                      if c.get("camera") is not None else None)
+            motion = (tuple(number(m, "object_motion") for m in c["object_motion"])
+                      if c.get("object_motion") is not None else None)
             chunks.append(ChunkSpec(phase=PhaseLabel(c["phase"]), steps=integer(c, "steps"),
                                     camera=camera, object_motion=motion))
         objects = tuple(
-            ObjectSpec(shape=o["shape"], size=float(o["size"]), intensity=float(o["intensity"]),
-                       position=tuple(o["position"]))
+            ObjectSpec(shape=o["shape"], size=number(o["size"], "size"),
+                       intensity=number(o["intensity"], "intensity"),
+                       position=tuple(number(p, "position") for p in o["position"]))
             for o in fx.get("objects", [])
         )
         cfg = SimConfig(
             seed=fx["seed"], width=integer(fx, "width"), height=integer(fx, "height"),
             chunks=tuple(chunks), objects=objects, ego_object=integer(fx, "ego_object", 0),
-            noise_sigma=float(fx.get("noise_sigma", 0.0)),
+            noise_sigma=number(fx.get("noise_sigma", 0.0), "noise_sigma"),
         )
         entries.append((name, cfg))
     return entries

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,7 +169,7 @@ def _gray(f: Frame) -> np.ndarray:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # np.linalg.norm of a 1-d vector, bit for bit
     return v / norm if norm > 0.0 else v
 
 
@@ -233,7 +234,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))  # as in l2_normalize
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(min(1.0, max(-1.0, np.dot(a, b) / (na * nb))))

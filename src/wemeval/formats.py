@@ -15,10 +15,13 @@ Readers make no copy of a payload: a file of at least ``MAP_MIN_BYTES`` (128
 KiB) is mapped read-only, a smaller one is read once into ``bytes``, and every
 frame, mask and flow field is a read-only view of its record there. A flow
 field holds its (h, w, 2) block of interleaved (u, v) pairs. A map lives as
-long as the views of it, and CPython's ``mmap`` keeps a duplicate of the file
-descriptor as long as the map, so each loaded mapped sidecar holds one open
-descriptor. A sidecar must not be truncated or rewritten in place while views
-of it are held: the process may then see changed data or end by SIGBUS.
+long as the views of it. Before Python 3.13, CPython's ``mmap`` keeps a
+duplicate of the file descriptor as long as the map, so each loaded mapped
+sidecar holds one open descriptor; from 3.13 the maps are made with
+``trackfd=False`` and hold none. A sidecar must not be truncated or rewritten
+in place while views of it are held: the process may then see changed data or
+end by SIGBUS. A path that holds no regular file (a directory, a FIFO) is a
+FileNotFoundError, raised without waiting on a FIFO's writer.
 
 ``replacing`` is the one way the package writes a file: it writes a temp file
 beside the path and renames it onto the path, so a reader sees the old file or
@@ -37,19 +40,21 @@ indexes and the command line's files.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import mmap
 import os
 import stat
 import struct
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .rollout import FlowField, Frame, WorldEgoMask
+from .rollout import FlowField, Frame, WorldEgoMask, _trusted
 
 FLOW_MAGIC = b"WEMF"
 MASK_MAGIC = b"WEMM"
@@ -79,17 +84,24 @@ def decode_json(text: str) -> object:
         raise ValueError("JSON nested too deeply to decode") from None
 
 
+# From Python 3.13 a map need not keep a descriptor of its own.
+_MAP_OPTIONS = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+
+
 def _load(path: Path, header_len: int) -> bytes | mmap.mmap:
     """The whole file at ``path``: a read-only map, or its bytes when it is
-    smaller than ``MAP_MIN_BYTES``."""
-    fd = os.open(path, os.O_RDONLY)
+    smaller than ``MAP_MIN_BYTES``. FileNotFoundError when no regular file is
+    there; the open does not wait on a FIFO."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        size = os.fstat(fd).st_size
-        if size < header_len:  # mmap also refuses an empty file
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):  # a directory, FIFO or device
+            raise FileNotFoundError(errno.ENOENT, "not a regular file", str(path))
+        if st.st_size < header_len:  # mmap also refuses an empty file
             raise FormatError(f"{path}: truncated header")
-        if size < MAP_MIN_BYTES:
-            return os.read(fd, size)
-        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        if st.st_size < MAP_MIN_BYTES:
+            return os.read(fd, st.st_size)
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ, **_MAP_OPTIONS)
     finally:
         os.close(fd)
 
@@ -173,7 +185,7 @@ def write_flow_file(path: str | Path, fields: Sequence[FlowField]) -> None:
 
 def read_flow_file(path: str | Path) -> list[FlowField]:
     records = _records(path, FLOW_MAGIC, 3, "<f4", lambda w, h: (h, w, 2))
-    return [FlowField.from_uv(uv) for uv in records]
+    return [_trusted(FlowField, uv) for uv in records]
 
 
 def write_mask_file(path: str | Path, masks: Sequence[WorldEgoMask]) -> None:
@@ -199,4 +211,4 @@ def read_frame_file(path: str | Path) -> list[Frame]:
             raise FormatError(f"{path}: channel count {c} not in (1, 3)")
         return h, w, c
 
-    return [Frame(data=f) for f in _records(path, FRAME_MAGIC, 4, "<f4", record)]
+    return [_trusted(Frame, f) for f in _records(path, FRAME_MAGIC, 4, "<f4", record)]

@@ -12,6 +12,7 @@ followed by ``save_manifest`` round-trips frame/flow/mask payloads bit-exactly.
 
 from __future__ import annotations
 
+import errno
 import json
 from pathlib import Path
 
@@ -32,19 +33,19 @@ def _require(obj: dict, field: str, kind: type, where: str) -> object:
     return value
 
 
-def _resolve_asset(base: Path, rel: str, where: str, field: str) -> Path:
-    path = base / rel
-    if not path.is_file():
-        raise ManifestError(f"{where}: field '{field}': asset missing: {path}")
-    return path
+# The errors that say no file is at a sidecar's path: as ``Path.is_file`` reads them.
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+_SIDECARS = (("frames", formats.read_frame_file), ("flows", formats.read_flow_file),
+             ("masks", formats.read_mask_file))
 
 
-def load_manifest(path: str | Path) -> Trajectory:
+def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
     """Parse a trajectory manifest with its sidecar payloads.
 
     Raises ``ManifestError`` for bad JSON, fields, assets or sidecar formats.
     Content invariants are left to ``validate_trajectory``, which
-    ``evaluate_all`` runs.
+    ``evaluate_all`` runs. With ``masks=False`` the chunks' ``masks`` fields
+    are not read and their sidecars are not opened: every chunk has no masks.
     """
     path = Path(path)
     if not path.is_file():
@@ -77,14 +78,17 @@ def load_manifest(path: str | Path) -> Trajectory:
                 f"{where}: field 'phase': invalid value '{phase_str}' (expected 'Nav' or 'Manip')"
             ) from None
         sidecars: dict[str, tuple | None] = {}
-        for field, read in (("frames", formats.read_frame_file), ("flows", formats.read_flow_file),
-                            ("masks", formats.read_mask_file)):
+        for field, read in _SIDECARS if masks else _SIDECARS[:2]:
             if field != "frames" and cdoc.get(field) is None:
                 sidecars[field] = None  # flows and masks are optional
                 continue
-            rel = _require(cdoc, field, str, where)
+            asset = base / _require(cdoc, field, str, where)
             try:
-                sidecars[field] = tuple(read(_resolve_asset(base, rel, where, field)))
+                sidecars[field] = tuple(read(asset))
+            except OSError as exc:  # formats' readers take a directory or FIFO as no file
+                if exc.errno not in _NO_FILE:
+                    raise
+                raise ManifestError(f"{where}: field '{field}': asset missing: {asset}") from None
             except formats.FormatError as exc:
                 raise ManifestError(f"{where}: field '{field}': {exc}") from exc
         chunks.append(Chunk(instruction=instruction, phase=phase, **sidecars))

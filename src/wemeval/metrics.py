@@ -21,6 +21,7 @@ from .rollout import (
     Chunk,
     Frame,
     Trajectory,
+    _trusted,
     phase_boundaries,
     validate_trajectory,
 )
@@ -297,7 +298,7 @@ def _change_region_bbox(acc: np.ndarray, top_fraction: float) -> tuple[int, int,
 
 def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
     r0, r1, c0, c1 = bbox
-    return [Frame(data=f.data[r0:r1, c0:c1, :]) for f in frames]
+    return [_trusted(Frame, f.data[r0:r1, c0:c1, :]) for f in frames]  # views of read-only data
 
 
 def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:

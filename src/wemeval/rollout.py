@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
+
+_Held = TypeVar("_Held", "Frame", "FlowField")
 
 
 class PhaseLabel(enum.Enum):
@@ -49,6 +52,19 @@ def _writable(buffer: object) -> bool:
         return True
 
 
+def _trusted(cls: type[_Held], array: np.ndarray) -> _Held:
+    """A ``Frame`` or ``FlowField`` over ``array`` as it is, without the public
+    constructor's checks.
+
+    Only for an array that already is what that constructor would hold: float32,
+    of the record's shape, and a read-only view that no caller can write, such as
+    a record of a sidecar that ``formats`` read or a slice of a ``Frame``'s data.
+    """
+    obj = object.__new__(cls)
+    obj._hold(array)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Single image with intensities normalized to [0, 1].
@@ -69,7 +85,10 @@ class Frame:
             raise ValueError(
                 f"frame data must be (h, w) or (h, w, c) with c in (1, 3), got shape {arr.shape}"
             )
-        object.__setattr__(self, "data", _readonly(arr, self.data))
+        self._hold(_readonly(arr, self.data))
+
+    def _hold(self, data: np.ndarray) -> None:
+        object.__setattr__(self, "data", data)
 
     @property
     def height(self) -> int:
@@ -144,9 +163,7 @@ class FlowField:
         arr = np.asarray(uv, dtype=np.float32)
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ValueError(f"flow block must be (h, w, 2), got shape {arr.shape}")
-        flow = cls.__new__(cls)
-        flow._hold(_readonly(arr, uv))
-        return flow
+        return _trusted(cls, _readonly(arr, uv))
 
     def _hold(self, uv: np.ndarray) -> None:
         object.__setattr__(self, "uv", uv)

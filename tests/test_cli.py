@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import signal
@@ -529,18 +530,50 @@ class TestEval:
         errors = [r["error"] for r in _read_records(out) if "error" in r]
         assert len(errors) == 1 and message in errors[0]["message"]
 
-    def test_non_binary_mask_becomes_error_record(self, tmp_path):
+    @pytest.mark.parametrize("defect", ["non-binary", "truncated", "missing"])
+    def test_broken_mask_sidecar_changes_no_report_byte(self, tmp_path, defect):
+        """No metric reads the world-ego masks, so ``eval`` does not load them;
+        a library caller's ``load_manifest`` and ``validate_trajectory`` still
+        reject the broken sidecar."""
         traj, _ = generate_trajectory(mixed_fixture_config(seed=604, size=32, t=4))
         gen = save_manifest(traj, tmp_path / "gen" / "manifest.json")
         gt = save_manifest(traj, tmp_path / "gt" / "manifest.json")
+
+        def report(name: str) -> bytes:
+            out = tmp_path / name
+            assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        intact = report("intact.jsonl")
         masks = next((tmp_path / "gen").glob("*_masks.bin"))
-        data = bytearray(masks.read_bytes())
-        data[16] = 2  # first payload value
-        masks.write_bytes(bytes(data))
-        out = tmp_path / "r.jsonl"
-        assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
-        errors = [r["error"] for r in _read_records(out) if "error" in r]
-        assert len(errors) == 1 and "non-binary mask" in errors[0]["message"]
+        data = masks.read_bytes()
+        if defect == "non-binary":
+            masks.write_bytes(data[:16] + b"\x02" + data[17:])  # the first payload value
+        elif defect == "truncated":
+            masks.write_bytes(data[:-1])
+        else:
+            masks.unlink()
+        assert report("broken.jsonl") == intact
+        if defect == "non-binary":
+            issues = rollout.validate_trajectory(manifest.load_manifest(gen)).issues
+            assert any("non-binary mask" in issue for issue in issues)
+        else:
+            message = "payload is" if defect == "truncated" else "asset missing"
+            with pytest.raises(manifest.ManifestError, match=message):
+                manifest.load_manifest(gen)
+
+    def test_opens_no_mask_sidecar(self, tmp_path, monkeypatch):
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=605, size=32, t=4))
+        path = str(save_manifest(traj, tmp_path / "manifest.json"))
+        opened, real_open = [], os.open
+
+        def recording(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert main(["eval", "--gen", path, "--gt", path, "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert {p.rsplit("_", 1)[1] for p in opened if p.endswith(".bin")} == {"frames.bin", "flows.bin"}
 
     @pytest.mark.parametrize("doc", [[{"gen": "a"}], {"gen": 1}, DEEP_JSON],
                              ids=["missing-gt", "not-a-list", "deep-file"])
@@ -878,12 +911,19 @@ class TestGenFixtures:
         _catalog(width=16.9, height="16"),
         _catalog(chunk={"phase": "Manip", "steps": 2.7, "object_motion": [0, 1]}),
         _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "none"}}, ego_object=True),
+        _catalog(noise_sigma=True),
+        _catalog(objects=[{"shape": "disk", "size": True, "intensity": 0.9, "position": [14, 12]}]),
+        _catalog(objects=[{"shape": "disk", "size": 3, "intensity": True, "position": [14, 12]}]),
+        _catalog(objects=[{"shape": "disk", "size": 3, "intensity": 0.9, "position": [8, True]}]),
+        _catalog(chunk={"phase": "Manip", "steps": 4, "object_motion": [0, True]}),
+        _catalog(chunk={"phase": "Nav", "steps": 4, "camera": {"kind": "translate", "dx": True}}),
     ], ids=["fixture-not-object", "chunk-not-object", "top-level-list", "fixtures-not-list",
             "deep-file", "infinite-seed", "negative-seed", "bool-seed", "fractional-seed",
             "zero-zoom", "negative-zoom", "infinite-dx", "infinite-degrees",
             "infinite-object-motion", "three-component-object-motion", "infinite-width",
             "huge-frames", "named-catalog-json", "fractional-width", "fractional-steps",
-            "bool-ego-object"])
+            "bool-ego-object", "bool-noise-sigma", "bool-size", "bool-intensity", "bool-position",
+            "bool-object-motion", "bool-camera-dx"])
     def test_malformed_catalog_exits_two(self, tmp_path, capsys, doc):
         catalog_path = tmp_path / "catalog.json"
         catalog_path.write_text(_json_text(doc))
@@ -1178,6 +1218,30 @@ class TestOut:
     def test_devnull_out_stays_a_device(self, fixture_pair_dir):
         assert main(_good_pair_args(*fixture_pair_dir) + ["--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_failed_write_exits_two(self, fixture_pair_dir, tmp_path, capsys, command):
+        report = tmp_path / "r.jsonl"
+        assert main(_good_pair_args(*fixture_pair_dir) + ["--out", str(report)]) == 0
+        args = _good_pair_args(*fixture_pair_dir) if command == "eval" else ["report", str(report)]
+        capsys.readouterr()
+        assert main(args + ["--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == f"{command}: cannot write /dev/full: No space left on device\n"
+
+    def test_fork_failure_is_not_a_write_error(self, fixture_pair_dir, tmp_path, monkeypatch):
+        _, pairs_file = fixture_pair_dir
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "injected fork failure")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(OSError, match="injected fork failure"):
+            main(["eval", "--pairs", str(pairs_file), "--workers", "2", "--out", str(out)])
+        assert out.read_text() == "previous report\n" and not list(tmp_path.glob("*.tmp"))
 
     def test_out_written_from_another_thread(self, fixture_pair_dir, tmp_path):
         out = tmp_path / "report.jsonl"

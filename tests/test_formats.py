@@ -145,6 +145,11 @@ def _eval_out(root: Path) -> int:
     return main(["eval", "--gen", manifest, "--gt", manifest, "--out", str(root / "r.jsonl")])
 
 
+def _report_out(root: Path) -> int:
+    assert _eval_out(root) == 0
+    return main(["report", str(root / "r.jsonl"), "--out", str(root / "m.jsonl")])
+
+
 # case -> (the file it writes, relative to the directory it is given; the write)
 _WRITERS = {
     "frames": ("s.bin", lambda root: formats.write_frame_file(
@@ -159,6 +164,7 @@ _WRITERS = {
     "catalog": ("fx/catalog.json", _gen_fixtures),
     "homographies": ("out/homographies.json", _decompose_flow),
     "eval-out": ("r.jsonl", _eval_out),
+    "report-out": ("m.jsonl", _report_out),
 }
 
 
@@ -166,8 +172,8 @@ _WRITERS = {
 def test_every_writer_replaces_its_file_whole(tmp_path, monkeypatch, capsys, case):
     """A write that fails before its rename leaves the previous file as it
     was and no temp file; one that completes keeps the previous file's mode.
-    ``gen-fixtures`` and ``decompose-flow`` report the failure in one line and
-    exit 2; the other writers raise it."""
+    The commands report the failure in one line and exit 2; the library's
+    writers raise it."""
     name, write = _WRITERS[case]
     target = tmp_path / name
     target.parent.mkdir(exist_ok=True)
@@ -182,7 +188,7 @@ def test_every_writer_replaces_its_file_whole(tmp_path, monkeypatch, capsys, cas
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "replace", failing)
-        if case in ("catalog", "homographies"):
+        if case in ("catalog", "homographies", "eval-out", "report-out"):
             assert write(tmp_path) == 2
             assert capsys.readouterr().err.endswith(f": cannot write {target}: injected failure\n")
         else:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from wemeval import formats
 from wemeval.manifest import ManifestError, load_manifest, save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config
-from wemeval.rollout import FlowField, Frame, WorldEgoMask
+from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel, Trajectory, WorldEgoMask
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +72,29 @@ class TestManifestRoundTrip:
             load_manifest(tmp_path / "absent.json")
 
     def test_missing_asset_names_the_file(self, tmp_path, fixture_traj):
+        """No file, a directory and a FIFO (whose blocking open would wait for
+        a writer) alike are a missing asset."""
         path = save_manifest(fixture_traj, tmp_path / "traj.json")
-        (tmp_path / "traj_chunk1_flows.bin").unlink()
-        with pytest.raises(ManifestError, match="flows.*asset missing.*traj_chunk1_flows.bin"):
-            load_manifest(path)
+        asset = tmp_path / "traj_chunk1_flows.bin"
+        asset.unlink()
+
+        def waited(signum, frame):
+            raise TimeoutError("load_manifest waited on the FIFO")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            for kind in ("none", "directory", "fifo"):
+                if kind == "directory":
+                    asset.mkdir()
+                elif kind == "fifo":
+                    asset.rmdir()
+                    os.mkfifo(asset)
+                with pytest.raises(ManifestError, match="flows.*asset missing.*traj_chunk1_flows.bin"):
+                    load_manifest(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_invalid_phase_names_the_field(self, tmp_path, fixture_traj):
         path = save_manifest(fixture_traj, tmp_path / "traj.json")
@@ -89,3 +111,21 @@ class TestManifestRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="field 'instruction' missing"):
             load_manifest(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd entries")
+    def test_descriptors_held_per_loaded_chunk(self, tmp_path):
+        """Each mapped sidecar of a loaded trajectory holds one descriptor
+        before Python 3.13 and none from 3.13; without masks a chunk maps two."""
+        side, t = 128, 8  # the mask sidecar, the smallest, is side * side * t bytes
+        zeros = np.zeros((side, side), np.float32)
+        chunk = Chunk(frames=[Frame(data=zeros)] * t, instruction="i", phase=PhaseLabel.NAV,
+                      flows=[FlowField(u=zeros, v=zeros)] * (t - 1),
+                      masks=[WorldEgoMask(data=zeros.astype(np.uint8))] * t)
+        path = save_manifest(Trajectory(id="t", chunks=(chunk, chunk)), tmp_path / "traj.json")
+        assert all(p.stat().st_size >= formats.MAP_MIN_BYTES for p in tmp_path.glob("*.bin"))
+        per_map = 0 if sys.version_info >= (3, 13) else 1
+        for masks, sidecars in ((True, 3), (False, 2)):
+            before = len(os.listdir("/proc/self/fd"))
+            traj = load_manifest(path, masks=masks)
+            assert len(os.listdir("/proc/self/fd")) - before == 2 * sidecars * per_map
+            del traj
