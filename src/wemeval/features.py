@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import struct
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +74,7 @@ def frame_content_key(frames: Sequence[Frame]) -> str:
 
     digest = hashlib.sha256()
     for f in frames:
-        digest.update(np.asarray([f.height, f.width, f.channels], dtype="<u4").tobytes())
+        digest.update(struct.pack("<3I", f.height, f.width, f.channels))
         digest.update(np.ascontiguousarray(f.data, dtype="<f4"))  # no copy of contiguous data
     return digest.hexdigest()
 
@@ -95,7 +96,7 @@ class EmbeddingStore:
             raise ValueError(f"embedding index {self.index_path}: {exc}") from None
         if not isinstance(self._index, dict):
             raise ValueError(f"embedding index {self.index_path} must be a JSON object")
-        self._blobs: dict[str, bytes] = {}
+        self._blobs: dict[str, bytes] = {}  # by the index's "file" string
 
     def lookup(self, key: str) -> np.ndarray:
         if key not in self._index:
@@ -105,11 +106,11 @@ class EmbeddingStore:
                 and all(type(entry.get(n)) is int and entry[n] >= 0 for n in ("dim", "offset"))):
             raise ValueError(f"embedding index {self.index_path}: entry for key '{key}' must be "
                              f'{{"dim": int >= 0, "file": str, "offset": int >= 0}}, got {entry!r}')
-        blob_path = str(self.index_path.parent / entry["file"])
-        if blob_path not in self._blobs:
-            self._blobs[blob_path] = Path(blob_path).read_bytes()
+        file = entry["file"]
+        if file not in self._blobs:
+            self._blobs[file] = (self.index_path.parent / file).read_bytes()
         dim, offset = entry["dim"], entry["offset"]
-        raw = self._blobs[blob_path][offset : offset + 4 * dim]
+        raw = self._blobs[file][offset : offset + 4 * dim]
         if len(raw) != 4 * dim:
             raise ValueError(f"embedding blob truncated for key '{key}'")
         return np.frombuffer(raw, dtype="<f4").astype(np.float64)

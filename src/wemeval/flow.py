@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rollout import Chunk, FlowField
+from .rollout import Chunk, FlowField, _frozen
 
 PROFILE_LOG_RATIO_CLAMP = 20.0
 ENTROPY_BINS = 16
@@ -290,12 +290,11 @@ class MotionProfile:
     steps: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.steps, dtype=np.float64)
+        arr = _frozen(self.steps, np.float64)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"profile steps must be (n, 4), got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("profile must have at least one step")
-        arr.flags.writeable = False
         object.__setattr__(self, "steps", arr)
 
     def __len__(self) -> int:
@@ -332,7 +331,7 @@ def motion_profile(chunk: Chunk, top_fraction: float = 0.2) -> MotionProfile:
     for f in chunk.flows:
         median, top, entropy = flow_stats(f, top_fraction=top_fraction)
         rows.append([median / diag, top / diag, _log_ratio(median, top), entropy])
-    return MotionProfile(steps=np.array(rows))
+    return MotionProfile(steps=rows)
 
 
 def resample_profile(p: MotionProfile, target: int = 16) -> MotionProfile:

@@ -196,7 +196,7 @@ def write_mask_file(path: str | Path, masks: Sequence[WorldEgoMask]) -> None:
 
 def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
     records = _records(path, MASK_MAGIC, 3, "u1", lambda w, h: (h, w))
-    return [WorldEgoMask(data=m) for m in records]
+    return [_trusted(WorldEgoMask, m) for m in records]
 
 
 def write_frame_file(path: str | Path, frames: Sequence[Frame]) -> None:

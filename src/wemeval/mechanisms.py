@@ -2,7 +2,8 @@
 soft fusion, the gated world-state update, mask losses, weight annealing, and
 intent-label sanitization.
 
-Everything here is forward-only, pure, and deterministic. The role experts
+Everything here is forward-only, pure, and deterministic; every array a value
+here holds is a read-only copy made at construction. The role experts
 themselves (transformer blocks) are out of scope; this module realizes the
 structural contracts any backbone must satisfy around them.
 """
@@ -12,12 +13,12 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rollout import WorldEgoMask
+from .rollout import WorldEgoMask, _frozen
 
 
 class SegmentKind(enum.Enum):
@@ -122,10 +123,9 @@ class AttentionMask:
     allowed: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.allowed, dtype=bool)
+        arr = _frozen(self.allowed, bool)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"attention mask must be square, got {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "allowed", arr)
 
 
@@ -234,17 +234,16 @@ class RoutePlan:
     ego_expanded: np.ndarray
 
     def __post_init__(self) -> None:
-        base = np.asarray(self.base_mask, dtype=np.uint8)
+        base = _frozen(self.base_mask, np.uint8)
         if base.ndim != 3:
             raise ValueError("base mask must be (t, h, w)")
-        base.flags.writeable = False
         object.__setattr__(self, "base_mask", base)
         flat = base.ravel()
         for name, expanded, value in (
             ("world", self.world_expanded, 0),
             ("ego", self.ego_expanded, 1),
         ):
-            expanded = np.asarray(expanded, dtype=np.int64)
+            expanded = _frozen(expanded, np.int64)
             base_idx = np.flatnonzero(flat == value)
             if not np.isin(base_idx, expanded).all():
                 raise ValueError(f"{name} expanded set must contain its base set")
@@ -281,7 +280,6 @@ def route_tokens(token_mask: np.ndarray, radius: int) -> RoutePlan:
         raise ValueError("token mask must be binary")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    arr = arr.astype(np.uint8)
     ego = arr == 1
     world_expanded = np.flatnonzero(_dilate_chebyshev(~ego, radius))
     ego_expanded = np.flatnonzero(_dilate_chebyshev(ego, radius))
@@ -295,12 +293,11 @@ class StateVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = _frozen(self.values, np.float64)
         if arr.ndim != 2:
             raise ValueError(f"state must be (n, d), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("state contains non-finite values")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
@@ -390,6 +387,10 @@ class GateParams:
     w_g_prop: np.ndarray
     w_g_ego: np.ndarray
     b_g: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name), np.float64))
 
     @classmethod
     def zeros(cls, d: int) -> "GateParams":

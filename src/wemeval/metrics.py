@@ -21,6 +21,7 @@ from .rollout import (
     Chunk,
     Frame,
     Trajectory,
+    _frozen,
     _trusted,
     phase_boundaries,
     validate_trajectory,
@@ -126,12 +127,16 @@ def _mean_flow_magnitude(chunk: Chunk, index: int) -> float:
 class ScoringPair:
     """Valid (gen, gt) trajectories with equal chunk count K and frame dims, built by ``of``.
 
-    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j.
+    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j,
+    held as a read-only copy.
     """
 
     gen: Trajectory
     gt: Trajectory
     sims: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sims", _frozen(self.sims, np.float64))
 
     @classmethod
     def of(cls, gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> "ScoringPair":
@@ -147,7 +152,7 @@ class ScoringPair:
             raise ValueError("gen and gt frame dims differ")
         gen_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gen.chunks]
         gt_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gt.chunks]
-        return cls(gen, gt, np.array([[cosine_similarity(a, b) for b in gt_emb] for a in gen_emb]))
+        return cls(gen, gt, [[cosine_similarity(a, b) for b in gt_emb] for a in gen_emb])
 
 
 def _boundary_gaps(traj: Trajectory, k: int, cfg: MetricConfig) -> tuple[float, float]:

@@ -470,8 +470,8 @@ def perturb_rollout(
     left, right = traj.chunks[boundary - 1], traj.chunks[boundary]
     f_last = left.frames[-1].data.astype(np.float64)
     f_first = right.frames[0].data.astype(np.float64)
-    new_last = Frame(data=((1 - blend) * f_last + blend * f_first).astype(np.float32))
-    new_first = Frame(data=(blend * f_last + (1 - blend) * f_first).astype(np.float32))
+    new_last = Frame(data=(1 - blend) * f_last + blend * f_first)
+    new_first = Frame(data=blend * f_last + (1 - blend) * f_first)
     chunks = list(traj.chunks)
     chunks[boundary - 1] = replace(left, frames=left.frames[:-1] + (new_last,))
     chunks[boundary] = replace(right, frames=(new_first,) + right.frames[1:])

@@ -8,7 +8,7 @@ from typing import TypeVar
 
 import numpy as np
 
-_Held = TypeVar("_Held", "Frame", "FlowField")
+_Held = TypeVar("_Held", "Frame", "WorldEgoMask", "FlowField")
 
 
 class PhaseLabel(enum.Enum):
@@ -18,47 +18,21 @@ class PhaseLabel(enum.Enum):
     MANIP = "Manip"
 
 
-def _owner(obj: object) -> object:
-    """The end of an array's ``base`` chain: the array that owns its memory,
-    or the buffer (``bytes``, ``bytearray``, ``mmap``) that it views."""
-    while isinstance(obj, np.ndarray) and obj.base is not None:
-        obj = obj.base
-    return obj
-
-
-def _readonly(arr: np.ndarray, source: object) -> np.ndarray:
-    """``arr``, made from the caller's ``source`` by ``asarray``, as an array
-    that nothing can write.
-
-    It is copied, C-contiguous, only when its memory is the caller's and
-    writable, through ``source`` or the buffer under it, so the caller's
-    writes cannot reach it and the caller's array stays writable. A view of a
-    read-only buffer (the ``bytes`` or read-only ``mmap`` of a sidecar that
-    ``formats`` reads) and an array that ``asarray`` just made are kept as
-    they are, strided or not: the result has no contiguity promise.
-    """
-    owner = _owner(arr)
-    fresh = isinstance(owner, np.ndarray) and owner is not _owner(source)
-    if not fresh and (arr.flags.writeable or _writable(owner)):
-        arr = arr.copy()
+def _frozen(x: object, dtype: np.typing.DTypeLike = None) -> np.ndarray:
+    """A new read-only array of ``x``'s values: what a frozen value's public
+    constructor holds, so that no caller can reach or write it."""
+    arr = np.array(x, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
 
-def _writable(buffer: object) -> bool:
-    try:
-        return not memoryview(buffer).readonly
-    except TypeError:  # memory behind some other array interface
-        return True
-
-
 def _trusted(cls: type[_Held], array: np.ndarray) -> _Held:
-    """A ``Frame`` or ``FlowField`` over ``array`` as it is, without the public
-    constructor's checks.
+    """A ``Frame``, ``WorldEgoMask`` or ``FlowField`` over ``array`` as it is,
+    without the public constructor's copy and checks.
 
-    Only for an array that already is what that constructor would hold: float32,
-    of the record's shape, and a read-only view that no caller can write, such as
-    a record of a sidecar that ``formats`` read or a slice of a ``Frame``'s data.
+    Only for the package's own read-only views that no caller can write and that
+    already are what that constructor would hold: a record of a sidecar that
+    ``formats`` read, or a slice of a ``Frame``'s data.
     """
     obj = object.__new__(cls)
     obj._hold(array)
@@ -70,7 +44,8 @@ class Frame:
     """Single image with intensities normalized to [0, 1].
 
     Stored as float32 with shape (height, width, channels), channels 1 or 3.
-    8-bit sources should be divided by 255 before construction. Value-range
+    8-bit sources should be divided by 255 before construction, which copies
+    the caller's array into a read-only one. Value-range
     and finiteness violations are reported by ``validate_trajectory`` rather
     than rejected here, so malformed inputs stay inspectable.
     """
@@ -78,14 +53,14 @@ class Frame:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float32)
+        arr = _frozen(self.data, np.float32)
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise ValueError(
                 f"frame data must be (h, w) or (h, w, c) with c in (1, 3), got shape {arr.shape}"
             )
-        self._hold(_readonly(arr, self.data))
+        self._hold(arr)
 
     def _hold(self, data: np.ndarray) -> None:
         object.__setattr__(self, "data", data)
@@ -107,17 +82,20 @@ class Frame:
 class WorldEgoMask:
     """Per-pixel binary assignment: 1 = ego (robot / manipulated object), 0 = world.
 
-    Values other than {0, 1} are accepted at construction and flagged by
-    ``validate_trajectory``.
+    Construction holds a read-only copy; values other than {0, 1} are accepted
+    and flagged by ``validate_trajectory``.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data)
+        arr = _frozen(self.data)
         if arr.ndim != 2:
             raise ValueError(f"mask data must be 2-dimensional, got shape {arr.shape}")
-        object.__setattr__(self, "data", _readonly(arr, self.data))
+        self._hold(arr)
+
+    def _hold(self, data: np.ndarray) -> None:
+        object.__setattr__(self, "data", data)
 
     @property
     def height(self) -> int:
@@ -139,8 +117,7 @@ class FlowField:
     displacement, both in pixels. The field holds one read-only (h, w, 2)
     float32 block ``uv`` of interleaved (u, v) pairs, the layout of a flow
     sidecar, and ``u`` and ``v`` are strided views of it.
-    ``FlowField(u=..., v=...)`` stacks the two components into a new block;
-    ``FlowField.from_uv`` keeps a block as ``Frame`` keeps its data.
+    ``FlowField(u=..., v=...)`` stacks the two components into a new block.
     """
 
     uv: np.ndarray
@@ -155,15 +132,6 @@ class FlowField:
         uv = np.stack((u, v), axis=-1)
         uv.flags.writeable = False
         self._hold(uv)
-
-    @classmethod
-    def from_uv(cls, uv: np.ndarray) -> FlowField:
-        """The field over an (h, w, 2) array of (u, v) pairs, copied only when
-        its memory is the caller's and writable."""
-        arr = np.asarray(uv, dtype=np.float32)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise ValueError(f"flow block must be (h, w, 2), got shape {arr.shape}")
-        return _trusted(cls, _readonly(arr, uv))
 
     def _hold(self, uv: np.ndarray) -> None:
         object.__setattr__(self, "uv", uv)

@@ -20,7 +20,7 @@ from wemeval.flow import (
     residual_object_flow,
 )
 from wemeval.microsim import matches_from_homography
-from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel
+from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel, _trusted
 
 
 def _uniform_flow(u: float, v: float, h: int = 8, w: int = 8) -> FlowField:
@@ -174,9 +174,9 @@ class TestFlowStats:
         uv[:, :, 0] = np.where(kind == 0, edge, np.where(kind == 1, 0.0, free_u))
         uv[:, :, 1] = np.where(kind == 0, 0.0, np.where(kind == 1, -scale, free_v))
         uv[0, 0] = scale, 0.0
-        if strided:  # a read-only block is kept as it is, as read_flow_file hands it over
+        if strided:  # a read-only block held as it is, as read_flow_file holds a record
             uv = np.frombuffer(uv.tobytes(), dtype=np.float32).reshape(h, w, 2)
-            f = FlowField.from_uv(uv)
+            f = _trusted(FlowField, uv)
         else:
             f = FlowField(u=uv[:, :, 0], v=uv[:, :, 1])
         assert np.shares_memory(f.uv, uv) == strided and f.u.strides == f.v.strides == (8 * w, 8)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import mmap
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from wemeval import formats
 from wemeval.features import EmbedderSpec, embed_frames
+from wemeval.flow import MotionProfile
+from wemeval.mechanisms import AttentionMask, GateParams, RoutePlan, StateVector
+from wemeval.metrics import ScoringPair
 from wemeval.rollout import (
     Chunk,
     FlowField,
@@ -182,6 +186,23 @@ _BUILDERS = {
     "flow": (lambda a: FlowField(u=a[:, :, 0], v=a[:, :, 0]), lambda x: [x.u, x.v], np.float32),
 }
 
+# Values of the other modules: the caller's arrays, the value built from them,
+# and every array the value holds.
+_VALUES = {
+    "attention-mask": (lambda: [np.ones((4, 4), dtype=bool)], AttentionMask, lambda x: [x.allowed]),
+    "gate-params": (lambda: [np.ones((3, 3)) for _ in range(11)], GateParams,
+                    lambda x: [getattr(x, f.name) for f in dataclasses.fields(x)]),
+    "gate-params-zeros": (lambda: [], lambda: GateParams.zeros(3),
+                          lambda x: [getattr(x, f.name) for f in dataclasses.fields(x)]),
+    "motion-profile": (lambda: [np.ones((6, 4))], MotionProfile, lambda x: [x.steps]),
+    "route-plan": (lambda: [np.ones((2, 3, 3), dtype=np.uint8), np.arange(18), np.arange(18)],
+                   lambda base, world, ego: RoutePlan(base, 1, world, ego),
+                   lambda x: [x.base_mask, x.world_expanded, x.ego_expanded]),
+    "scoring-pair-sims": (lambda: [np.ones((2, 2))], lambda sims: ScoringPair(None, None, sims),
+                          lambda x: [x.sims]),
+    "state-vector": (lambda: [np.ones((6, 5))], StateVector, lambda x: [x.values]),
+}
+
 
 class TestOwnedData:
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
@@ -193,9 +214,14 @@ class TestOwnedData:
         base.flags.writeable = False
         view_obj = build(writable_view)  # a writable view of a read-only base
         writable_view[:3] = 0
-        for arr in arrays(obj) + arrays(view_obj):
+        own = np.ones((6, 5, 1), dtype=dtype)
+        own.flags.writeable = False
+        own_obj = build(own)
+        own.flags.writeable = True  # the caller's own read-only array, made writable again
+        own[:3] = 0
+        for arr in arrays(obj) + arrays(view_obj) + arrays(own_obj):
             assert (arr == 1).all()
-            assert not np.shares_memory(arr, base)
+            assert not np.shares_memory(arr, base) and not np.shares_memory(arr, own)
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
@@ -206,16 +232,18 @@ class TestOwnedData:
         assert own.flags.writeable
         own[0, 0, 0] = 0
 
-    def test_flow_block_is_copied_only_from_writable_memory(self):
-        own = np.ones((6, 5, 2), dtype=np.float32)
-        copied = FlowField.from_uv(own)
-        own[:] = 0
-        assert (copied.uv == 1).all() and not copied.uv.flags.writeable
-        kept = FlowField.from_uv(np.frombuffer(own.tobytes(), dtype=np.float32).reshape(6, 5, 2))
-        assert _owner(kept.uv) is _owner(kept.u) is _owner(kept.v)  # one block, no copy
-        assert isinstance(_owner(kept.uv), bytes)
-        with pytest.raises(ValueError, match="must be \\(h, w, 2\\)"):
-            FlowField.from_uv(own[:, :, :1])
+    @pytest.mark.parametrize("kind", sorted(_VALUES))
+    def test_every_held_array_is_a_read_only_copy(self, kind):
+        make, build, held = _VALUES[kind]
+        own = make()
+        value = build(*own)
+        before = [arr.copy() for arr in held(value)]
+        for arr in own:
+            assert arr.flags.writeable
+            arr[...] = 0
+        for arr, expected in zip(held(value), before, strict=True):
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, expected)
 
     def test_memo_follows_the_frame_not_the_callers_array(self):
         base = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32)
@@ -224,6 +252,14 @@ class TestOwnedData:
         base[:4] = 0
         assert np.array_equal(embed_frames([f], EmbedderSpec(grid=4)), before)
         assert not np.array_equal(embed_frames([Frame(data=base)], EmbedderSpec(grid=4)), before)
+        own = np.random.default_rng(1).random((8, 8, 1)).astype(np.float32)
+        own.flags.writeable = False
+        g = Frame(data=own)
+        before = embed_frames([g], EmbedderSpec(grid=4))
+        own.flags.writeable = True  # the caller's own read-only array, made writable again
+        own[:4] = 0
+        assert np.array_equal(embed_frames([g], EmbedderSpec(grid=4)), before)
+        assert np.array_equal(embed_frames([Frame(data=g.data)], EmbedderSpec(grid=4)), before)  # memo = data
 
     def test_sidecar_frames_and_masks_share_the_file_buffer(self, tmp_path, monkeypatch):
         formats.write_frame_file(tmp_path / "f.bin", [_frame(0.25), _frame(0.75)])
