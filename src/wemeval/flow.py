@@ -334,6 +334,16 @@ def motion_profile(chunk: Chunk, top_fraction: float = 0.2) -> MotionProfile:
     return MotionProfile(steps=rows)
 
 
+@lru_cache(maxsize=16)
+def _resample_grid(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 sampling positions (``target`` of them, spanning
+    [0, n-1]) and the sample points 0..n-1 of an n-step profile."""
+    positions = np.linspace(0.0, float(n - 1), target)
+    xp = np.arange(n, dtype=np.float64)
+    positions.flags.writeable = xp.flags.writeable = False
+    return positions, xp
+
+
 def resample_profile(p: MotionProfile, target: int = 16) -> MotionProfile:
     """Component-wise linear resampling to ``target`` equally spaced steps.
 
@@ -343,8 +353,8 @@ def resample_profile(p: MotionProfile, target: int = 16) -> MotionProfile:
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    n = len(p)
-    positions = np.linspace(0.0, float(n - 1), target)
-    xp = np.arange(n, dtype=np.float64)
-    cols = [np.interp(positions, xp, p.steps[:, c]) for c in range(4)]
-    return MotionProfile(steps=np.stack(cols, axis=1))
+    positions, xp = _resample_grid(len(p), target)
+    steps = np.empty((target, 4))
+    for c in range(4):
+        steps[:, c] = np.interp(positions, xp, p.steps[:, c])
+    return MotionProfile(steps=steps)

@@ -88,7 +88,7 @@ def decode_json(text: str) -> object:
 _MAP_OPTIONS = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
-def _load(path: Path, header_len: int) -> bytes | mmap.mmap:
+def _load(path: str | Path, header_len: int) -> bytes | mmap.mmap:
     """The whole file at ``path``: a read-only map, or its bytes when it is
     smaller than ``MAP_MIN_BYTES``. FileNotFoundError when no regular file is
     there; the open does not wait on a FIFO."""
@@ -116,7 +116,6 @@ def _records(
     record count. ``record`` maps the dims to one record's shape. Of a mapped
     file only the header is read before its size is checked against it.
     """
-    path = Path(path)
     header_len = 4 + 4 * n_fields
     buf = _load(path, header_len)
     try:
@@ -204,8 +203,6 @@ def write_frame_file(path: str | Path, frames: Sequence[Frame]) -> None:
 
 
 def read_frame_file(path: str | Path) -> list[Frame]:
-    path = Path(path)
-
     def record(w: int, h: int, c: int) -> tuple[int, int, int]:
         if c not in (1, 3):
             raise FormatError(f"{path}: channel count {c} not in (1, 3)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 from pathlib import Path
 
 from . import formats
@@ -63,7 +64,7 @@ def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
     if not chunk_docs:
         raise ManifestError(f"{path}: field 'chunks' must not be empty")
 
-    base = path.parent
+    base = os.path.dirname(path)  # "" in the working directory, where Path(".") / name gives name
     chunks: list[Chunk] = []
     for ci, cdoc in enumerate(chunk_docs):
         where = f"{path} chunk {ci}"
@@ -82,7 +83,7 @@ def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
             if field != "frames" and cdoc.get(field) is None:
                 sidecars[field] = None  # flows and masks are optional
                 continue
-            asset = base / _require(cdoc, field, str, where)
+            asset = os.path.join(base, _require(cdoc, field, str, where))
             try:
                 sidecars[field] = tuple(read(asset))
             except OSError as exc:  # formats' readers take a directory or FIFO as no file

@@ -368,7 +368,7 @@ def soft_fuse(alpha: np.ndarray, x_world: StateVector, x_ego: StateVector) -> St
     return StateVector(a * x_world.values + (1.0 - a) * x_ego.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateParams:
     """Affine gate weights for the recurrent world-state update.
 

@@ -302,8 +302,13 @@ def _change_region_bbox(acc: np.ndarray, top_fraction: float) -> tuple[int, int,
 
 
 def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
+    """The frames cut to ``bbox``: the frames themselves when it spans them,
+    so the embedder's memo serves the rows their chunks computed; otherwise
+    strided views of their read-only data."""
+    if bbox == (0, frames[0].height, 0, frames[0].width):
+        return frames
     r0, r1, c0, c1 = bbox
-    return [_trusted(Frame, f.data[r0:r1, c0:c1, :]) for f in frames]  # views of read-only data
+    return [_trusted(Frame, f.data[r0:r1, c0:c1, :]) for f in frames]
 
 
 def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:

@@ -258,6 +258,16 @@ class TestResampleProfile:
             assert out.steps[:, c].min() >= p.steps[:, c].min() - 1e-9
             assert out.steps[:, c].max() <= p.steps[:, c].max() + 1e-9
 
+    def test_equals_the_stacked_interp_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 34):
+            p = MotionProfile(steps=rng.normal(size=(n, 4)))
+            for target in range(1, 65):
+                positions = np.linspace(0.0, float(n - 1), target)
+                xp = np.arange(n, dtype=np.float64)
+                expected = np.stack([np.interp(positions, xp, p.steps[:, c]) for c in range(4)], axis=1)
+                assert np.array_equal(resample_profile(p, target).steps, expected), (n, target)
+
 
 class TestRoundTripInvariants:
     def test_estimated_homography_reproduces_generating_flow(self):

@@ -9,6 +9,7 @@ import io
 import json
 import mmap
 import os
+import re
 import shutil
 import stat
 import struct
@@ -80,6 +81,24 @@ class TestReaders:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_str_and_a_path_give_the_same_message(self, tmp_path, kind):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"XXXX" + _one_record_header(kind)[4:] + bytes(64))
+        messages = []
+        for given in (path, str(path)):
+            with pytest.raises(formats.FormatError) as excinfo:
+                _FORMATS[kind][0](given)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1] == f"{path}: bad magic b'XXXX', expected {_FORMATS[kind][1]!r}"
+
+
+def test_frame_reader_names_a_str_path_in_its_channel_error(tmp_path):
+    path = tmp_path / "two_channels.bin"
+    path.write_bytes(_header("frames", 4, 4, 2, 1))
+    for given in (path, str(path)):
+        with pytest.raises(formats.FormatError, match=f"^{re.escape(str(path))}: channel count 2 not in"):
+            formats.read_frame_file(given)
 
 
 @pytest.mark.parametrize("write, record", [

@@ -96,6 +96,16 @@ class TestManifestRoundTrip:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_missing_asset_message_joins_the_name_as_path_would(self, tmp_path, monkeypatch, fixture_traj):
+        save_manifest(fixture_traj, tmp_path / "traj.json")
+        (tmp_path / "traj_chunk0_frames.bin").unlink()
+        monkeypatch.chdir(tmp_path)
+        for given, asset in (("traj.json", "traj_chunk0_frames.bin"),
+                             (tmp_path / "traj.json", f"{tmp_path}/traj_chunk0_frames.bin")):
+            with pytest.raises(ManifestError) as excinfo:
+                load_manifest(given, masks=False)
+            assert str(excinfo.value) == f"{given} chunk 0: field 'frames': asset missing: {asset}"
+
     def test_invalid_phase_names_the_field(self, tmp_path, fixture_traj):
         path = save_manifest(fixture_traj, tmp_path / "traj.json")
         doc = json.loads(path.read_text())

@@ -301,6 +301,21 @@ class TestSoftFuse:
         assert np.allclose(soft_fuse(np.full(4, 0.5), w, e).values, 3.0)
 
 
+class TestGateParams:
+    def test_equality_is_identity_and_hash_works(self):
+        a, b = GateParams.zeros(2), GateParams.zeros(2)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_replace_freezes_its_fields(self):
+        bias = np.ones(2)
+        params = replace(GateParams.zeros(2), b_g=bias)
+        bias[0] = 5.0
+        assert np.array_equal(params.b_g, np.ones(2))
+        for name in ("b_g", "w_r_prev"):
+            assert not getattr(params, name).flags.writeable
+
+
 class TestGruWorldUpdate:
     def test_saturated_keep_gate_freezes_state(self):
         d = 3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from wemeval import metrics
 from wemeval.features import embed_frames
 from wemeval.metrics import (
@@ -293,6 +294,53 @@ class TestFphs:
         rows, cols = np.nonzero(moving)
         assert rows.min() >= r0 and rows.max() < r1
         assert cols.min() >= c0 and cols.max() < c1
+
+
+    def test_partial_change_region_is_cropped_and_matches_oracle(self, default_config):
+        from wemeval.metrics import _accumulated_gt_magnitude, _change_region_bbox, _crop
+
+        # gt flows are zero but for an 8 x 8 patch, a quarter of the frame, on
+        # both sides of the switch: the region is that patch, a strict sub-box.
+        patch = np.zeros((16, 16))
+        patch[2:10, 4:12] = 1.0
+        flows = [FlowField(u=patch, v=0.5 * patch)] * 3
+
+        def traj(name, seed):
+            chunks = (_chunk([_textured_frame(seed + i) for i in range(4)], PhaseLabel.NAV, flows),
+                      _chunk([_textured_frame(seed + 4 + i) for i in range(4)], PhaseLabel.MANIP, flows))
+            return Trajectory(id=name, chunks=chunks)
+
+        gen, gt = traj("g", 100), traj("t", 200)
+        bbox = _change_region_bbox(_accumulated_gt_magnitude(*gt.chunks, 4, 4), default_config.top_fraction)
+        assert bbox == (2, 10, 4, 12)
+        window = list(gt.chunks[0].frames)
+        for frame, crop in zip(window, _crop(window, bbox)):
+            assert crop.data.shape == (8, 8, 1) and not crop.data.flags.c_contiguous
+            assert np.shares_memory(crop.data, frame.data)
+        score = fphs(ScoringPair.of(gen, gt, default_config), default_config).score
+        assert score == pytest.approx(oracle.fphs(gen, gt, default_config), abs=1e-9)
+
+    def test_whole_frame_region_reduces_no_frame_beyond_the_chunks(self, default_config, monkeypatch):
+        from wemeval import features
+        from wemeval.metrics import _accumulated_gt_magnitude, _change_region_bbox, _crop
+        from wemeval.rollout import phase_boundaries
+
+        gt, truth = generate_trajectory(mixed_fixture_config(seed=31, size=32, t=4))
+        gen = perturb_rollout(gt, truth, "frame-noise", 0.05, seed=3)
+        switches = phase_boundaries(gt)
+        assert switches
+        for k1 in switches:  # camera motion spreads the top 20% over the whole frame
+            acc = _accumulated_gt_magnitude(gt.chunks[k1 - 1], gt.chunks[k1], 4, 4)
+            assert _change_region_bbox(acc, default_config.top_fraction) == (0, 32, 0, 32)
+        window = list(gt.chunks[0].frames)
+        assert _crop(window, (0, 32, 0, 32)) is window
+
+        gray, reduced = features._gray, []
+        monkeypatch.setattr(features, "_gray", lambda f: reduced.append(f) or gray(f))
+        assert evaluate_all(gen, gt, default_config).scores["fphs"] is not None
+        chunk_frames = {id(f) for t in (gen, gt) for c in t.chunks for f in c.frames}
+        assert len(reduced) == len(chunk_frames) == 32
+        assert {id(f) for f in reduced} == chunk_frames
 
 
 class TestIdentityScores:
