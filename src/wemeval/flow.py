@@ -16,13 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .rollout import Chunk, FlowField, _frozen
+from .rollout import Chunk, FlowField, Frame, _frozen
 
 PROFILE_LOG_RATIO_CLAMP = 20.0
 ENTROPY_BINS = 16
-# Left edges of the entropy bins over magnitude / peak; inf closes the last bin.
+# Left edges of the entropy bins over magnitude / peak (inf closes the last one), and exact
+# brackets 2**-40 (relative) around each edge's square that no rounding of sqrt(s) / peak crosses.
 _BIN_EDGES = np.append(np.arange(ENTROPY_BINS) / ENTROPY_BINS, np.inf)
-_BIN_EDGES.flags.writeable = False
+_SQUARED_BRACKETS = np.outer([1 - 2.0**-40, 1 + 2.0**-40], _BIN_EDGES**2)
+_SQUARED_BRACKETS[:, 0] = -1.0  # every square is in bin 0 or above
+_BIN_EDGES.flags.writeable = _SQUARED_BRACKETS.flags.writeable = False
 
 
 class DegenerateMatchesError(ValueError):
@@ -249,31 +252,30 @@ def residual_object_flow(f: FlowField, f_cam: FlowField) -> FlowField:
     return FlowField(u=f.u.astype(np.float64) - f_cam.u, v=f.v.astype(np.float64) - f_cam.v)
 
 
-def flow_stats(f: FlowField, top_fraction: float = 0.2) -> tuple[float, float, float]:
+def flow_stats(f: FlowField | np.ndarray, top_fraction: float = 0.2) -> tuple[float, float, float]:
     """(median magnitude, mean of the top-fraction magnitudes, normalized entropy).
 
-    All three come from one ascending sort of the field's magnitudes, done in
-    place in the buffer ``FlowField.magnitude`` returns. The top mean adds the
-    largest magnitudes from the peak down. The entropy is that of a uniform
-    histogram of B = ENTROPY_BINS bins over [0, peak], magnitude m falling in
-    bin min(floor(m / peak * B), B - 1), divided by log(B); an all-zero field
-    has entropy 0. Raises ValueError if any magnitude is inf or NaN.
+    ``f`` is a flow field or its ``squared_magnitude``, which is then sorted in place; only the
+    middle one or two squares, the top fraction and the peak are rooted. The top mean adds the
+    largest magnitudes from the peak down. The entropy is that of a uniform histogram of B =
+    ENTROPY_BINS bins over [0, peak], magnitude m in bin min(floor(m / peak * B), B - 1), over
+    log(B); an all-zero field has entropy 0. Raises ValueError if any magnitude is inf or NaN.
     """
-    asc = f.magnitude().ravel()
+    asc = (f.squared_magnitude() if isinstance(f, FlowField) else f).ravel()
     asc.sort()
-    peak = asc[-1]
-    if not np.isfinite(peak):  # NaN sorts last, so any inf or NaN is the peak
-        raise ValueError("flow field has a non-finite magnitude")
     n = asc.size
-    median = float(asc[n // 2] if n % 2 else (asc[n // 2] + asc[n // 2 - 1]) / 2)
+    peak = math.sqrt(asc[-1])
+    if not math.isfinite(peak):  # NaN sorts last, so any inf or NaN is the peak
+        raise ValueError("flow field has a non-finite magnitude")
+    median = math.sqrt(asc[n // 2]) if n % 2 else (math.sqrt(asc[n // 2]) + math.sqrt(asc[n // 2 - 1])) / 2
     k = math.ceil(top_fraction * n)
-    top = float(np.add.reduce(asc[::-1][:k])) / k  # .mean()'s own sum and division
+    top = float(np.add.reduce(np.sqrt(asc[n - k :])[::-1])) / k  # .mean()'s own sum and division
     if peak <= 0.0:
         return median, top, 0.0
-    asc /= peak
-    # floor(q * B) >= b exactly when q >= b / B (B = 16 scales exactly), so
-    # bin b counts b/B <= q < (b+1)/B, and the last bin also takes q == 1.
-    below = asc.searchsorted(_BIN_EDGES)
+    lower, upper = _SQUARED_BRACKETS * asc[-1]
+    below = asc.searchsorted(lower)
+    if (below != asc.searchsorted(upper, side="right")).any():  # a square its bracket cannot place
+        below = (np.sqrt(asc) / peak).searchsorted(_BIN_EDGES)
     counts = below[1:] - below[:-1]
     p = counts[counts > 0] / n
     return median, top, float(-(p * np.log(p)).sum() / math.log(ENTROPY_BINS))
@@ -325,13 +327,13 @@ def motion_profile(chunk: Chunk, top_fraction: float = 0.2) -> MotionProfile:
         raise ValueError("motion profile needs a chunk with T >= 2")
     if chunk.flows is None or len(chunk.flows) != len(chunk.frames) - 1:
         raise ValueError("motion profile needs T-1 flow fields on the chunk")
-    first = chunk.frames[0]
-    diag = math.hypot(first.width, first.height)
-    rows = []
-    for f in chunk.flows:
-        median, top, entropy = flow_stats(f, top_fraction=top_fraction)
-        rows.append([median / diag, top / diag, _log_ratio(median, top), entropy])
-    return MotionProfile(steps=rows)
+    return stats_profile([flow_stats(f, top_fraction) for f in chunk.flows], chunk.frames[0])
+
+
+def stats_profile(stats: Sequence[tuple[float, float, float]], frame: Frame) -> MotionProfile:
+    """The motion profile of one row per ``flow_stats`` triple, scaled by ``frame``'s diagonal."""
+    diag = math.hypot(frame.width, frame.height)
+    return MotionProfile(steps=[[m / diag, t / diag, _log_ratio(m, t), e] for m, t, e in stats])
 
 
 @lru_cache(maxsize=16)

@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_distance
-from .flow import motion_profile, resample_profile
+from .flow import flow_stats, resample_profile, stats_profile
 from .rollout import (
-    Chunk,
-    Frame,
-    Trajectory,
-    _frozen,
-    _trusted,
-    phase_boundaries,
-    validate_trajectory,
+    Chunk, FlowField, Frame, Trajectory, _frozen, _trusted, phase_boundaries, validate_trajectory,
 )
 
 
@@ -119,171 +114,9 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _mean_flow_magnitude(chunk: Chunk, index: int) -> float:
-    return float(chunk.flows[index].magnitude().mean())
-
-
-@dataclass(frozen=True, eq=False)
-class ScoringPair:
-    """Valid (gen, gt) trajectories with equal chunk count K and frame dims, built by ``of``.
-
-    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j,
-    held as a read-only copy.
-    """
-
-    gen: Trajectory
-    gt: Trajectory
-    sims: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sims", _frozen(self.sims, np.float64))
-
-    @classmethod
-    def of(cls, gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> "ScoringPair":
-        """Check the pair, then embed each chunk once; raises ValueError naming the failed check."""
-        for name, traj in (("gen", gen), ("gt", gt)):
-            report = validate_trajectory(traj)
-            if not report.is_valid():
-                raise ValueError(f"{name} trajectory invalid: " + "; ".join(report.issues))
-        if len(gen.chunks) != len(gt.chunks):
-            raise ValueError(f"chunk counts differ: gen K={len(gen.chunks)}, gt K={len(gt.chunks)}")
-        g0, t0 = gen.chunks[0].frames[0], gt.chunks[0].frames[0]
-        if (g0.height, g0.width) != (t0.height, t0.width):
-            raise ValueError("gen and gt frame dims differ")
-        gen_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gen.chunks]
-        gt_emb = [embed_frames(list(c.frames), cfg.embedder) for c in gt.chunks]
-        return cls(gen, gt, [[cosine_similarity(a, b) for b in gt_emb] for a in gen_emb])
-
-
-def _boundary_gaps(traj: Trajectory, k: int, cfg: MetricConfig) -> tuple[float, float]:
-    """Appearance and motion gap at the boundary between chunks k and k+1 (0-based k)."""
-    left, right = traj.chunks[k], traj.chunks[k + 1]
-    b = perceptual_distance(left.frames[-1], right.frames[0], cfg.embedder)
-    m = abs(_mean_flow_magnitude(left, len(left.flows) - 1) - _mean_flow_magnitude(right, 0))
-    return b, m
-
-
-def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
-    """Boundary-dynamics fidelity: geometric mean of appearance and motion gap matches.
-
-    The appearance gap is the perceptual distance between the last frame of a
-    chunk and the first frame of the next; the motion gap is the absolute
-    difference of the mean flow magnitudes on the two sides (last flow field
-    of the left chunk vs. first of the right). Each gap pair is compared with
-    ``symmetric_match`` so over-smoothing is penalized like overshoot.
-    Absent (with a note) for K < 2 or a boundary without flows on either side.
-    """
-    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
-    if k < 2:
-        return _absent("rcbd: needs K >= 2")
-    per_boundary = []
-    for b_idx in range(k - 1):
-        if not all(t.chunks[c].flows for t in (gen, gt) for c in (b_idx, b_idx + 1)):
-            return _absent(f"rcbd: missing flows at boundary {b_idx + 1}")
-        b_gen, m_gen = _boundary_gaps(gen, b_idx, cfg)
-        b_gt, m_gt = _boundary_gaps(gt, b_idx, cfg)
-        s_appearance = symmetric_match(b_gen, b_gt, cfg.eps)
-        s_motion = symmetric_match(m_gen, m_gt, cfg.eps)
-        per_boundary.append(math.sqrt(s_appearance * s_motion))
-    return MetricResult(score=float(np.mean(per_boundary)), breakdown=per_boundary)
-
-
 def _window_frames(chunk: Chunk, window: int, last: bool) -> list[Frame]:
     w = min(window, len(chunk.frames))
     return list(chunk.frames[-w:]) if last else list(chunk.frames[:w])
-
-
-def lpsa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
-    """Late-prefix alignment: linearly weighted cosine over end-of-chunk windows.
-
-    Chunk k contributes with weight k, so later chunks (which accumulate more
-    rollout error) dominate.
-    """
-    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
-    similarities = []
-    for i in range(k):
-        e_gen = embed_frames(_window_frames(gen.chunks[i], cfg.lpsa_window, last=True), cfg.embedder)
-        e_gt = embed_frames(_window_frames(gt.chunks[i], cfg.lpsa_window, last=True), cfg.embedder)
-        similarities.append(cosine_similarity(e_gen, e_gt))
-    weights = np.arange(1, k + 1, dtype=np.float64)
-    score = float(np.dot(weights, similarities) / weights.sum())
-    return MetricResult(score=score, breakdown=similarities)
-
-
-def cisr(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
-    """Instruction-step retrieval as mean reciprocal rank.
-
-    Each generated chunk queries all ground-truth chunks (one row of
-    ``pair.sims``); the rank of the matching step gives 1/rank. Similarity
-    ties count pessimistically (worst rank among the tied entries), so
-    constant embeddings never inflate the score.
-    """
-    reciprocal = []
-    for i, sims in enumerate(pair.sims):
-        rank = int((sims >= sims[i]).sum())  # ties resolved to the worst rank
-        reciprocal.append(1.0 / rank)
-    return MetricResult(score=float(np.mean(reciprocal)), breakdown=reciprocal)
-
-
-def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
-    """Motion-profile alignment: exp(-delta / tau) per chunk, averaged.
-
-    delta is the mean pointwise L2 distance between the resampled 4-component
-    motion profiles of the generated and ground-truth chunk, so it is
-    invariant to the resample count. Chunks too short for a profile (T < 2)
-    are skipped with a note; a scorable chunk without flows makes it absent.
-    """
-    gen, gt, k = pair.gen, pair.gt, len(pair.sims)
-    scores = []
-    notes = []
-    for i in range(k):
-        if len(gen.chunks[i].frames) < 2 or len(gt.chunks[i].frames) < 2:
-            notes.append(f"pmpa: chunk {i} skipped (T < 2)")
-            continue
-        if gen.chunks[i].flows is None or gt.chunks[i].flows is None:
-            return _absent(*notes, f"pmpa: missing flows on chunk {i}")
-        p_gen = resample_profile(
-            motion_profile(gen.chunks[i], top_fraction=cfg.top_fraction), cfg.resample_steps
-        )
-        p_gt = resample_profile(
-            motion_profile(gt.chunks[i], top_fraction=cfg.top_fraction), cfg.resample_steps
-        )
-        delta = float(np.linalg.norm(p_gen.steps - p_gt.steps, axis=1).mean())
-        scores.append(math.exp(-delta / cfg.tau_pmpa))
-    if not scores:
-        return _absent(*notes, "pmpa: no scorable chunks")
-    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
-
-
-def cpdm(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
-    """Cross-phase margin: sigmoid of (same-step similarity - best opposite-phase similarity).
-
-    Absent (with a note) when the ground truth has a single phase, since no
-    opposite-phase negative exists.
-    """
-    phases = [c.phase for c in pair.gt.chunks]
-    if len(set(phases)) < 2:
-        return _absent("cpdm: single-phase trajectory")
-    scores = []
-    for i, sims in enumerate(pair.sims):
-        r_neg = max(sims[j] for j in range(len(sims)) if phases[j] != phases[i])
-        scores.append(_sigmoid((sims[i] - r_neg) / cfg.tau_cpdm))
-    return MetricResult(score=float(np.mean(scores)), breakdown=scores)
-
-
-def _accumulated_gt_magnitude(
-    gt_left: Chunk, gt_right: Chunk, w_left: int, w_right: int
-) -> np.ndarray:
-    """Sum of ground-truth flow magnitudes over the boundary window's frame pairs."""
-    h, w = gt_left.frames[0].height, gt_left.frames[0].width
-    acc = np.zeros((h, w))
-    if w_left >= 2:
-        for f in gt_left.flows[-(w_left - 1):]:
-            acc += f.magnitude()
-    if w_right >= 2:
-        for f in gt_right.flows[: w_right - 1]:
-            acc += f.magnitude()
-    return acc
 
 
 def _change_region_bbox(acc: np.ndarray, top_fraction: float) -> tuple[int, int, int, int]:
@@ -311,6 +144,193 @@ def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
     return [_trusted(Frame, f.data[r0:r1, c0:c1, :]) for f in frames]
 
 
+class TrajectoryFeatures:
+    """One side of a pair as the metrics read it, built by ``ScoringPair.of``.
+
+    The constructor validates ``traj`` and, in the same pass, reduces each chunk to one squared-
+    magnitude array per flow field. That array gives the chunk's resampled motion ``profiles``
+    (None below two frames or without fields), its first and last mean magnitude (``motion``;
+    None without fields) and, at each gt phase switch whose window has its fields (``spans``:
+    the window widths left and right; the others get skip ``notes``), the summed magnitude whose
+    top-fraction ``boxes`` crop both sides' ``fphs`` windows. ``embed`` then embeds each frame.
+    """
+
+    def __init__(self, name: str, traj: Trajectory, cfg: MetricConfig, switches: Sequence[int] = ()):
+        self.traj, self.switches, self._cfg = traj, list(switches), cfg
+        self.phases = [c.phase for c in traj.chunks]
+        self.lengths = [len(c.frames) for c in traj.chunks]
+        self.motion, self.profiles, self.spans, self.notes, self._acc = [], [], {}, [], {}
+        for k1 in switches:  # 1-based: the switch between chunks k1 and k1+1
+            widths = (min(cfg.fphs_window, self.lengths[k1 - 1]), min(cfg.fphs_window, self.lengths[k1]))
+            if any(w >= 2 and c.flows is None for w, c in zip(widths, traj.chunks[k1 - 1 : k1 + 1])):
+                self.notes.append(f"fphs: boundary {k1} skipped (missing gt flows)")
+            else:
+                self.spans[k1] = widths
+        report = validate_trajectory(traj, self._reduce)
+        if not report.is_valid():
+            raise ValueError(f"{name} trajectory invalid: " + "; ".join(report.issues))
+        self.boxes = {k1: _change_region_bbox(acc, cfg.top_fraction) for k1, acc in self._acc.items()}
+
+    def _reduce(self, chunk: Chunk) -> list[bool]:
+        """Reduce the next chunk; returns whether each of its flow fields is finite."""
+        ci, cfg, flows = len(self.motion), self._cfg, chunk.flows or ()
+        n = len(flows)
+        if ci + 1 in self.spans:
+            self._acc[ci + 1] = np.zeros(chunk.frames[0].data.shape[:2])
+        # The first right - 1 fields feed switch ci, and the last left - 1 feed switch ci + 1.
+        left, right = self.spans.get(ci + 1, (0, 0))[0], self.spans.get(ci, (0, 0))[1]
+        stats, means = [], []
+        for fi, flow in enumerate(flows):
+            squares = flow.squared_magnitude()
+            for k1, fed in ((ci, fi < right - 1), (ci + 1, fi > n - left)):
+                if fed:
+                    self._acc[k1] += np.sqrt(squares)
+            if fi in (0, n - 1):
+                means.append(float(np.sqrt(squares).mean()))
+            try:
+                stats.append(flow_stats(squares, cfg.top_fraction))
+            except ValueError:  # a non-finite value, which validate_trajectory reports
+                stats.append(None)
+            del squares  # before the next field's array is made, so the heap does not grow
+        self.motion.append((means[0], means[-1]) if means else None)
+        finite = [row is not None for row in stats]
+        self.profiles.append(resample_profile(stats_profile(stats, chunk.frames[0]), cfg.resample_steps)
+                             if stats and all(finite) else None)
+        return finite
+
+    def embed(self, reach: int, gt: TrajectoryFeatures) -> None:
+        """Embed each whole chunk and end window, the frames across the first ``reach`` boundaries
+        (giving their appearance and motion ``gaps``) and each of ``gt``'s windows, cropped."""
+        spec, chunks, motion = self._cfg.embedder, self.traj.chunks, self.motion
+        self.chunks = [embed_frames(list(c.frames), spec) for c in chunks]
+        self.gaps = [(perceptual_distance(chunks[b].frames[-1], chunks[b + 1].frames[0], spec),
+                      abs(motion[b][1] - motion[b + 1][0])) for b in range(reach)]
+        self.ends = [embed_frames(_window_frames(c, self._cfg.lpsa_window, last=True), spec) for c in chunks]
+        self.windows = {
+            k1: embed_frames(_crop(_window_frames(chunks[k1 - 1], w_left, last=True)
+                                   + _window_frames(chunks[k1], w_right, last=False), gt.boxes[k1]), spec)
+            for k1, (w_left, w_right) in gt.spans.items()
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class ScoringPair:
+    """The features of valid (gen, gt) trajectories with equal chunk count K and frame dims, built by ``of``.
+
+    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j,
+    held as a read-only copy.
+    """
+
+    gen: TrajectoryFeatures
+    gt: TrajectoryFeatures
+    sims: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sims", _frozen(self.sims, np.float64))
+
+    @classmethod
+    def of(cls, gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> "ScoringPair":
+        """Build gen's features, then gt's, and check the pair; raises ValueError naming the check."""
+        sides = TrajectoryFeatures("gen", gen, cfg), TrajectoryFeatures("gt", gt, cfg, phase_boundaries(gt))
+        if len(gen.chunks) != len(gt.chunks):
+            raise ValueError(f"chunk counts differ: gen K={len(gen.chunks)}, gt K={len(gt.chunks)}")
+        g0, t0 = gen.chunks[0].frames[0], gt.chunks[0].frames[0]
+        if (g0.height, g0.width) != (t0.height, t0.width):
+            raise ValueError("gen and gt frame dims differ")
+        # rcbd stops at the first boundary beside a chunk that lacks fields on either side
+        bare = [c for c in range(len(gen.chunks)) if not all(side.motion[c] for side in sides)]
+        reach = max(min(bare, default=len(gen.chunks)) - 1, 0)
+        for side in sides:
+            side.embed(reach, sides[1])
+        return cls(*sides, [[cosine_similarity(a, b) for b in sides[1].chunks] for a in sides[0].chunks])
+
+
+def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
+    """Boundary-dynamics fidelity: geometric mean of appearance and motion gap matches.
+
+    The appearance gap is the perceptual distance between the last frame of a
+    chunk and the first frame of the next; the motion gap is the absolute
+    difference of the mean flow magnitudes on the two sides (last flow field
+    of the left chunk vs. first of the right). Each gap pair is compared with
+    ``symmetric_match`` so over-smoothing is penalized like overshoot.
+    Absent (with a note) for K < 2 or a boundary without flows on either side.
+    """
+    k, reached = len(pair.sims), len(pair.gen.gaps)
+    if k < 2:
+        return _absent("rcbd: needs K >= 2")
+    if reached < k - 1:
+        return _absent(f"rcbd: missing flows at boundary {reached + 1}")
+    per_boundary = [math.sqrt(symmetric_match(b_gen, b_gt, cfg.eps) * symmetric_match(m_gen, m_gt, cfg.eps))
+                    for (b_gen, m_gen), (b_gt, m_gt) in zip(pair.gen.gaps, pair.gt.gaps)]
+    return MetricResult(score=float(np.mean(per_boundary)), breakdown=per_boundary)
+
+
+def lpsa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
+    """Late-prefix alignment: linearly weighted cosine over end-of-chunk windows.
+
+    Chunk k contributes with weight k, so later chunks (which accumulate more
+    rollout error) dominate.
+    """
+    similarities = [cosine_similarity(e_gen, e_gt) for e_gen, e_gt in zip(pair.gen.ends, pair.gt.ends)]
+    weights = np.arange(1, len(similarities) + 1, dtype=np.float64)
+    score = float(np.dot(weights, similarities) / weights.sum())
+    return MetricResult(score=score, breakdown=similarities)
+
+
+def cisr(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
+    """Instruction-step retrieval as mean reciprocal rank.
+
+    Each generated chunk queries all ground-truth chunks (one row of
+    ``pair.sims``); the rank of the matching step gives 1/rank. Similarity
+    ties count pessimistically (worst rank among the tied entries), so
+    constant embeddings never inflate the score.
+    """
+    reciprocal = []
+    for i, sims in enumerate(pair.sims):
+        rank = int((sims >= sims[i]).sum())  # ties resolved to the worst rank
+        reciprocal.append(1.0 / rank)
+    return MetricResult(score=float(np.mean(reciprocal)), breakdown=reciprocal)
+
+
+def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
+    """Motion-profile alignment: exp(-delta / tau) per chunk, averaged.
+
+    delta is the mean pointwise L2 distance between the resampled 4-component
+    motion profiles of the generated and ground-truth chunk, so it is
+    invariant to the resample count. Chunks too short for a profile (T < 2)
+    are skipped with a note; a scorable chunk without flows makes it absent.
+    """
+    gen, gt = pair.gen, pair.gt
+    scores, notes = [], []
+    for i in range(len(pair.sims)):
+        if gen.lengths[i] < 2 or gt.lengths[i] < 2:
+            notes.append(f"pmpa: chunk {i} skipped (T < 2)")
+            continue
+        if gen.profiles[i] is None or gt.profiles[i] is None:
+            return _absent(*notes, f"pmpa: missing flows on chunk {i}")
+        delta = float(np.linalg.norm(gen.profiles[i].steps - gt.profiles[i].steps, axis=1).mean())
+        scores.append(math.exp(-delta / cfg.tau_pmpa))
+    if not scores:
+        return _absent(*notes, "pmpa: no scorable chunks")
+    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
+
+
+def cpdm(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
+    """Cross-phase margin: sigmoid of (same-step similarity - best opposite-phase similarity).
+
+    Absent (with a note) when the ground truth has a single phase, since no
+    opposite-phase negative exists.
+    """
+    phases = pair.gt.phases
+    if len(set(phases)) < 2:
+        return _absent("cpdm: single-phase trajectory")
+    scores = []
+    for i, sims in enumerate(pair.sims):
+        r_neg = max(sims[j] for j in range(len(sims)) if phases[j] != phases[i])
+        scores.append(_sigmoid((sims[i] - r_neg) / cfg.tau_cpdm))
+    return MetricResult(score=float(np.mean(scores)), breakdown=scores)
+
+
 def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """Phase-hop consistency in the localized change region at each phase switch.
 
@@ -320,36 +340,12 @@ def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     Absent (with a note) when no phase switch exists.
     """
     gen, gt = pair.gen, pair.gt
-    switches = phase_boundaries(gt)
-    if not switches:
+    if not gt.switches:
         return _absent("fphs: no phase switch")
-    scores = []
-    notes = []
-    for k1 in switches:  # 1-based: switch between chunks k1 and k1+1
-        gt_left, gt_right = gt.chunks[k1 - 1], gt.chunks[k1]
-        gen_left, gen_right = gen.chunks[k1 - 1], gen.chunks[k1]
-        w_left = min(cfg.fphs_window, len(gt_left.frames))
-        w_right = min(cfg.fphs_window, len(gt_right.frames))
-        needs_flows = (w_left >= 2 and gt_left.flows is None) or (
-            w_right >= 2 and gt_right.flows is None
-        )
-        if needs_flows:
-            notes.append(f"fphs: boundary {k1} skipped (missing gt flows)")
-            continue
-        acc = _accumulated_gt_magnitude(gt_left, gt_right, w_left, w_right)
-        bbox = _change_region_bbox(acc, cfg.top_fraction)
-        gen_window = _window_frames(gen_left, w_left, last=True) + _window_frames(
-            gen_right, w_right, last=False
-        )
-        gt_window = _window_frames(gt_left, w_left, last=True) + _window_frames(
-            gt_right, w_right, last=False
-        )
-        e_gen = embed_frames(_crop(gen_window, bbox), cfg.embedder)
-        e_gt = embed_frames(_crop(gt_window, bbox), cfg.embedder)
-        scores.append(cosine_similarity(e_gen, e_gt))
+    scores = [cosine_similarity(gen.windows[k1], gt.windows[k1]) for k1 in gt.spans]
     if not scores:
-        return _absent(*notes, "fphs: no scorable boundary")
-    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
+        return _absent(*gt.notes, "fphs: no scorable boundary")
+    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=list(gt.notes))
 
 
 _METRIC_FUNCS = {

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -146,17 +146,14 @@ class FlowField:
     def width(self) -> int:
         return self.u.shape[1]
 
-    def magnitude(self) -> np.ndarray:
-        """Per-pixel flow magnitude, computed in float64 into a new array that
-        the caller may overwrite.
-
-        The f32 components square exactly in f64 and cannot overflow there, so
-        sqrt(u*u + v*v) is within an ulp of hypot without hypot's scaling.
-        The squares are taken in one pass over the interleaved block.
+    def squared_magnitude(self) -> np.ndarray:
+        """Per-pixel u*u + v*v in float64, in a new (h, w) array that the
+        caller may overwrite. The f32 components square exactly in f64 and
+        cannot overflow there, so only the sum rounds: its square root is
+        within an ulp of hypot. The squares take one pass over the block.
         """
         squares = np.square(self.uv, dtype=np.float64)
-        mag = np.add(squares[:, :, 0], squares[:, :, 1])
-        return np.sqrt(mag, out=mag)
+        return np.add(squares[:, :, 0], squares[:, :, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +212,13 @@ def _frame_dims(frame: Frame) -> tuple[int, int]:
     return frame.height, frame.width
 
 
-def validate_trajectory(traj: Trajectory) -> ValidationReport:
+def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> ValidationReport:
     """Check every data-model invariant and report all violations.
 
     Validation never raises: each violation becomes one human-readable issue
     line naming the chunk (and frame/flow/mask index) it was found at.
+    Until the first issue, ``reduce(chunk)`` reduces each chunk whose frames and flows passed
+    their other checks, and returns whether each flow field is finite, in place of the sweep.
     """
     issues: list[str] = []
     if len(traj.chunks) == 0:
@@ -229,10 +228,10 @@ def validate_trajectory(traj: Trajectory) -> ValidationReport:
     ref_dims: tuple[int, int] | None = None
     for ci, chunk in enumerate(traj.chunks):
         t = len(chunk.frames)
+        dims = _frame_dims(chunk.frames[0]) if t else None
         if t == 0:
             issues.append(f"chunk {ci}: empty chunk")
         else:
-            dims = _frame_dims(chunk.frames[0])
             if ref_dims is None:
                 ref_dims = dims
             elif dims != ref_dims:
@@ -250,20 +249,23 @@ def validate_trajectory(traj: Trajectory) -> ValidationReport:
                     problem = "value outside [0, 1]" if np.isfinite(vals).all() else "non-finite value"
                     issues.append(f"chunk {ci} frame {fi}: {problem}")
 
-        if chunk.flows is not None:
-            if t > 0 and len(chunk.flows) != t - 1:
-                issues.append(f"chunk {ci}: flow count {len(chunk.flows)} != T-1 ({t - 1})")
-            for fi, flow in enumerate(chunk.flows):
-                if t > 0 and (flow.height, flow.width) != _frame_dims(chunk.frames[0]):
-                    issues.append(f"chunk {ci} flow {fi}: dim mismatch with frames")
-                if not np.isfinite(flow.uv).all():
-                    issues.append(f"chunk {ci} flow {fi}: non-finite value")
+        flows = chunk.flows or ()
+        if chunk.flows is not None and t > 0 and len(flows) != t - 1:
+            issues.append(f"chunk {ci}: flow count {len(flows)} != T-1 ({t - 1})")
+        misfit = [t > 0 and (flow.height, flow.width) != dims for flow in flows]
+        reduced = reduce is not None and not issues and not any(misfit)
+        finite = reduce(chunk) if reduced else [np.isfinite(flow.uv).all() for flow in flows]
+        for fi, (bad_dims, ok) in enumerate(zip(misfit, finite)):
+            if bad_dims:
+                issues.append(f"chunk {ci} flow {fi}: dim mismatch with frames")
+            if not ok:
+                issues.append(f"chunk {ci} flow {fi}: non-finite value")
 
         if chunk.masks is not None:
             if t > 0 and len(chunk.masks) != t:
                 issues.append(f"chunk {ci}: mask count {len(chunk.masks)} != T ({t})")
             for mi, mask in enumerate(chunk.masks):
-                if t > 0 and (mask.height, mask.width) != _frame_dims(chunk.frames[0]):
+                if t > 0 and (mask.height, mask.width) != dims:
                     issues.append(f"chunk {ci} mask {mi}: dim mismatch with frames")
                 if not mask.is_binary():
                     issues.append(f"chunk {ci} mask {mi}: non-binary mask")

@@ -494,9 +494,9 @@ class TestEval:
         _, pairs_file = fixture_pair_dir
         calls = []
 
-        def counting(traj):
+        def counting(traj, *args):  # evaluate_all passes a per-chunk reducer
             calls.append(traj.id)
-            return rollout.validate_trajectory(traj)
+            return rollout.validate_trajectory(traj, *args)
 
         for module in (manifest, metrics):  # every module that binds the name
             if hasattr(module, "validate_trajectory"):
@@ -529,6 +529,39 @@ class TestEval:
         assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
         errors = [r["error"] for r in _read_records(out) if "error" in r]
         assert len(errors) == 1 and message in errors[0]["message"]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["alone", "after-frame-issue"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("chunk", [0, 1, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("side", ["gen", "gt"])
+    def test_non_finite_flow_reads_as_validation_does(self, tmp_path, side, chunk, value, earlier):
+        """The scoring pass finds a non-finite flow field by reducing it, and
+        its error names the same issues, in the same order, as
+        ``validate_trajectory`` does, with or without an earlier issue."""
+        traj, _ = generate_trajectory(mixed_fixture_config(seed=606, size=32, t=4))
+        chunks = list(traj.chunks)
+        fi = chunk % 3  # one of the three fields
+        u = chunks[chunk].flows[fi].u.copy()
+        u[5, 7] = value
+        flows = list(chunks[chunk].flows)
+        flows[fi] = rollout.FlowField(u=u, v=chunks[chunk].flows[fi].v)
+        chunks[chunk] = Chunk(frames=chunks[chunk].frames, instruction="", phase=chunks[chunk].phase,
+                              flows=tuple(flows))
+        if earlier:  # a frame outside [0, 1] in chunk 0, which validation reports first
+            frames = list(chunks[0].frames)
+            frames[1] = Frame(data=frames[1].data + 1.0)
+            chunks[0] = Chunk(frames=tuple(frames), instruction="", phase=chunks[0].phase,
+                              flows=chunks[0].flows)
+        bad = Trajectory(id=traj.id, chunks=tuple(chunks))
+        paths = {name: save_manifest(t, tmp_path / name / "manifest.json")
+                 for name, t in (("bad", bad), ("good", traj))}
+        gen, gt = (paths["bad"], paths["good"]) if side == "gen" else (paths["good"], paths["bad"])
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
+        issues = rollout.validate_trajectory(manifest.load_manifest(paths["bad"], masks=False)).issues
+        assert f"chunk {chunk} flow {fi}: non-finite value" in issues and len(issues) == 1 + earlier
+        message = [r["error"]["message"] for r in _read_records(out) if "error" in r]
+        assert message == [f"{side} trajectory invalid: " + "; ".join(issues)]
 
     @pytest.mark.parametrize("defect", ["non-binary", "truncated", "missing"])
     def test_broken_mask_sidecar_changes_no_report_byte(self, tmp_path, defect):

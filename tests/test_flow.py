@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wemeval import flow
 from wemeval.flow import (
     DegenerateMatchesError,
     Homography,
@@ -144,7 +145,7 @@ class TestFlowStats:
     ], ids=["tied-at-peak", "bin-edges", "half-bin-edges", "all-zero", "one-pixel"])
     def test_entropy_equals_bincount_histogram(self, u):
         f = FlowField(u=u, v=np.zeros_like(u))
-        mag = f.magnitude().ravel()
+        mag = np.sqrt(f.squared_magnitude()).ravel()
         expected = 0.0
         if mag.max() > 0.0:
             idx = np.minimum((mag / mag.max() * 16).astype(np.int64), 15)
@@ -183,6 +184,40 @@ class TestFlowStats:
         assert flow_stats(f) == _flow_stats_descending(f)
         spread = FlowField(u=free_u * 2.0 ** -rng.integers(0, 20, size=(h, w)), v=free_v)
         assert flow_stats(spread) == _flow_stats_descending(spread)  # the top mean's summation order shows
+
+    @pytest.mark.parametrize("kind", ["ulp-off-edges", "on-edges", "just-below-edges"])
+    @pytest.mark.parametrize("n_extra", [0, 1])
+    @pytest.mark.parametrize("top_fraction", [0.2, 1.0])
+    def test_squared_search_is_exact_around_every_bin_edge(self, kind, n_extra, top_fraction):
+        # peak has 20 significant bits, so every edge b / 16 * peak is an exact
+        # float32, and so are its neighbours one float32 ulp away.
+        peak = np.float32(1234567 * 2.0**-17)
+        edges = peak * np.arange(1, 16, dtype=np.float32) / np.float32(16)
+        below, above = np.nextafter(edges, np.float32(0)), np.nextafter(edges, np.float32(np.inf))
+        u, v = np.concatenate([below, above]), np.zeros(30)
+        if kind == "on-edges":
+            u, v = np.concatenate([u, edges]), np.zeros(45)
+        elif kind == "just-below-edges":  # squares about 2**-45 (relative) under the edge's
+            e = edges.astype(np.float64)
+            rest = np.sqrt(e * e - below.astype(np.float64) ** 2 - e * e * 2.0**-45)
+            u, v = np.concatenate([u, below]), np.concatenate([v, rest])
+        u = np.concatenate([u, [peak, 0.0], np.full(n_extra, peak / 3)])  # odd and even n
+        v = np.concatenate([v, np.zeros(2 + n_extra)])
+        f = FlowField(u=u[None, :], v=v[None, :])
+        squares = np.sort(f.squared_magnitude().ravel())
+        lower, upper = flow._SQUARED_BRACKETS * squares[-1]
+        inside = [((lo <= squares) & (squares <= hi)).any() for lo, hi in zip(lower, upper)]
+        assert any(inside) == (kind != "ulp-off-edges")  # the search falls back to the ratios
+        if kind == "just-below-edges":  # where the squares' brackets alone would misplace a field
+            ratios = np.sqrt(squares) / np.sqrt(squares[-1])
+            assert any(((lo <= squares) & (ratios < edge)).any() for lo, edge in zip(lower, flow._BIN_EDGES))
+        assert flow_stats(f, top_fraction) == _flow_stats_descending(f, top_fraction)
+        assert flow_stats(f.squared_magnitude(), top_fraction) == flow_stats(f, top_fraction)
+
+    @pytest.mark.parametrize("value", [0.0, 3.5, 2.0**-140])
+    def test_one_pixel_field(self, value):
+        f = FlowField(u=np.full((1, 1), value), v=np.zeros((1, 1)))
+        assert flow_stats(f, 1.0) == _flow_stats_descending(f, 1.0) == (value, value, 0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_magnitude_rejected(self, bad):

@@ -281,14 +281,10 @@ class TestFphs:
         assert any("no phase switch" in n for n in result.notes)
 
     def test_change_region_covers_moving_object(self, default_config):
-        from wemeval.metrics import _accumulated_gt_magnitude, _change_region_bbox
-
         traj, gt = generate_trajectory(mixed_fixture_config(seed=31, size=32, t=4))
         k1 = 1  # Nav -> Manip switch
-        left, right = traj.chunks[k1 - 1], traj.chunks[k1]
-        acc = _accumulated_gt_magnitude(left, right, 4, 4)
-        r0, r1, c0, c1 = _change_region_bbox(acc, default_config.top_fraction)
-        moving = np.zeros_like(acc, dtype=bool)
+        r0, r1, c0, c1 = ScoringPair.of(traj, traj, default_config).gt.boxes[k1]
+        moving = np.zeros((32, 32), dtype=bool)
         for obj_flow in gt.object_flows[k1][:3]:
             moving |= np.hypot(obj_flow.u, obj_flow.v) > 0
         rows, cols = np.nonzero(moving)
@@ -297,7 +293,7 @@ class TestFphs:
 
 
     def test_partial_change_region_is_cropped_and_matches_oracle(self, default_config):
-        from wemeval.metrics import _accumulated_gt_magnitude, _change_region_bbox, _crop
+        from wemeval.metrics import _crop
 
         # gt flows are zero but for an 8 x 8 patch, a quarter of the frame, on
         # both sides of the switch: the region is that patch, a strict sub-box.
@@ -311,27 +307,23 @@ class TestFphs:
             return Trajectory(id=name, chunks=chunks)
 
         gen, gt = traj("g", 100), traj("t", 200)
-        bbox = _change_region_bbox(_accumulated_gt_magnitude(*gt.chunks, 4, 4), default_config.top_fraction)
+        pair = ScoringPair.of(gen, gt, default_config)
+        bbox = pair.gt.boxes[1]
         assert bbox == (2, 10, 4, 12)
         window = list(gt.chunks[0].frames)
         for frame, crop in zip(window, _crop(window, bbox)):
             assert crop.data.shape == (8, 8, 1) and not crop.data.flags.c_contiguous
             assert np.shares_memory(crop.data, frame.data)
-        score = fphs(ScoringPair.of(gen, gt, default_config), default_config).score
+        score = fphs(pair, default_config).score
         assert score == pytest.approx(oracle.fphs(gen, gt, default_config), abs=1e-9)
 
     def test_whole_frame_region_reduces_no_frame_beyond_the_chunks(self, default_config, monkeypatch):
         from wemeval import features
-        from wemeval.metrics import _accumulated_gt_magnitude, _change_region_bbox, _crop
+        from wemeval.metrics import _crop
         from wemeval.rollout import phase_boundaries
 
         gt, truth = generate_trajectory(mixed_fixture_config(seed=31, size=32, t=4))
         gen = perturb_rollout(gt, truth, "frame-noise", 0.05, seed=3)
-        switches = phase_boundaries(gt)
-        assert switches
-        for k1 in switches:  # camera motion spreads the top 20% over the whole frame
-            acc = _accumulated_gt_magnitude(gt.chunks[k1 - 1], gt.chunks[k1], 4, 4)
-            assert _change_region_bbox(acc, default_config.top_fraction) == (0, 32, 0, 32)
         window = list(gt.chunks[0].frames)
         assert _crop(window, (0, 32, 0, 32)) is window
 
@@ -341,6 +333,11 @@ class TestFphs:
         chunk_frames = {id(f) for t in (gen, gt) for c in t.chunks for f in c.frames}
         assert len(reduced) == len(chunk_frames) == 32
         assert {id(f) for f in reduced} == chunk_frames
+        switches = phase_boundaries(gt)
+        assert switches
+        boxes = ScoringPair.of(gen, gt, default_config).gt.boxes
+        for k1 in switches:  # camera motion spreads the top 20% over the whole frame
+            assert boxes[k1] == (0, 32, 0, 32)
 
 
 class TestIdentityScores:
@@ -415,8 +412,26 @@ class TestEvaluateAll:
         assert report.scores["cisr"] is not None and report.scores["cpdm"] is not None
         assert len(whole_chunk_calls) == 2 * len(gt.chunks)
 
+    def test_each_field_and_frame_is_reduced_once_per_trajectory(self, default_config, monkeypatch):
+        # T = 6: the lpsa and fphs windows, the boundary frames and both sides
+        # of every switch reuse what the chunks' pass reduced.
+        from wemeval import features
+
+        gt, truth = generate_trajectory(mixed_fixture_config(seed=35, size=32, t=6))
+        gen = perturb_rollout(gt, truth, "frame-noise", 0.05, seed=4)
+        squared, gray, built, reduced = FlowField.squared_magnitude, features._gray, [], []
+        monkeypatch.setattr(FlowField, "squared_magnitude", lambda f: built.append(f) or squared(f))
+        monkeypatch.setattr(features, "_gray", lambda f: reduced.append(f) or gray(f))
+        report = evaluate_all(gen, gt, default_config)
+        assert None not in report.scores.values()
+        fields = [f for t in (gen, gt) for c in t.chunks for f in c.flows]
+        assert len(built) == len(fields) == 2 * 4 * 5
+        assert sorted(map(id, built)) == sorted(map(id, fields))  # a field both sides hold is built twice
+        frames = {id(f) for t in (gen, gt) for c in t.chunks for f in c.frames}
+        assert len(reduced) == len(frames) and {id(f) for f in reduced} == frames
+
     def test_phase_swap_changes_no_score_breakdown_or_note(self, default_config):
-        """ROADMAP item 3 ("phase-swap is invisible"), as it stands: no metric
+        """ROADMAP item 4 ("phase-swap is invisible"), as it stands: no metric
         reads the generated chunks' phase labels, since ``cpdm`` and ``fphs``
         read the ground truth's. Making the kind visible, or dropping it,
         changes this test on purpose."""
