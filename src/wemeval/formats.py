@@ -13,10 +13,10 @@ malformed, so a reader's work is bounded by its file's size.
 
 Readers make no copy of a payload: a file of at least ``MAP_MIN_BYTES`` (128
 KiB) is mapped read-only, a smaller one is read once into ``bytes``, and every
-frame, mask and flow field is a read-only view of its record there. A flow
-field holds its (h, w, 2) block of interleaved (u, v) pairs. A map lives as
-long as the views of it. Before Python 3.13, CPython's ``mmap`` keeps a
-duplicate of the file descriptor as long as the map, so each loaded mapped
+frame, mask and flow field holds as its ``data`` a read-only view of its record
+there, a flow field's its (h, w, 2) block of interleaved (u, v) pairs. A map
+lives as long as the views of it. Before Python 3.13, CPython's ``mmap`` keeps
+a duplicate of the file descriptor as long as the map, so each loaded mapped
 sidecar holds one open descriptor; from 3.13 the maps are made with
 ``trackfd=False`` and hold none. A sidecar must not be truncated or rewritten
 in place while views of it are held: the process may then see changed data or
@@ -54,7 +54,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .rollout import FlowField, Frame, WorldEgoMask, _trusted
+from .rollout import FlowField, Frame, WorldEgoMask, _Payload, _trusted
 
 FLOW_MAGIC = b"WEMF"
 MASK_MAGIC = b"WEMM"
@@ -107,10 +107,11 @@ def _load(path: str | Path, header_len: int) -> bytes | mmap.mmap:
 
 
 def _records(
-    path: str | Path, magic: bytes, n_fields: int, dtype: str, record: Callable[..., tuple[int, ...]]
-) -> np.ndarray:
-    """The records of the sidecar at ``path``, as one read-only array of shape
-    (count, *record) over the file's map or bytes.
+    path: str | Path, magic: bytes, n_fields: int, dtype: str, record: Callable[..., tuple[int, ...]],
+    cls: type[_Payload],
+) -> list[_Payload]:
+    """The records of the sidecar at ``path``, each a ``cls`` whose ``data`` is
+    a read-only view of shape ``record`` over the file's map or bytes.
 
     The header is ``n_fields`` u32 values after ``magic``: the dims, then the
     record count. ``record`` maps the dims to one record's shape. Of a mapped
@@ -133,7 +134,8 @@ def _records(
         if isinstance(buf, mmap.mmap):
             buf.close()  # nothing views it yet
         raise
-    return np.frombuffer(buf, dtype, count * size, header_len).reshape(count, *shape)
+    records = np.frombuffer(buf, dtype, count * size, header_len).reshape(count, *shape)
+    return [_trusted(cls, r) for r in records]
 
 
 @contextlib.contextmanager
@@ -160,16 +162,16 @@ def replacing(path: str | Path, mode: str = "wb") -> Iterator[IO]:
 
 
 def _write_records(
-    path: str | Path, magic: bytes, dims: Callable[..., tuple[int, ...]], arrays: Sequence[np.ndarray],
+    path: str | Path, magic: bytes, dims: Callable[..., tuple[int, ...]], values: Sequence[_Payload],
     dtype: str,
 ) -> None:
-    """Write ``arrays``, records of one shape, as the sidecar at ``path``.
-    ``dims`` maps a record's shape to the header's dims, as ``_records``'
-    ``record`` maps them back."""
-    if not arrays:
+    """Write the ``data`` of ``values``, records of one shape, as the sidecar at
+    ``path``. ``dims`` maps a record's shape to the header's dims, as
+    ``_records``' ``record`` maps them back."""
+    if not values:
         raise ValueError("cannot write a sidecar of no records")
-    payload = np.stack(arrays).astype(dtype, copy=False)  # ValueError on unequal shapes
-    header = (*dims(*payload.shape[1:]), len(arrays))
+    payload = np.stack([v.data for v in values]).astype(dtype, copy=False)  # ValueError on unequal shapes
+    header = (*dims(*payload.shape[1:]), len(values))
     if not payload.size:
         raise ValueError(f"cannot write records of zero size {'x'.join(map(str, header[:-1]))}")
     with replacing(path) as fh:
@@ -179,27 +181,25 @@ def _write_records(
 
 
 def write_flow_file(path: str | Path, fields: Sequence[FlowField]) -> None:
-    _write_records(path, FLOW_MAGIC, lambda h, w, _: (w, h), [f.uv for f in fields], "<f4")
+    _write_records(path, FLOW_MAGIC, lambda h, w, _: (w, h), fields, "<f4")
 
 
 def read_flow_file(path: str | Path) -> list[FlowField]:
-    records = _records(path, FLOW_MAGIC, 3, "<f4", lambda w, h: (h, w, 2))
-    return [_trusted(FlowField, uv) for uv in records]
+    return _records(path, FLOW_MAGIC, 3, "<f4", lambda w, h: (h, w, 2), FlowField)
 
 
 def write_mask_file(path: str | Path, masks: Sequence[WorldEgoMask]) -> None:
     if not all(m.is_binary() for m in masks):
         raise ValueError("mask file format only holds binary masks")
-    _write_records(path, MASK_MAGIC, lambda h, w: (w, h), [m.data for m in masks], "u1")
+    _write_records(path, MASK_MAGIC, lambda h, w: (w, h), masks, "u1")
 
 
 def read_mask_file(path: str | Path) -> list[WorldEgoMask]:
-    records = _records(path, MASK_MAGIC, 3, "u1", lambda w, h: (h, w))
-    return [_trusted(WorldEgoMask, m) for m in records]
+    return _records(path, MASK_MAGIC, 3, "u1", lambda w, h: (h, w), WorldEgoMask)
 
 
 def write_frame_file(path: str | Path, frames: Sequence[Frame]) -> None:
-    _write_records(path, FRAME_MAGIC, lambda h, w, c: (w, h, c), [f.data for f in frames], "<f4")
+    _write_records(path, FRAME_MAGIC, lambda h, w, c: (w, h, c), frames, "<f4")
 
 
 def read_frame_file(path: str | Path) -> list[Frame]:
@@ -208,4 +208,4 @@ def read_frame_file(path: str | Path) -> list[Frame]:
             raise FormatError(f"{path}: channel count {c} not in (1, 3)")
         return h, w, c
 
-    return [_trusted(Frame, f) for f in _records(path, FRAME_MAGIC, 4, "<f4", record)]
+    return _records(path, FRAME_MAGIC, 4, "<f4", record, Frame)

@@ -36,14 +36,16 @@ def _require(obj: dict, field: str, kind: type, where: str) -> object:
 
 # The errors that say no file is at a sidecar's path: as ``Path.is_file`` reads them.
 _NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
-_SIDECARS = (("frames", formats.read_frame_file), ("flows", formats.read_flow_file),
-             ("masks", formats.read_mask_file))
+# Each field's reader itself as a dict value, where perfbench's traced pass wraps it.
+_SIDECARS = {"frames": formats.read_frame_file, "flows": formats.read_flow_file,
+             "masks": formats.read_mask_file}
 
 
 def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
     """Parse a trajectory manifest with its sidecar payloads.
 
-    Raises ``ManifestError`` for bad JSON, fields, assets or sidecar formats.
+    Raises ``ManifestError`` for bad JSON (a file that is not UTF-8 included),
+    fields, assets or sidecar formats.
     Content invariants are left to ``validate_trajectory``, which
     ``evaluate_all`` runs. With ``masks=False`` the chunks' ``masks`` fields
     are not read and their sidecars are not opened: every chunk has no masks.
@@ -51,10 +53,9 @@ def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"{path}: no such file")
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = formats.decode_json(text)
-    except ValueError as exc:
+        doc = formats.decode_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
@@ -79,9 +80,9 @@ def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
                 f"{where}: field 'phase': invalid value '{phase_str}' (expected 'Nav' or 'Manip')"
             ) from None
         sidecars: dict[str, tuple | None] = {}
-        for field, read in _SIDECARS if masks else _SIDECARS[:2]:
-            if field != "frames" and cdoc.get(field) is None:
-                sidecars[field] = None  # flows and masks are optional
+        for field, read in _SIDECARS.items():
+            if field != "frames" and (cdoc.get(field) is None or field == "masks" and not masks):
+                sidecars[field] = None  # flows and masks are optional, and masks=False reads none
                 continue
             asset = os.path.join(base, _require(cdoc, field, str, where))
             try:

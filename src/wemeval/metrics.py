@@ -18,9 +18,7 @@ import numpy as np
 
 from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_distance
 from .flow import flow_stats, resample_profile, stats_profile
-from .rollout import (
-    Chunk, FlowField, Frame, Trajectory, _frozen, _trusted, phase_boundaries, validate_trajectory,
-)
+from .rollout import Chunk, Frame, Trajectory, _frozen, _trusted, phase_boundaries, validate_trajectory
 
 
 # The most steps a motion profile is resampled to: a profile of 4096 steps of

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-_Held = TypeVar("_Held", "Frame", "WorldEgoMask", "FlowField")
 
 
 class PhaseLabel(enum.Enum):
@@ -26,21 +24,38 @@ def _frozen(x: object, dtype: np.typing.DTypeLike = None) -> np.ndarray:
     return arr
 
 
-def _trusted(cls: type[_Held], array: np.ndarray) -> _Held:
-    """A ``Frame``, ``WorldEgoMask`` or ``FlowField`` over ``array`` as it is,
-    without the public constructor's copy and checks.
+@dataclass(frozen=True, eq=False)
+class _Payload:
+    """A frozen value that holds one read-only array, ``data``, of shape
+    (height, width, ...): a ``Frame``, ``WorldEgoMask`` or ``FlowField``.
+    Each public constructor copies the caller's values into ``data``."""
+
+    data: np.ndarray
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+
+def _trusted(cls: type[_Payload], array: np.ndarray) -> _Payload:
+    """A ``Frame``, ``WorldEgoMask`` or ``FlowField`` whose ``data`` is
+    ``array`` as it is, without the public constructor's copy and checks.
 
     Only for the package's own read-only views that no caller can write and that
     already are what that constructor would hold: a record of a sidecar that
     ``formats`` read, or a slice of a ``Frame``'s data.
     """
     obj = object.__new__(cls)
-    obj._hold(array)
+    object.__setattr__(obj, "data", array)
     return obj
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Payload):
     """Single image with intensities normalized to [0, 1].
 
     Stored as float32 with shape (height, width, channels), channels 1 or 3.
@@ -50,8 +65,6 @@ class Frame:
     than rejected here, so malformed inputs stay inspectable.
     """
 
-    data: np.ndarray
-
     def __post_init__(self) -> None:
         arr = _frozen(self.data, np.float32)
         if arr.ndim == 2:
@@ -60,18 +73,7 @@ class Frame:
             raise ValueError(
                 f"frame data must be (h, w) or (h, w, c) with c in (1, 3), got shape {arr.shape}"
             )
-        self._hold(arr)
-
-    def _hold(self, data: np.ndarray) -> None:
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        object.__setattr__(self, "data", arr)
 
     @property
     def channels(self) -> int:
@@ -79,50 +81,33 @@ class Frame:
 
 
 @dataclass(frozen=True, eq=False)
-class WorldEgoMask:
+class WorldEgoMask(_Payload):
     """Per-pixel binary assignment: 1 = ego (robot / manipulated object), 0 = world.
 
     Construction holds a read-only copy; values other than {0, 1} are accepted
     and flagged by ``validate_trajectory``.
     """
 
-    data: np.ndarray
-
     def __post_init__(self) -> None:
         arr = _frozen(self.data)
         if arr.ndim != 2:
             raise ValueError(f"mask data must be 2-dimensional, got shape {arr.shape}")
-        self._hold(arr)
-
-    def _hold(self, data: np.ndarray) -> None:
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        object.__setattr__(self, "data", arr)
 
     def is_binary(self) -> bool:
         return bool(((self.data == 0) | (self.data == 1)).all())
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class FlowField:
+class FlowField(_Payload):
     """Dense per-pixel 2-vector motion between two consecutive frames.
 
     u is the horizontal (x, column) displacement and v the vertical (y, row)
     displacement, both in pixels. The field holds one read-only (h, w, 2)
-    float32 block ``uv`` of interleaved (u, v) pairs, the layout of a flow
-    sidecar, and ``u`` and ``v`` are strided views of it.
+    float32 block ``data`` of interleaved (u, v) pairs, the layout of a flow
+    sidecar, also readable as ``uv``; ``u`` and ``v`` are strided views of it.
     ``FlowField(u=..., v=...)`` stacks the two components into a new block.
     """
-
-    uv: np.ndarray
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
 
     def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
         u = np.asarray(u, dtype=np.float32)
@@ -131,20 +116,19 @@ class FlowField:
             raise ValueError(f"flow components must be 2-d and share a shape, got {u.shape} / {v.shape}")
         uv = np.stack((u, v), axis=-1)
         uv.flags.writeable = False
-        self._hold(uv)
-
-    def _hold(self, uv: np.ndarray) -> None:
-        object.__setattr__(self, "uv", uv)
-        object.__setattr__(self, "u", uv[:, :, 0])
-        object.__setattr__(self, "v", uv[:, :, 1])
+        object.__setattr__(self, "data", uv)
 
     @property
-    def height(self) -> int:
-        return self.u.shape[0]
+    def uv(self) -> np.ndarray:
+        return self.data
 
     @property
-    def width(self) -> int:
-        return self.u.shape[1]
+    def u(self) -> np.ndarray:
+        return self.data[:, :, 0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.data[:, :, 1]
 
     def squared_magnitude(self) -> np.ndarray:
         """Per-pixel u*u + v*v in float64, in a new (h, w) array that the
@@ -152,7 +136,7 @@ class FlowField:
         cannot overflow there, so only the sum rounds: its square root is
         within an ulp of hypot. The squares take one pass over the block.
         """
-        squares = np.square(self.uv, dtype=np.float64)
+        squares = np.square(self.data, dtype=np.float64)
         return np.add(squares[:, :, 0], squares[:, :, 1])
 
 
@@ -208,10 +192,6 @@ class ValidationReport:
         return self.is_valid()
 
 
-def _frame_dims(frame: Frame) -> tuple[int, int]:
-    return frame.height, frame.width
-
-
 def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> ValidationReport:
     """Check every data-model invariant and report all violations.
 
@@ -228,7 +208,7 @@ def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> Val
     ref_dims: tuple[int, int] | None = None
     for ci, chunk in enumerate(traj.chunks):
         t = len(chunk.frames)
-        dims = _frame_dims(chunk.frames[0]) if t else None
+        dims = chunk.frames[0].data.shape[:2] if t else None
         if t == 0:
             issues.append(f"chunk {ci}: empty chunk")
         else:
@@ -240,7 +220,7 @@ def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> Val
                     f"{ref_dims[1]}x{ref_dims[0]}"
                 )
             for fi, frame in enumerate(chunk.frames):
-                if _frame_dims(frame) != dims:
+                if frame.data.shape[:2] != dims:
                     issues.append(f"chunk {ci} frame {fi}: dim mismatch within chunk")
                 vals = frame.data
                 if vals.size == 0:
@@ -252,9 +232,9 @@ def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> Val
         flows = chunk.flows or ()
         if chunk.flows is not None and t > 0 and len(flows) != t - 1:
             issues.append(f"chunk {ci}: flow count {len(flows)} != T-1 ({t - 1})")
-        misfit = [t > 0 and (flow.height, flow.width) != dims for flow in flows]
+        misfit = [t > 0 and flow.data.shape[:2] != dims for flow in flows]
         reduced = reduce is not None and not issues and not any(misfit)
-        finite = reduce(chunk) if reduced else [np.isfinite(flow.uv).all() for flow in flows]
+        finite = reduce(chunk) if reduced else [np.isfinite(flow.data).all() for flow in flows]
         for fi, (bad_dims, ok) in enumerate(zip(misfit, finite)):
             if bad_dims:
                 issues.append(f"chunk {ci} flow {fi}: dim mismatch with frames")
@@ -265,7 +245,7 @@ def validate_trajectory(traj: Trajectory, reduce: Callable | None = None) -> Val
             if t > 0 and len(chunk.masks) != t:
                 issues.append(f"chunk {ci}: mask count {len(chunk.masks)} != T ({t})")
             for mi, mask in enumerate(chunk.masks):
-                if t > 0 and (mask.height, mask.width) != dims:
+                if t > 0 and mask.data.shape[:2] != dims:
                     issues.append(f"chunk {ci} mask {mi}: dim mismatch with frames")
                 if not mask.is_binary():
                     issues.append(f"chunk {ci} mask {mi}: non-binary mask")

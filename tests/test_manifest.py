@@ -71,6 +71,13 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match="no such file"):
             load_manifest(tmp_path / "absent.json")
 
+    def test_manifest_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_bytes(b'\xff{"id": 1}')
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert str(excinfo.value).startswith(f"{path}: invalid JSON: ")
+
     def test_missing_asset_names_the_file(self, tmp_path, fixture_traj):
         """No file, a directory and a FIFO (whose blocking open would wait for
         a writer) alike are a missing asset."""
