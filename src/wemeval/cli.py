@@ -35,7 +35,7 @@ import numpy as np
 
 from . import formats
 from .features import EmbedderSpec
-from .flow import DegenerateMatchesError, estimate_homography, render_camera_flow, residual_object_flow
+from .flow import estimate_homography, render_camera_flow, residual_object_flow
 from .manifest import load_manifest, save_manifest
 from .metrics import METRIC_NAMES, MetricConfig, evaluate_all
 from .rollout import PhaseLabel
@@ -417,9 +417,9 @@ def _cmd_decompose_flow(args: argparse.Namespace) -> int:
         try:
             h, _ = estimate_homography(match_set, threshold=args.threshold,
                                        iterations=args.iterations, seed=args.seed)
-        except (ValueError, DegenerateMatchesError) as exc:
+            camera = render_camera_flow(h, field.width, field.height)
+        except ValueError as exc:  # DegenerateMatchesError and a pixel mapped to infinity included
             raise _CommandError(f"field {i}: {exc}") from None
-        camera = render_camera_flow(h, field.width, field.height)
         camera_fields.append(camera)
         residual_fields.append(residual_object_flow(field, camera))
         homographies.append(h.h.tolist())
@@ -626,11 +626,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return parsed
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def integer(value: str) -> int:  # argparse names the type in "invalid integer value: 'x'"
+        if (parsed := int(value)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return parsed
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pairs", help="JSON file: [{'gen': path, 'gt': path}, ...]")
     p_eval.add_argument("--out", help="report file (default stdout)")
     p_eval.add_argument("--config", help="JSON config file (flags override it)")
-    p_eval.add_argument("--workers", type=_positive_int, default=1,
+    p_eval.add_argument("--workers", type=_int_at_least(1), default=1,
                         help="score pairs in up to N fork worker processes, at most one per "
                              "usable CPU; records still stream in index order")
     for flag, key, default in _config_flags():
@@ -656,13 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--matches", required=True, help="JSON point correspondences")
     p_flow.add_argument("--out-dir", required=True)
     p_flow.add_argument("--threshold", type=float, default=1.0, help="RANSAC inlier threshold (px)")
-    p_flow.add_argument("--iterations", type=_positive_int, default=500)
-    p_flow.add_argument("--seed", type=int, default=0)
+    p_flow.add_argument("--iterations", type=_int_at_least(1), default=500)
+    p_flow.add_argument("--seed", type=_int_at_least(0), default=0)
     p_flow.set_defaults(func=_cmd_decompose_flow)
 
     p_verify = sub.add_parser("verify-mechanisms", help="run mechanism invariant checks")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_positive_int, default=1000)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=1000)
     p_verify.add_argument("--out", help="JSONL output (default stdout)")
     p_verify.set_defaults(func=_cmd_verify_mechanisms)
 

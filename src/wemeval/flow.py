@@ -87,8 +87,8 @@ def _hartley_normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted * scale, t
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Direct linear transform on >= 4 correspondences; None when rank-deficient."""
+def _dlt(src: np.ndarray, dst: np.ndarray) -> Homography | None:
+    """Direct linear transform on >= 4 correspondences; None when rank-deficient or not a Homography."""
     src_n, t_src = _hartley_normalization(src)
     dst_n, t_dst = _hartley_normalization(dst)
     n = src.shape[0]
@@ -109,15 +109,11 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     a[1::2, 8] = -yp
     try:
         _, s, vt = np.linalg.svd(a)
-    except np.linalg.LinAlgError:
+        if s[7] < 1e-12:  # rank < 8: the solution space is not 1-dimensional
+            return None
+        return Homography(np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src)
+    except ValueError:  # np.linalg.LinAlgError is one
         return None
-    if s[7] < 1e-12:  # rank < 8: the solution space is not 1-dimensional
-        return None
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
-    if abs(h[2, 2]) < 1e-12:
-        return None
-    return h / h[2, 2]
 
 
 def _any_three_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
@@ -168,7 +164,7 @@ def estimate_homography(
 
     rng = np.random.default_rng(seed)
     best_count = -1
-    best_h: np.ndarray | None = None
+    best: Homography | None = None
     for _ in range(iterations):
         idx = rng.choice(n, size=4, replace=False)
         src, dst = arr[idx, 0, :], arr[idx, 1, :]
@@ -178,32 +174,23 @@ def estimate_homography(
         if h is None:
             continue
         try:
-            errors = reprojection_errors(Homography(h), arr)
-        except ValueError:
+            errors = reprojection_errors(h, arr)
+        except ValueError:  # a source point maps to infinity
             continue
         count = int((errors <= threshold).sum())
         if count > best_count:
             best_count = count
-            best_h = h
+            best = h
 
-    if best_h is None:
+    if best is None:
         raise DegenerateMatchesError(
             f"no non-degenerate 4-point hypothesis found in {iterations} iterations"
         )
 
-    inliers = reprojection_errors(Homography(best_h), arr) <= threshold
-    if inliers.sum() >= 4:
-        refit = _dlt(arr[inliers, 0, :], arr[inliers, 1, :])
-        if refit is not None:
-            try:
-                candidate = Homography(refit)
-            except ValueError:
-                candidate = None
-            if candidate is not None:
-                best_h = refit
-
-    final = Homography(best_h)
-    return final, reprojection_errors(final, arr) <= threshold
+    inliers = reprojection_errors(best, arr) <= threshold
+    if inliers.sum() >= 4:  # a refit that is None keeps the best hypothesis
+        best = _dlt(arr[inliers, 0, :], arr[inliers, 1, :]) or best
+    return best, reprojection_errors(best, arr) <= threshold
 
 
 @lru_cache(maxsize=16)

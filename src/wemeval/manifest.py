@@ -87,12 +87,12 @@ def load_manifest(path: str | Path, *, masks: bool = True) -> Trajectory:
             asset = os.path.join(base, _require(cdoc, field, str, where))
             try:
                 sidecars[field] = tuple(read(asset))
-            except OSError as exc:  # formats' readers take a directory or FIFO as no file
-                if exc.errno not in _NO_FILE:
-                    raise
-                raise ManifestError(f"{where}: field '{field}': asset missing: {asset}") from None
             except formats.FormatError as exc:
                 raise ManifestError(f"{where}: field '{field}': {exc}") from exc
+            except (OSError, ValueError) as exc:  # a directory, FIFO or name with a NUL (ValueError) is no file
+                if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
+                    raise
+                raise ManifestError(f"{where}: field '{field}': asset missing: {asset}") from None
         chunks.append(Chunk(instruction=instruction, phase=phase, **sidecars))
 
     return Trajectory(id=str(traj_id), chunks=tuple(chunks))

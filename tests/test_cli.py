@@ -770,6 +770,37 @@ class TestDecomposeFlow:
         assert len(err) == 1 and err[0].startswith("decompose-flow: bad matches file: ")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        from wemeval.rollout import FlowField
+
+        flow_path = tmp_path / "flow.bin"
+        formats.write_flow_file(flow_path, [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
+        matches_path = tmp_path / "matches.json"
+        matches_path.write_text(json.dumps([[0, 0, 0, 0], [7, 0, 7, 0], [0, 7, 0, 7], [7, 7, 7, 7]]))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompose-flow", "--flow", str(flow_path), "--matches", str(matches_path),
+                  "--out-dir", str(tmp_path / "out"), "--seed", "-3"])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["wemeval decompose-flow: error: argument --seed: must be >= 0, got -3"]
+        assert not (tmp_path / "out").exists()
+
+    def test_pixel_mapped_to_infinity_exits_two(self, tmp_path, capsys):
+        """Matches fitted by a homography whose w = 1 - x/4 is 0 on pixel column 4."""
+        from wemeval.rollout import FlowField
+
+        flow_path = tmp_path / "flow.bin"
+        formats.write_flow_file(flow_path, [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
+        matches = [[x, y, x / (1 - x / 4), y / (1 - x / 4)]
+                   for x, y in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 1), (0, 5))]
+        matches_path = tmp_path / "matches.json"
+        matches_path.write_text(json.dumps(matches))
+        code = main(["decompose-flow", "--flow", str(flow_path), "--matches", str(matches_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "decompose-flow: field 0: point at infinity at pixel (4, 0)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_flow_file_of_no_fields_exits_two(self, tmp_path, capsys):
         flow_path = tmp_path / "flow.bin"
         flow_path.write_bytes(formats.FLOW_MAGIC + struct.pack("<3I", 16, 16, 0))
@@ -854,6 +885,14 @@ class TestVerifyMechanisms:
         broken = [r for r in _read_records(out) if not r["passed"]]
         assert broken and broken[0]["invariant"] == "unroute_reconstruction"
         assert broken[0]["failures"][0]["base_mask"]
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-mechanisms", "--seed", "-1", "--out", str(tmp_path / "v.jsonl")])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["wemeval verify-mechanisms: error: argument --seed: must be >= 0, got -1"]
+        assert not (tmp_path / "v.jsonl").exists()
 
     def test_zero_trials_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -60,6 +60,29 @@ class TestHomographyEstimation:
         with pytest.raises(ValueError, match="at least 4"):
             estimate_homography(matches)
 
+    def test_refit_that_is_no_homography_keeps_the_best_hypothesis(self, monkeypatch):
+        h_true = Homography(np.array([[1.03, 0.02, 4.0], [-0.01, 0.98, -1.5], [1e-4, -8e-5, 1.0]]))
+        matches = matches_from_homography(h_true, 64, 64, 30, seed=2, outlier_fraction=0.3)
+        real, hypotheses, refits = flow._dlt, [], []
+
+        def no_refit(src, dst):
+            if len(src) > 4:  # the refit on the consensus inliers
+                refits.append(len(src))
+                return None
+            hypotheses.append(h := real(src, dst))
+            return h
+
+        monkeypatch.setattr(flow, "_dlt", no_refit)
+        h, inliers = estimate_homography(matches, threshold=1.0, iterations=100, seed=3)
+        fitted = [c for c in hypotheses if c is not None]
+        counts = [int((reprojection_errors(c, matches) <= 1.0).sum()) for c in fitted]
+        best = fitted[counts.index(max(counts))]  # the first of the most inliers
+        assert refits == [max(counts)]
+        assert np.array_equal(h.h, best.h)
+        assert np.array_equal(inliers, reprojection_errors(best, matches) <= 1.0)
+        monkeypatch.undo()
+        assert not np.array_equal(estimate_homography(matches, threshold=1.0, iterations=100, seed=3)[0].h, h.h)
+
     def test_deterministic_for_fixed_seed(self):
         h_true = Homography(np.array([[1.0, 0.0, 3.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         matches = matches_from_homography(h_true, 32, 32, 40, seed=5, outlier_fraction=0.2)

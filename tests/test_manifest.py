@@ -113,6 +113,17 @@ class TestManifestRoundTrip:
                 load_manifest(given, masks=False)
             assert str(excinfo.value) == f"{given} chunk 0: field 'frames': asset missing: {asset}"
 
+    def test_nul_in_sidecar_name_is_a_missing_asset(self, tmp_path, fixture_traj):
+        """``Path.is_file`` reads a name with a NUL byte as no file; the open's
+        ValueError must not reach the caller without the manifest's place."""
+        path = save_manifest(fixture_traj, tmp_path / "traj.json")
+        doc = json.loads(path.read_text())
+        doc["chunks"][1]["frames"] = "a\u0000b"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert str(excinfo.value) == f"{path} chunk 1: field 'frames': asset missing: {tmp_path}/a\0b"
+
     def test_invalid_phase_names_the_field(self, tmp_path, fixture_traj):
         path = save_manifest(fixture_traj, tmp_path / "traj.json")
         doc = json.loads(path.read_text())

@@ -459,6 +459,13 @@ class TestEvaluateAll:
         with pytest.raises(ValueError, match="chunk counts differ"):
             evaluate_all(a, b, default_config)
 
+    def test_frame_dims_mismatch_raises(self, default_config):
+        small = Trajectory(id="a", chunks=(_flow_chunk([1, 2], [1.0]),))
+        large = Trajectory(id="b", chunks=(_chunk([_textured_frame(s, 32, 32) for s in (1, 2)],
+                                                  flows=[_uniform_flow(1.0, 32, 32)]),))
+        with pytest.raises(ValueError, match="^gen and gt frame dims differ$"):
+            ScoringPair.of(small, large, default_config)
+
     def test_invalid_trajectory_raises(self, default_config):
         bad = Trajectory(id="bad", chunks=(Chunk(frames=(), instruction="", phase=PhaseLabel.NAV),))
         with pytest.raises(ValueError, match="invalid"):

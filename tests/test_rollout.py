@@ -138,6 +138,19 @@ class TestValidation:
         report = validate_trajectory(Trajectory(id="d", chunks=(_chunk(), big)))
         assert any("differ from trajectory dims" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize("chunks, issue", [
+        ((), "trajectory: no chunks"),
+        ((Chunk(frames=(_frame(), _frame(h=8, w=8)), instruction="", phase=PhaseLabel.NAV),),
+         "chunk 0 frame 1: dim mismatch within chunk"),
+        ((_chunk(flows=(FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8))),)),),
+         "chunk 0 flow 0: dim mismatch with frames"),
+        ((_chunk(masks=(WorldEgoMask(data=np.zeros((16, 16))),)),), "chunk 0: mask count 1 != T (2)"),
+        ((_chunk(masks=(WorldEgoMask(data=np.zeros((16, 16))), WorldEgoMask(data=np.zeros((8, 8))))),),
+         "chunk 0 mask 1: dim mismatch with frames"),
+    ], ids=["no-chunks", "frame-dims-within-chunk", "flow-dims", "mask-count", "mask-dims"])
+    def test_shape_check_gives_one_issue(self, chunks, issue):
+        assert validate_trajectory(Trajectory(id="s", chunks=chunks)).issues == [issue]
+
     def test_flow_and_mask_count_mismatch(self):
         from wemeval.rollout import FlowField
 
