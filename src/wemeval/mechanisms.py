@@ -1,6 +1,5 @@
 """World-ego mechanism kernel: role-conditioned attention masks, token routing,
-soft fusion, the gated world-state update, mask losses, weight annealing, and
-intent-label sanitization.
+soft fusion, the gated world-state update, mask losses and weight annealing.
 
 Everything here is forward-only, pure, and deterministic; every array a value
 here holds is a read-only copy made at construction. The role experts
@@ -12,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rollout import WorldEgoMask, _frozen
+from .rollout import _frozen
 
 
 class SegmentKind(enum.Enum):
@@ -157,51 +155,6 @@ def build_rca_mask(layout: SequenceLayout, k_window: int) -> AttentionMask:
     allowed[world] = ~(ego | current_instruction)
     allowed[ego] = ego | recent
     return AttentionMask(allowed)
-
-
-@dataclass(frozen=True)
-class QueryBudget:
-    """Learnable query split between the world and ego groups."""
-
-    world: int
-    ego: int
-
-    def __post_init__(self) -> None:
-        if self.world < 1 or self.ego < 1:
-            raise ValueError("both query budgets must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return self.world + self.ego
-
-
-def allocate_queries(total: int, world: int) -> QueryBudget:
-    """Split a total query budget; both groups must end up non-empty."""
-    if not 1 <= world < total:
-        raise ValueError(f"world budget must satisfy 1 <= world < total, got world={world} total={total}")
-    return QueryBudget(world=world, ego=total - world)
-
-
-def pool_mask_to_tokens(mask: WorldEgoMask, token_grid: tuple[int, int]) -> np.ndarray:
-    """Block-pool a pixel mask onto a token grid.
-
-    Excess rows/columns that do not divide evenly are cropped at the bottom and
-    right. A token is ego (1) when its ego-pixel occupancy is > 0.5, with the
-    exact-0.5 tie breaking to ego: under-covering the ego region is the more
-    harmful direction for routing.
-    """
-    th, tw = token_grid
-    if th < 1 or tw < 1:
-        raise ValueError("empty token grid")
-    if not mask.is_binary():
-        raise ValueError("pooling needs a binary mask")
-    h, w = mask.height, mask.width
-    if h < th or w < tw:
-        raise ValueError(f"pixel dims {w}x{h} not croppable into token grid {tw}x{th}")
-    ch, cw = h // th, w // tw
-    cropped = np.asarray(mask.data, dtype=np.float64)[: th * ch, : tw * cw]
-    occupancy = cropped.reshape(th, ch, tw, cw).mean(axis=(1, 3))
-    return (occupancy >= 0.5).astype(np.uint8)
 
 
 def _dilate_chebyshev(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -343,20 +296,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def flow_to_alpha(residual_magnitude: np.ndarray, tau: float, delta: float) -> np.ndarray:
-    """Continuous world-weight from residual flow magnitude: sigmoid((tau - m) / delta).
-
-    Small residual (stable scene content) gives weight near 1, large residual
-    (contact-driven motion) near 0.
-    """
-    mag = np.asarray(residual_magnitude, dtype=np.float64)
-    if not np.isfinite(mag).all():
-        raise ValueError("residual magnitudes must be finite")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    return _sigmoid((tau - mag) / delta)
-
-
 def soft_fuse(alpha: np.ndarray, x_world: StateVector, x_ego: StateVector) -> StateVector:
     """Per-token convex combination alpha * world + (1 - alpha) * ego."""
     a = np.asarray(alpha, dtype=np.float64).ravel()
@@ -434,17 +373,6 @@ def gru_update_parts(
     return GruParts(reset=reset, candidate=candidate, keep=keep, output=output)
 
 
-def gru_world_update(
-    prev: StateVector, proposal: StateVector, ego_summary: np.ndarray, params: GateParams
-) -> StateVector:
-    """Gate between the previous world state and a candidate update.
-
-    The keep gate interpolates elementwise, so every output element lies
-    between the previous state and the candidate.
-    """
-    return StateVector(gru_update_parts(prev, proposal, ego_summary, params).output)
-
-
 class LossBreakdown(NamedTuple):
     bce: float
     dice: float
@@ -497,29 +425,3 @@ def anneal_lambda(step: int, total_steps: int, lambda0: float, shape: str = "lin
         floor = 0.2 * lambda0
         return floor + (lambda0 - floor) * (1.0 + math.cos(math.pi * frac)) / 2.0
     raise ValueError(f"unknown schedule shape '{shape}'")
-
-
-_WORD_RE = re.compile(r"[^_\s]+")
-_VOWELS = frozenset("aeiouAEIOU")
-
-
-def sanitize_intent(label: str) -> str:
-    """Strip the trailing run of garbled tokens from an action label.
-
-    Tokens are separated by underscores or whitespace; a token is garbled when
-    it has four or more characters and no vowel. Only a maximal run at the end
-    is dropped, and the retained prefix keeps its original separators.
-    """
-    words = list(_WORD_RE.finditer(label))
-    keep = len(words)
-    while keep > 0:
-        token = words[keep - 1].group()
-        if len(token) >= 4 and not (_VOWELS & set(token)):
-            keep -= 1
-        else:
-            break
-    if keep == len(words):
-        return label
-    if keep == 0:
-        return ""
-    return label[: words[keep - 1].end()]

@@ -380,34 +380,6 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
     return traj, gt
 
 
-def matches_from_homography(
-    h: Homography,
-    width: int,
-    height: int,
-    count: int,
-    seed: int,
-    outlier_fraction: float = 0.0,
-) -> np.ndarray:
-    """Synthesize (n, 2, 2) point correspondences from a known homography.
-
-    Outliers get a gross offset of 5 to 20 pixels in a random direction, so
-    they land well outside a 1 px RANSAC threshold.
-    """
-    rng = np.random.default_rng(seed)
-    src = np.stack(
-        [rng.uniform(0, width - 1, count), rng.uniform(0, height - 1, count)], axis=1
-    )
-    dst = h.apply(src)
-    n_out = int(round(outlier_fraction * count))
-    if n_out:
-        idx = rng.choice(count, size=n_out, replace=False)
-        angles = rng.uniform(0, 2 * math.pi, n_out)
-        radii = rng.uniform(5.0, 20.0, n_out)
-        dst[idx, 0] += radii * np.cos(angles)
-        dst[idx, 1] += radii * np.sin(angles)
-    return np.stack([src, dst], axis=1)
-
-
 _PERTURB_KINDS = ("frame-noise", "chunk-shuffle", "phase-swap", "boundary-smooth")
 
 

@@ -11,16 +11,15 @@ import time
 import numpy as np
 
 import oracle
-from conftest import random_metric_pair
+from conftest import matches_from_homography, random_metric_pair
 from wemeval.cli import main
 from wemeval.flow import estimate_homography, render_camera_flow, reprojection_errors, residual_object_flow
 from wemeval.manifest import save_manifest
-from wemeval.mechanisms import _dilate_chebyshev, sanitize_intent
+from wemeval.mechanisms import _dilate_chebyshev
 from wemeval.metrics import MetricConfig, evaluate_all
 from wemeval.microsim import (
     default_catalog,
     generate_trajectory,
-    matches_from_homography,
     mixed_fixture_config,
     perturb_rollout,
 )
@@ -240,70 +239,3 @@ def test_criterion_8_parallel_determinism(tmp_path):
     ok = contents[1] == contents[4] == contents[8]
     _report("criterion-8 determinism", ok,
             f"100 pairs, reports byte-identical at workers 1/4/8 ({len(contents[1])} bytes)")
-
-
-# --- 9. Sanitization conformance ------------------------------------------------
-
-SANITIZE_TABLE = [
-    ("pick_up_plate_zxcv", "pick_up_plate"),
-    ("grasp", "grasp"),
-    ("open_drawer", "open_drawer"),
-    ("close_fridge_qwrt", "close_fridge"),
-    ("push_button_bcdfg_hjkl", "push_button"),
-    ("pull_lever", "pull_lever"),
-    ("zxcv", ""),
-    ("zxcv_qwrtz", ""),
-    ("pick up cup", "pick up cup"),
-    ("pick up cup xkcd", "pick up cup"),
-    ("turn_left", "turn_left"),
-    ("turn_lft", "turn_lft"),
-    ("wash_dish_brgh", "wash_dish"),
-    ("stack_plates_on_shelf", "stack_plates_on_shelf"),
-    ("grab_knife_xx", "grab_knife_xx"),
-    ("slice_bread_tmpr", "slice_bread"),
-    ("place_cup_qqqq_then_go", "place_cup_qqqq_then_go"),
-    ("lift_box_bcd_fgh", "lift_box_bcd_fgh"),
-    ("move_to_shelf_xyzw", "move_to_shelf"),
-    ("rotate_valve", "rotate_valve"),
-    ("", ""),
-    ("_", "_"),
-    ("npqr_stvw_xyzz", ""),
-    ("hold handle firmly", "hold handle firmly"),
-    ("hold handle grmly", "hold handle"),
-    ("pick_up_plate_zxcv_mnbv", "pick_up_plate"),
-    ("approach_table", "approach_table"),
-    ("approach_tbl", "approach_tbl"),
-    ("press_btn", "press_btn"),
-    ("press_bttn", "press"),
-    ("GRASP_ZXCV", "GRASP"),
-    ("Grab_Zxcv", "Grab"),
-    ("walk_12_steps", "walk_12_steps"),
-    ("walk_fwd_12345", "walk_fwd"),
-    ("navigate to kitchen", "navigate to kitchen"),
-    ("nvgt_to_ktchn", "nvgt_to"),
-    ("one_two_three", "one_two_three"),
-    ("pick_up__plate_zxcv", "pick_up__plate"),
-    ("  spaced  zxcv", "  spaced"),
-    ("mxrqp plate", "mxrqp plate"),
-    ("drop_it_qwrtzz", "drop_it"),
-    ("drop_it_qwrtzz ", "drop_it"),
-    ("select_xyz", "select_xyz"),
-    ("hjkl_open_door", "hjkl_open_door"),
-    ("spin_cw", "spin_cw"),
-    ("spin_ccww", "spin"),
-    ("touch_screen_llll", "touch_screen"),
-    ("touch_screen_lll", "touch_screen_lll"),
-    ("a_b_c_d", "a_b_c_d"),
-    ("zzzz a zzzz", "zzzz a"),
-]
-
-
-def test_criterion_9_sanitization_table():
-    assert len(SANITIZE_TABLE) == 50
-    mismatches = [
-        (label, expected, sanitize_intent(label))
-        for label, expected in SANITIZE_TABLE
-        if sanitize_intent(label) != expected
-    ]
-    _report("criterion-9 sanitization", not mismatches,
-            f"50-case table, mismatches: {mismatches if mismatches else 'none'}")

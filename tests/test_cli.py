@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import matches_from_homography
 import wemeval
 from wemeval import cli, features, formats, manifest, metrics, rollout
 from wemeval.cli import main
@@ -703,8 +704,6 @@ class TestEval:
 
 class TestDecomposeFlow:
     def test_fixture_flow_decomposes_to_tiny_residual(self, tmp_path):
-        from wemeval.microsim import matches_from_homography
-
         traj, gt = generate_trajectory(mixed_fixture_config(seed=700, size=32, t=4))
         flow_path = tmp_path / "flow.bin"
         formats.write_flow_file(flow_path, list(traj.chunks[0].flows))
@@ -724,7 +723,6 @@ class TestDecomposeFlow:
 
     def test_identity_flow_leaves_residual_equal_to_input(self, tmp_path):
         from wemeval.flow import Homography
-        from wemeval.microsim import matches_from_homography
         from wemeval.rollout import FlowField
 
         rng = np.random.default_rng(0)
@@ -898,6 +896,9 @@ class TestVerifyMechanisms:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-mechanisms", "--trials", "0"])
         assert excinfo.value.code == 2
+
+    def test_default_trials_is_1000(self):
+        assert cli.build_parser().parse_args(["verify-mechanisms"]).trials == 1000
 
 
 def _catalog(*names: str, chunk: dict | None = None, **fields) -> dict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matches_from_homography
 from wemeval import flow
 from wemeval.flow import (
     DegenerateMatchesError,
@@ -20,7 +22,6 @@ from wemeval.flow import (
     resample_profile,
     residual_object_flow,
 )
-from wemeval.microsim import matches_from_homography
 from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel, _trusted
 
 
@@ -90,6 +91,13 @@ class TestHomographyEstimation:
         h2, m2 = estimate_homography(matches, seed=11)
         assert np.array_equal(h1.h, h2.h) and np.array_equal(m1, m2)
 
+    def test_default_threshold_is_one_pixel(self):
+        assert inspect.signature(estimate_homography).parameters["threshold"].default == 1.0
+
+    def test_any_three_collinear(self):
+        assert flow._any_three_collinear(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]))
+        assert not flow._any_three_collinear(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
 
 class TestRenderCameraFlow:
     def test_identity_gives_zero_flow(self):
@@ -110,6 +118,12 @@ class TestRenderCameraFlow:
         h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]]))
         with pytest.raises(ValueError, match=r"pixel \(2, 0\)"):
             render_camera_flow(h, 5, 3)
+
+    @pytest.mark.parametrize("width, height", [(1, 5), (5, 1)])
+    def test_one_pixel_wide_or_high_field(self, width, height):
+        f = render_camera_flow(Homography.translation(2.0, 0.0), width, height)
+        assert f.data.shape == (height, width, 2)
+        assert np.allclose(f.u, 2.0) and np.allclose(f.v, 0.0)
 
 
 class TestResidualFlow:

@@ -24,12 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matches_from_homography
 from wemeval import formats
 from wemeval.cli import main
 from wemeval.features import EmbedderSpec, EmbeddingStore, embed_frames
 from wemeval.flow import Homography
 from wemeval.manifest import load_manifest, save_manifest
-from wemeval.microsim import generate_trajectory, matches_from_homography, mixed_fixture_config
+from wemeval.microsim import generate_trajectory, mixed_fixture_config
 from wemeval.rollout import FlowField, Frame, WorldEgoMask
 
 # kind -> (reader, magic, number of u32 header fields)

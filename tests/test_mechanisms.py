@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wemeval.mechanisms import (
     GateParams,
@@ -14,21 +11,15 @@ from wemeval.mechanisms import (
     SegmentKind,
     SequenceLayout,
     StateVector,
-    allocate_queries,
     anneal_lambda,
     bce_dice_loss,
     build_rca_mask,
-    flow_to_alpha,
     gru_update_parts,
-    gru_world_update,
-    pool_mask_to_tokens,
     route_tokens,
-    sanitize_intent,
     soft_fuse,
     standard_layout,
     unroute,
 )
-from wemeval.rollout import WorldEgoMask
 
 
 def _positions(layout, kind: SegmentKind) -> list[int]:
@@ -156,45 +147,6 @@ class TestRcaMask:
                 assert mask[i, j] == (j <= i)
 
 
-class TestAllocateQueries:
-    def test_published_split(self):
-        budget = allocate_queries(256, 192)
-        assert (budget.world, budget.ego) == (192, 64)
-
-    def test_minimal_split(self):
-        assert allocate_queries(2, 1).ego == 1
-
-    def test_zero_ego_budget_rejected(self):
-        with pytest.raises(ValueError):
-            allocate_queries(256, 256)
-
-
-class TestPoolMask:
-    def test_all_ego_pixels_pool_to_all_ones(self):
-        mask = WorldEgoMask(data=np.ones((8, 8), dtype=np.uint8))
-        assert pool_mask_to_tokens(mask, (2, 2)).all()
-
-    def test_majority_cell_is_ego(self):
-        data = np.zeros((2, 2), dtype=np.uint8)
-        data[0, 0] = data[0, 1] = data[1, 0] = 1  # 3 of 4 pixels
-        assert pool_mask_to_tokens(WorldEgoMask(data=data), (1, 1))[0, 0] == 1
-
-    def test_exact_half_ties_to_ego(self):
-        data = np.array([[1, 1], [0, 0]], dtype=np.uint8)
-        assert pool_mask_to_tokens(WorldEgoMask(data=data), (1, 1))[0, 0] == 1
-
-    def test_empty_grid_rejected(self):
-        mask = WorldEgoMask(data=np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError, match="empty token grid"):
-            pool_mask_to_tokens(mask, (0, 2))
-
-    def test_uneven_dims_crop_bottom_right(self):
-        data = np.zeros((5, 5), dtype=np.uint8)
-        data[4, :] = 1  # falls into the cropped remainder rows
-        tokens = pool_mask_to_tokens(WorldEgoMask(data=data), (2, 2))
-        assert not tokens.any()
-
-
 class TestRouting:
     def test_all_world_mask_leaves_ego_empty(self):
         plan = route_tokens(np.zeros((4, 4), dtype=np.uint8), radius=1)
@@ -271,19 +223,6 @@ class TestUnroute:
             unroute(plan, short, StateVector(np.ones((1, 2))))
 
 
-class TestFlowToAlpha:
-    def test_magnitude_at_threshold_gives_half(self):
-        assert flow_to_alpha(np.array([0.3]), tau=0.3, delta=0.1)[0] == pytest.approx(0.5)
-
-    def test_one_delta_above_threshold(self):
-        a = flow_to_alpha(np.array([0.4]), tau=0.3, delta=0.1)[0]
-        assert a == pytest.approx(1.0 / (1.0 + math.e), abs=1e-9)
-
-    def test_still_scene_saturates_toward_world(self):
-        a = flow_to_alpha(np.array([0.0]), tau=1.0, delta=0.1)[0]
-        assert a == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), abs=1e-12)
-
-
 class TestSoftFuse:
     def test_alpha_one_returns_world(self):
         w = StateVector(np.full((4, 2), 2.0))
@@ -322,8 +261,8 @@ class TestGruWorldUpdate:
         params = replace(GateParams.zeros(d), b_g=np.full(d, 50.0))
         prev = StateVector(np.random.default_rng(1).normal(size=(5, d)))
         prop = StateVector(np.random.default_rng(2).normal(size=(5, d)))
-        out = gru_world_update(prev, prop, np.zeros(d), params)
-        assert np.allclose(out.values, prev.values, atol=1e-12)
+        out = gru_update_parts(prev, prop, np.zeros(d), params).output
+        assert np.allclose(out, prev.values, atol=1e-12)
 
     def test_open_gates_pass_candidate_through(self):
         d = 2
@@ -333,15 +272,15 @@ class TestGruWorldUpdate:
                          w_c_prop=w_c_prop)
         prev = StateVector(rng.normal(size=(4, d)))
         prop = StateVector(rng.normal(size=(4, d)))
-        out = gru_world_update(prev, prop, np.zeros(d), params)
-        assert np.allclose(out.values, np.tanh(prop.values @ w_c_prop), atol=1e-12)
+        out = gru_update_parts(prev, prop, np.zeros(d), params).output
+        assert np.allclose(out, np.tanh(prop.values @ w_c_prop), atol=1e-12)
 
     def test_zero_params_halve_previous_state(self):
         d = 3
         prev = StateVector(np.random.default_rng(5).normal(size=(6, d)))
         prop = StateVector(np.random.default_rng(6).normal(size=(6, d)))
-        out = gru_world_update(prev, prop, np.zeros(d), GateParams.zeros(d))
-        assert np.allclose(out.values, 0.5 * prev.values, atol=1e-12)
+        out = gru_update_parts(prev, prop, np.zeros(d), GateParams.zeros(d)).output
+        assert np.allclose(out, 0.5 * prev.values, atol=1e-12)
 
     def test_output_interpolates_prev_and_candidate(self):
         rng = np.random.default_rng(7)
@@ -403,41 +342,3 @@ class TestAnnealLambda:
         assert anneal_lambda(100, 100, 0.3, shape="cosine") == pytest.approx(0.06)
         values = [anneal_lambda(s, 100, 0.3, shape="cosine") for s in range(101)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestSanitizeIntent:
-    @pytest.mark.parametrize(
-        "label,expected",
-        [
-            ("pick_up_plate_zxcv", "pick_up_plate"),
-            ("grasp", "grasp"),
-            ("open_drawer", "open_drawer"),
-        ],
-    )
-    def test_specified_examples(self, label, expected):
-        assert sanitize_intent(label) == expected
-
-    def test_strips_maximal_trailing_run(self):
-        assert sanitize_intent("put_bowl_xkcd_qwrtz") == "put_bowl"
-
-    def test_short_consonant_tokens_survive(self):
-        assert sanitize_intent("pick_up_cup_bcd") == "pick_up_cup_bcd"
-
-    def test_interior_garbled_token_survives(self):
-        assert sanitize_intent("grab_zxcv_cup") == "grab_zxcv_cup"
-
-    def test_whitespace_separators(self):
-        assert sanitize_intent("open the door qwrtz") == "open the door"
-
-    def test_empty_input(self):
-        assert sanitize_intent("") == ""
-
-    def test_fully_garbled_label_empties(self):
-        assert sanitize_intent("zxcv_qwrtz") == ""
-
-    @given(st.text(alphabet=st.sampled_from("abcdefgxyz_ "), max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent_and_prefix(self, label):
-        once = sanitize_intent(label)
-        assert label.startswith(once)
-        assert sanitize_intent(once) == once

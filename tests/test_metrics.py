@@ -384,6 +384,13 @@ class TestEvaluateAll:
             assert report.scores[name] == pytest.approx(1.0, abs=1e-9)
         assert 0.5 < report.scores["cpdm"] <= 1.0
 
+    def test_windows_and_resample_steps_of_one_are_accepted(self, mixed_identity_pair):
+        traj, _ = mixed_identity_pair
+        report = evaluate_all(traj, traj, MetricConfig(lpsa_window=1, fphs_window=1, resample_steps=1))
+        for name in ("rcbd", "lpsa", "cisr", "pmpa", "fphs"):
+            assert report.scores[name] == pytest.approx(1.0, abs=1e-9)
+        assert report.scores["cpdm"] is not None
+
     def test_single_chunk_single_phase_applicability(self, default_config):
         traj = Trajectory(id="one", chunks=(_flow_chunk([1, 2, 3], [1.0, 1.0]),))
         report = evaluate_all(traj, traj, default_config)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import matches_from_homography
 from wemeval import microsim
 from wemeval.features import EmbedderSpec, perceptual_distance
 from wemeval.flow import estimate_homography, project_pixel_grid, render_camera_flow, reprojection_errors
@@ -23,7 +24,6 @@ from wemeval.microsim import (
     SimConfigError,
     default_catalog,
     generate_trajectory,
-    matches_from_homography,
     mixed_fixture_config,
     perturb_rollout,
 )

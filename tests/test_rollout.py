@@ -160,6 +160,17 @@ class TestValidation:
         report = validate_trajectory(Trajectory(id="f", chunks=(chunk,)))
         assert any("flow count 1 != T-1 (2)" in issue for issue in report.issues)
 
+    def test_one_frame_chunk_checks_its_flow_and_mask(self):
+        # T = 1 is past every "t > 0" guard: the flow count, the flow dims and the mask dims.
+        chunk = Chunk(frames=(_frame(h=8, w=8),), instruction="", phase=PhaseLabel.NAV,
+                      flows=(FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 4))),),
+                      masks=(WorldEgoMask(data=np.zeros((4, 4))),))
+        assert validate_trajectory(Trajectory(id="t1", chunks=(chunk,))).issues == [
+            "chunk 0: flow count 1 != T-1 (0)",
+            "chunk 0 flow 0: dim mismatch with frames",
+            "chunk 0 mask 0: dim mismatch with frames",
+        ]
+
 
 class TestPhaseBoundaries:
     def test_switches_are_one_based(self):
