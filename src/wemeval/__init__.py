@@ -4,12 +4,10 @@ from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_
 from .flow import (
     FlowField,
     Homography,
-    MotionProfile,
     estimate_homography,
     flow_stats,
     motion_profile,
     render_camera_flow,
-    resample_profile,
     residual_object_flow,
 )
 from .manifest import load_manifest, save_manifest
@@ -45,7 +43,6 @@ __all__ = [
     "Homography",
     "MetricConfig",
     "MetricReport",
-    "MotionProfile",
     "PhaseLabel",
     "SimConfig",
     "Trajectory",
@@ -62,7 +59,6 @@ __all__ = [
     "perturb_rollout",
     "phase_boundaries",
     "render_camera_flow",
-    "resample_profile",
     "residual_object_flow",
     "save_manifest",
     "validate_trajectory",

@@ -53,10 +53,6 @@ class _Terminated(BaseException):
     signal once the temp file is gone."""
 
 
-def _raise_terminated(signum: int, frame: object) -> None:
-    raise _Terminated
-
-
 def _emit(stream: TextIO, record: dict) -> None:
     stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     stream.flush()
@@ -75,10 +71,13 @@ def _writing(target: str | Path) -> Iterator[None]:
 def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
     """Yields a function that writes one record as a JSON line and flushes it.
 
-    Lines go to stdout, or to ``path`` through ``formats.replacing``; on the
-    main thread, SIGTERM raises ``_Terminated`` while the block runs, so the
-    temp file goes then too: a report at ``path`` is only ever replaced by a
-    whole one. Only a new name or a regular file is replaced; anything else
+    Lines go to stdout, or to ``path`` through ``formats.replacing``. On the
+    main thread, SIGTERM is recorded while the block runs, and the next write,
+    or the block's end, raises ``_Terminated`` before the rename, so the temp
+    file goes then too: a report at ``path`` is only ever replaced by a whole
+    one. The handler raises nothing itself, since a weakref callback or a
+    ``__del__`` that it interrupted would swallow the exception. Only a new
+    name or a regular file is replaced; anything else
     (a symlink's target, ``/dev/null``, a FIFO) is written in place. An
     unwritable ``path`` is a ``_CommandError`` before the block starts, and a
     failed write, close or rename of it one when the block ends; other
@@ -95,7 +94,13 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
         replaceable = True
     # Only the main thread may set handlers, and only a temp file needs one.
     on_main = replaceable and threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
+    terminated = []  # the SIGTERMs received
+    previous = signal.signal(signal.SIGTERM, lambda *_: terminated.append(1)) if on_main else None
+
+    def check() -> None:
+        if terminated:
+            raise _Terminated
+
     try:
         with contextlib.ExitStack() as stack:
             with _writing(path):
@@ -103,6 +108,7 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
                                              else open(path, "w", encoding="utf-8"))
 
             def write(record: dict) -> None:
+                check()
                 with _writing(path):
                     try:
                         _emit(stream, record)
@@ -112,11 +118,13 @@ def _report_writer(path: str | None) -> Iterator[Callable[[dict], None]]:
                         raise
 
             yield write
+            check()
             with _writing(path):
                 stack.close()  # the last flush and the rename, once the block has completed
     finally:
         if on_main:
             signal.signal(signal.SIGTERM, previous)
+            check()  # a SIGTERM during the cleanup or the rename
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -300,6 +308,7 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the report writer's handler only records it
                 for fd in (feed_fd, *outs):  # else the tickets never run out and no write fails
                     os.close(fd)
                 _work(tasks, tickets, into)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rollout import Chunk, FlowField, Frame, _frozen
+from .rollout import FlowField, Frame
 
 PROFILE_LOG_RATIO_CLAMP = 20.0
 ENTROPY_BINS = 16
@@ -268,28 +268,6 @@ def flow_stats(f: FlowField | np.ndarray, top_fraction: float = 0.2) -> tuple[fl
     return median, top, float(-(p * np.log(p)).sum() / math.log(ENTROPY_BINS))
 
 
-@dataclass(frozen=True, eq=False)
-class MotionProfile:
-    """Per-frame-pair motion descriptors, one 4-vector per step.
-
-    Columns: median magnitude / diagonal, top-fraction mean / diagonal,
-    log(1 + top/median), normalized entropy.
-    """
-
-    steps: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen(self.steps, np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError(f"profile steps must be (n, 4), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("profile must have at least one step")
-        object.__setattr__(self, "steps", arr)
-
-    def __len__(self) -> int:
-        return self.steps.shape[0]
-
-
 def _log_ratio(median: float, top: float) -> float:
     """log(1 + top/median) with the zero-median singularity saturated.
 
@@ -304,25 +282,6 @@ def _log_ratio(median: float, top: float) -> float:
     return PROFILE_LOG_RATIO_CLAMP
 
 
-def motion_profile(chunk: Chunk, top_fraction: float = 0.2) -> MotionProfile:
-    """4-component motion profile over the chunk's consecutive frame pairs.
-
-    Each row is built from ``flow_stats`` of one flow field, so the entropy
-    column always uses ENTROPY_BINS bins.
-    """
-    if len(chunk.frames) < 2:
-        raise ValueError("motion profile needs a chunk with T >= 2")
-    if chunk.flows is None or len(chunk.flows) != len(chunk.frames) - 1:
-        raise ValueError("motion profile needs T-1 flow fields on the chunk")
-    return stats_profile([flow_stats(f, top_fraction) for f in chunk.flows], chunk.frames[0])
-
-
-def stats_profile(stats: Sequence[tuple[float, float, float]], frame: Frame) -> MotionProfile:
-    """The motion profile of one row per ``flow_stats`` triple, scaled by ``frame``'s diagonal."""
-    diag = math.hypot(frame.width, frame.height)
-    return MotionProfile(steps=[[m / diag, t / diag, _log_ratio(m, t), e] for m, t, e in stats])
-
-
 @lru_cache(maxsize=16)
 def _resample_grid(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float64 sampling positions (``target`` of them, spanning
@@ -333,17 +292,23 @@ def _resample_grid(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, xp
 
 
-def resample_profile(p: MotionProfile, target: int = 16) -> MotionProfile:
-    """Component-wise linear resampling to ``target`` equally spaced steps.
+def motion_profile(stats: Sequence[tuple[float, float, float]], frame: Frame, steps: int = 16) -> np.ndarray:
+    """The read-only (steps, 4) float64 motion profile of one row per ``flow_stats`` triple.
 
-    Sampling positions span [0, len-1], so endpoints are preserved exactly and
-    no component ever leaves its original min/max range. A length-1 profile is
-    replicated.
+    Columns: median magnitude / diagonal, top-fraction mean / diagonal, log(1 + top/median) and
+    the normalized entropy, the diagonal being ``frame``'s. Each column is linearly resampled to
+    ``steps`` equally spaced positions spanning [0, len(stats) - 1], so the endpoints are kept
+    exactly and no component leaves its original range; one triple is replicated.
     """
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    positions, xp = _resample_grid(len(p), target)
-    steps = np.empty((target, 4))
+    if not stats:
+        raise ValueError("motion profile needs at least one flow_stats triple")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    diag = math.hypot(frame.width, frame.height)
+    rows = np.array([[m / diag, t / diag, _log_ratio(m, t), e] for m, t, e in stats])
+    positions, xp = _resample_grid(len(stats), steps)
+    profile = np.empty((steps, 4))
     for c in range(4):
-        steps[:, c] = np.interp(positions, xp, p.steps[:, c])
-    return MotionProfile(steps=steps)
+        profile[:, c] = np.interp(positions, xp, rows[:, c])
+    profile.flags.writeable = False
+    return profile

@@ -114,21 +114,9 @@ def standard_layout(
     return SequenceLayout(tuple(segs))
 
 
-@dataclass(frozen=True, eq=False)
-class AttentionMask:
-    """Boolean (queries x keys) visibility matrix over the layout's tokens."""
-
-    allowed: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen(self.allowed, bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"attention mask must be square, got {arr.shape}")
-        object.__setattr__(self, "allowed", arr)
-
-
-def build_rca_mask(layout: SequenceLayout, k_window: int) -> AttentionMask:
-    """Role-conditioned attention pattern over the layout.
+def build_rca_mask(layout: SequenceLayout, k_window: int) -> np.ndarray:
+    """Role-conditioned attention pattern over the layout: a read-only bool
+    (queries x keys) visibility matrix over its tokens.
 
     World-query rows see the initial frame, every video chunk, every
     instruction except the current one, and each other; they never see the
@@ -154,7 +142,8 @@ def build_rca_mask(layout: SequenceLayout, k_window: int) -> AttentionMask:
     allowed = np.tril(np.ones((layout.total_tokens, layout.total_tokens), dtype=bool))
     allowed[world] = ~(ego | current_instruction)
     allowed[ego] = ego | recent
-    return AttentionMask(allowed)
+    allowed.flags.writeable = False
+    return allowed
 
 
 def _dilate_chebyshev(mask: np.ndarray, radius: int) -> np.ndarray:

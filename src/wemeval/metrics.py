@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_distance
-from .flow import flow_stats, resample_profile, stats_profile
+from .flow import flow_stats, motion_profile
 from .rollout import Chunk, Frame, Trajectory, _frozen, _trusted, phase_boundaries, validate_trajectory
 
 
@@ -192,7 +192,7 @@ class TrajectoryFeatures:
             del squares  # before the next field's array is made, so the heap does not grow
         self.motion.append((means[0], means[-1]) if means else None)
         finite = [row is not None for row in stats]
-        self.profiles.append(resample_profile(stats_profile(stats, chunk.frames[0]), cfg.resample_steps)
+        self.profiles.append(motion_profile(stats, chunk.frames[0], cfg.resample_steps)
                              if stats and all(finite) else None)
         return finite
 
@@ -306,7 +306,7 @@ def pmpa(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
             continue
         if gen.profiles[i] is None or gt.profiles[i] is None:
             return _absent(*notes, f"pmpa: missing flows on chunk {i}")
-        delta = float(np.linalg.norm(gen.profiles[i].steps - gt.profiles[i].steps, axis=1).mean())
+        delta = float(np.linalg.norm(gen.profiles[i] - gt.profiles[i], axis=1).mean())
         scores.append(math.exp(-delta / cfg.tau_pmpa))
     if not scores:
         return _absent(*notes, "pmpa: no scorable chunks")

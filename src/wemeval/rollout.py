@@ -105,7 +105,7 @@ class FlowField(_Payload):
     u is the horizontal (x, column) displacement and v the vertical (y, row)
     displacement, both in pixels. The field holds one read-only (h, w, 2)
     float32 block ``data`` of interleaved (u, v) pairs, the layout of a flow
-    sidecar, also readable as ``uv``; ``u`` and ``v`` are strided views of it.
+    sidecar; ``u`` and ``v`` are strided views of it.
     ``FlowField(u=..., v=...)`` stacks the two components into a new block.
     """
 
@@ -117,10 +117,6 @@ class FlowField(_Payload):
         uv = np.stack((u, v), axis=-1)
         uv.flags.writeable = False
         object.__setattr__(self, "data", uv)
-
-    @property
-    def uv(self) -> np.ndarray:
-        return self.data
 
     @property
     def u(self) -> np.ndarray:
@@ -161,9 +157,6 @@ class Chunk:
         if self.masks is not None:
             object.__setattr__(self, "masks", tuple(self.masks))
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -174,9 +167,6 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunks", tuple(self.chunks))
-
-    def __len__(self) -> int:
-        return len(self.chunks)
 
 
 @dataclass

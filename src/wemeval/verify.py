@@ -71,7 +71,7 @@ def _rule_allowed(layout: SequenceLayout, k_window: int, row_seg, col_seg, i: in
 
 def _rca_rule_agreement(rng: np.random.Generator) -> dict | None:
     layout, k_window = _random_layout(rng)
-    mask = build_rca_mask(layout, k_window).allowed
+    mask = build_rca_mask(layout, k_window)
     seg_of = [seg for seg, start, end in layout.ranges() for _ in range(start, end)]
     n = layout.total_tokens
     for i in range(n):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -409,9 +410,11 @@ class TestEval:
         ({"embedder": {"source": True}}, "'embedder.source'"),
         (DEEP_JSON, "JSON nested too deeply to decode"),
         ({"resample_steps": 100000000}, "resample_steps must be <= 4096"),
+        ([1, 2], "config file must be a JSON object"),
+        ({"embedder": {"grid": 0}}, "reference embedder grid must be >= 1"),
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
             "infinite-int", "fractional-grid", "infinite-float", "bool-int", "bool-float",
-            "bool-source", "deep-file", "huge-resample-steps"])
+            "bool-source", "deep-file", "huge-resample-steps", "array-file", "zero-grid"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(_json_text(doc))
@@ -468,8 +471,11 @@ class TestEval:
         (["--eps", "nan"], "eps"),
         (["--tau-cpdm", "inf"], "tau_cpdm"),
         (["--resample-steps", "100000000"], "resample_steps must be <= 4096"),
+        (["--top-fraction", "0"], "top_fraction must be in (0, 1], got 0.0"),
+        (["--top-fraction", "1.5"], "top_fraction must be in (0, 1], got 1.5"),
     ], ids=["fractional-window", "zero-window", "unknown-embedder", "nan-tau-cpdm", "nan-tau-pmpa",
-            "nan-eps", "infinite-tau-cpdm", "huge-resample-steps"])
+            "nan-eps", "infinite-tau-cpdm", "huge-resample-steps", "zero-top-fraction",
+            "top-fraction-above-one"])
     def test_bad_metric_flag_exits_two(self, fixture_pair_dir, tmp_path, capsys, flags, key):
         out = tmp_path / "r.jsonl"
         assert main(_good_pair_args(*fixture_pair_dir) + flags + ["--out", str(out)]) == 2
@@ -752,8 +758,8 @@ class TestDecomposeFlow:
         assert code == 2
         assert "at least 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[1, 2, 3, 4], [None], [[{}]], DEEP_JSON],
-                             ids=["flat-numbers", "null-entry", "object-match", "deep-file"])
+    @pytest.mark.parametrize("doc", [[1, 2, 3, 4], [None], [[{}]], DEEP_JSON, []],
+                             ids=["flat-numbers", "null-entry", "object-match", "deep-file", "empty"])
     def test_malformed_matches_exits_two(self, tmp_path, capsys, doc):
         from wemeval.rollout import FlowField
 
@@ -843,9 +849,10 @@ class TestInputErrors:
          "gen-fixtures: cannot write gf/mixed-00: File exists"),
         (["decompose-flow", "--flow", "flow.bin", "--matches", "identity.json", "--out-dir", "o"],
          "decompose-flow: cannot write o/camera_flow.bin: Is a directory"),
+        (["eval", "--gen", "g.json", "--out", "out"], "eval: provide --gen/--gt or --pairs"),
     ], ids=["missing-flow", "bad-magic", "bad-matches-json", "match-set-count", "degenerate-matches",
             "uncreatable-out-dir", "small-size", "one-frame", "huge-size", "nan-threshold",
-            "pairs-and-gen-gt", "fixture-dir-is-a-file", "flow-output-is-a-directory"])
+            "pairs-and-gen-gt", "fixture-dir-is-a-file", "flow-output-is-a-directory", "gen-without-gt"])
     def test_bad_input_prints_one_line_and_exits_two(self, tmp_path, monkeypatch, capsys, argv, message):
         from wemeval.rollout import FlowField
 
@@ -1137,6 +1144,13 @@ class TestReport:
             assert main(["report", str(report), "--out", str(merged)]) == 0
             assert merged.read_bytes() == report.read_bytes()
 
+    def test_blank_lines_are_skipped(self, ten_pair_report, tmp_path):
+        lines = ten_pair_report.read_text().splitlines()
+        spaced, merged = tmp_path / "spaced.jsonl", tmp_path / "m.jsonl"
+        spaced.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n\n")
+        assert main(["report", str(spaced), "--out", str(merged)]) == 0
+        assert merged.read_bytes() == ten_pair_report.read_bytes()
+
     def test_merge_keeps_error_records_in_merged_order(self, fixture_pair_dir, tmp_path):
         """Merged bytes are those of one ``eval`` over the inputs' pairs in
         order, and merging the merged report gives them back."""
@@ -1324,6 +1338,21 @@ class TestOut:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and codes == [0] and len(_read_records(out)) == 3
+
+    def test_sigterm_in_a_weakref_callback_is_not_swallowed(self, tmp_path):
+        # An exception raised in a weakref callback is only printed, as when a SIGTERM
+        # lands in features._stats_memo's WeakKeyDictionary callback during eval.
+        out = tmp_path / "report.jsonl"
+        out.write_text("previous report\n")
+        held = np.ones(1)
+        ref = weakref.ref(held, lambda _: os.kill(os.getpid(), signal.SIGTERM))
+        with pytest.raises(cli._Terminated):
+            with cli._report_writer(str(out)) as emit:
+                emit({"config": {}})
+                del held  # the callback runs here
+                emit({"aggregate": {}})
+        assert ref() is None and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        assert out.read_text() == "previous report\n" and not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads a process's children from /proc")
     @pytest.mark.parametrize("workers", [1, 2])

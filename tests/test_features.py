@@ -289,6 +289,16 @@ class TestExternalStore:
         with pytest.raises(ValueError, match="source"):
             EmbedderSpec(kind="external-file")
 
+    def test_spec_requires_an_existing_index(self, tmp_path):
+        with pytest.raises(ValueError, match="external embedder index not found: .*missing.json"):
+            EmbedderSpec(kind="external-file", source=str(tmp_path / "missing.json"))
+
+    def test_truncated_blob_names_the_key(self, tmp_path):
+        EmbeddingStore.write(tmp_path / "index.json", {"k": np.ones(3, dtype=np.float32)})
+        (tmp_path / "index.blob").write_bytes(b"\0" * 11)  # one byte short of three f32 values
+        with pytest.raises(ValueError, match="embedding blob truncated for key 'k'"):
+            EmbeddingStore(tmp_path / "index.json").lookup("k")
+
     def test_one_store_per_index_and_one_resolve_per_spelling(self, tmp_path, monkeypatch):
         frames = [_textured(4)]
         EmbeddingStore.write(tmp_path / "index.json", {frame_content_key(frames): np.ones(3)})

@@ -13,25 +13,31 @@ from wemeval import flow
 from wemeval.flow import (
     DegenerateMatchesError,
     Homography,
-    MotionProfile,
     estimate_homography,
     flow_stats,
     motion_profile,
     render_camera_flow,
     reprojection_errors,
-    resample_profile,
     residual_object_flow,
 )
-from wemeval.rollout import Chunk, FlowField, Frame, PhaseLabel, _trusted
+from wemeval.rollout import FlowField, Frame, _trusted
 
 
 def _uniform_flow(u: float, v: float, h: int = 8, w: int = 8) -> FlowField:
     return FlowField(u=np.full((h, w), u), v=np.full((h, w), v))
 
 
-def _chunk_with_flows(flows, h: int = 8, w: int = 8) -> Chunk:
-    frames = tuple(Frame(data=np.zeros((h, w, 1), dtype=np.float32)) for _ in range(len(flows) + 1))
-    return Chunk(frames=frames, instruction="", phase=PhaseLabel.NAV, flows=tuple(flows))
+_FRAME = Frame(data=np.zeros((8, 8, 1), dtype=np.float32))
+
+
+def _rows(stats) -> np.ndarray:
+    """The motion profile's rows before resampling, one per flow_stats triple of an 8x8 frame."""
+    diag = math.hypot(8, 8)
+    return np.array([[m / diag, t / diag, flow._log_ratio(m, t), e] for m, t, e in stats])
+
+
+def _random_stats(rng: np.random.Generator, n: int) -> list[tuple[float, float, float]]:
+    return [tuple(row) for row in rng.random((n, 3)) * [10.0, 10.0, 1.0]]
 
 
 class TestHomographyEstimation:
@@ -217,7 +223,7 @@ class TestFlowStats:
             f = _trusted(FlowField, uv)
         else:
             f = FlowField(u=uv[:, :, 0], v=uv[:, :, 1])
-        assert np.shares_memory(f.uv, uv) == strided and f.u.strides == f.v.strides == (8 * w, 8)
+        assert np.shares_memory(f.data, uv) == strided and f.u.strides == f.v.strides == (8 * w, 8)
         assert flow_stats(f) == _flow_stats_descending(f)
         spread = FlowField(u=free_u * 2.0 ** -rng.integers(0, 20, size=(h, w)), v=free_v)
         assert flow_stats(spread) == _flow_stats_descending(spread)  # the top mean's summation order shows
@@ -272,73 +278,67 @@ class TestFlowStats:
 
 class TestMotionProfile:
     def test_uniform_steps(self):
-        chunk = _chunk_with_flows([_uniform_flow(0.6, 0.8)] * 3)
-        p = motion_profile(chunk)
+        p = motion_profile([flow_stats(_uniform_flow(0.6, 0.8))] * 3, _FRAME, steps=3)
         diag = math.hypot(8, 8)
         expected = [1.0 / diag, 1.0 / diag, math.log(2.0), 0.0]
-        assert np.allclose(p.steps, [expected] * 3, atol=1e-12)
+        assert np.allclose(p, [expected] * 3, atol=1e-12)
 
     def test_all_zero_flows_saturate_log_ratio(self):
-        chunk = _chunk_with_flows([_uniform_flow(0.0, 0.0)] * 2)
-        p = motion_profile(chunk)
-        assert np.allclose(p.steps, [[0.0, 0.0, 20.0, 0.0]] * 2)
+        p = motion_profile([flow_stats(_uniform_flow(0.0, 0.0))] * 2, _FRAME, steps=2)
+        assert np.allclose(p, [[0.0, 0.0, 20.0, 0.0]] * 2)
 
     def test_two_frame_chunk_gives_single_step(self):
-        p = motion_profile(_chunk_with_flows([_uniform_flow(1.0, 0.0)]))
-        assert len(p) == 1
+        p = motion_profile([flow_stats(_uniform_flow(1.0, 0.0))], _FRAME, steps=1)
+        assert p.shape == (1, 4) and p.dtype == np.float64
 
     def test_requires_flows(self):
-        frames = (Frame(data=np.zeros((8, 8, 1), dtype=np.float32)),)
-        with pytest.raises(ValueError, match="T >= 2"):
-            motion_profile(Chunk(frames=frames, instruction="", phase=PhaseLabel.NAV))
+        with pytest.raises(ValueError, match="at least one flow_stats triple"):
+            motion_profile([], _FRAME)
+
+    def test_requires_a_step(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            motion_profile([(1.0, 2.0, 0.5)], _FRAME, 0)
 
 
 class TestResampleProfile:
     def test_length_16_is_identity(self):
-        rng = np.random.default_rng(3)
-        p = MotionProfile(steps=rng.random((16, 4)))
-        out = resample_profile(p, 16)
-        assert np.allclose(out.steps, p.steps, atol=1e-12)
+        stats = _random_stats(np.random.default_rng(3), 16)
+        assert np.allclose(motion_profile(stats, _FRAME, 16), _rows(stats), atol=1e-12)
 
     def test_two_steps_to_three_interpolates_midpoint(self):
-        p = MotionProfile(steps=np.array([[0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0]]))
-        out = resample_profile(p, 3)
-        assert np.allclose(out.steps[1], [1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(out.steps[0], p.steps[0]) and np.allclose(out.steps[2], p.steps[1])
+        stats = [(0.0, 1.0, 0.25), (2.0, 3.0, 0.75)]
+        rows, out = _rows(stats), motion_profile(stats, _FRAME, 3)
+        assert np.allclose(out[1], (rows[0] + rows[1]) / 2)
+        assert np.allclose(out[0], rows[0]) and np.allclose(out[2], rows[1])
 
     def test_single_step_replicates(self):
-        p = MotionProfile(steps=np.array([[1.0, 2.0, 3.0, 0.5]]))
-        out = resample_profile(p, 16)
-        assert np.allclose(out.steps, np.tile(p.steps, (16, 1)))
+        stats = [(1.0, 2.0, 0.5)]
+        assert np.allclose(motion_profile(stats, _FRAME, 16), np.tile(_rows(stats), (16, 1)))
 
     @given(
-        steps=st.lists(
-            st.lists(st.floats(-100, 100, allow_nan=False), min_size=4, max_size=4),
-            min_size=1,
-            max_size=12,
-        ),
+        stats=st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100), st.floats(0, 1)), min_size=1, max_size=12),
         target=st.integers(1, 40),
     )
     @settings(max_examples=150, deadline=None)
-    def test_never_extrapolates_and_keeps_endpoints(self, steps, target):
-        p = MotionProfile(steps=np.asarray(steps, dtype=np.float64))
-        out = resample_profile(p, target)
-        assert np.allclose(out.steps[0], p.steps[0], atol=1e-9)
+    def test_never_extrapolates_and_keeps_endpoints(self, stats, target):
+        rows, out = _rows(stats), motion_profile(stats, _FRAME, target)
+        assert np.allclose(out[0], rows[0], atol=1e-9)
         if target > 1:
-            assert np.allclose(out.steps[-1], p.steps[-1], atol=1e-9)
+            assert np.allclose(out[-1], rows[-1], atol=1e-9)
         for c in range(4):
-            assert out.steps[:, c].min() >= p.steps[:, c].min() - 1e-9
-            assert out.steps[:, c].max() <= p.steps[:, c].max() + 1e-9
+            assert out[:, c].min() >= rows[:, c].min() - 1e-9
+            assert out[:, c].max() <= rows[:, c].max() + 1e-9
 
     def test_equals_the_stacked_interp_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
         for n in range(1, 34):
-            p = MotionProfile(steps=rng.normal(size=(n, 4)))
+            stats = _random_stats(rng, n)
+            rows = _rows(stats)
             for target in range(1, 65):
                 positions = np.linspace(0.0, float(n - 1), target)
                 xp = np.arange(n, dtype=np.float64)
-                expected = np.stack([np.interp(positions, xp, p.steps[:, c]) for c in range(4)], axis=1)
-                assert np.array_equal(resample_profile(p, target).steps, expected), (n, target)
+                expected = np.stack([np.interp(positions, xp, rows[:, c]) for c in range(4)], axis=1)
+                assert np.array_equal(motion_profile(stats, _FRAME, target), expected), (n, target)
 
 
 class TestRoundTripInvariants:

@@ -114,7 +114,7 @@ def test_writers_refuse_zero_size_records(tmp_path, write, record):
 
 
 def _arrays(traj) -> list[np.ndarray]:
-    return [x for c in traj.chunks for x in [f.data for f in c.frames] + [f.uv for f in c.flows]
+    return [x for c in traj.chunks for x in [f.data for f in c.frames] + [f.data for f in c.flows]
             + [m.data for m in c.masks]]
 
 

@@ -140,6 +140,18 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError, match="field 'instruction' missing"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "{path}: manifest must be a JSON object"),
+        (lambda doc: {**doc, "chunks": []}, "{path}: field 'chunks' must not be empty"),
+        (lambda doc: {**doc, "chunks": [doc["chunks"][0], 3]}, "{path} chunk 1: must be a JSON object"),
+    ], ids=["not-object", "no-chunks", "chunk-not-object"])
+    def test_malformed_document_names_the_file(self, tmp_path, fixture_traj, edit, message):
+        path = save_manifest(fixture_traj, tmp_path / "traj.json")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert str(excinfo.value) == message.format(path=path)
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd entries")
     def test_descriptors_held_per_loaded_chunk(self, tmp_path):
         """Each mapped sidecar of a loaded trajectory holds one descriptor

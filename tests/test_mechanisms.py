@@ -87,7 +87,7 @@ class TestSequenceLayout:
 class TestRcaMask:
     def test_world_queries_blocked_from_current_instruction(self):
         layout = standard_layout(2, [(2, 3), (1, 2)], 2, 3, 2)
-        mask = build_rca_mask(layout, k_window=2).allowed
+        mask = build_rca_mask(layout, k_window=2)
         current = [
             range(s, e) for seg, s, e in layout.ranges()
             if seg.kind is SegmentKind.INSTRUCTION and seg.turn == layout.current_turn
@@ -98,7 +98,7 @@ class TestRcaMask:
 
     def test_ego_queries_blocked_from_world_queries(self):
         layout = standard_layout(2, [(2, 2)], 1, 2, 2)
-        mask = build_rca_mask(layout, k_window=1).allowed
+        mask = build_rca_mask(layout, k_window=1)
         for row in _positions(layout, SegmentKind.EGO_QUERY):
             for col in _positions(layout, SegmentKind.WORLD_QUERY):
                 assert not mask[row, col]
@@ -106,7 +106,7 @@ class TestRcaMask:
     def test_ego_window_keeps_only_recent_turns(self):
         # Three completed turns, K = 1: only turn 3 stays visible to ego queries.
         layout = standard_layout(2, [(2, 2), (2, 2), (2, 2)], 2, 2, 2)
-        mask = build_rca_mask(layout, k_window=1).allowed
+        mask = build_rca_mask(layout, k_window=1)
         ego_rows = _positions(layout, SegmentKind.EGO_QUERY)
         for col in _turn_positions(layout, 3):
             assert all(mask[r, col] for r in ego_rows)
@@ -116,7 +116,7 @@ class TestRcaMask:
 
     def test_world_queries_see_history_and_each_other(self):
         layout = standard_layout(2, [(1, 2), (2, 1)], 1, 2, 1)
-        mask = build_rca_mask(layout, k_window=4).allowed
+        mask = build_rca_mask(layout, k_window=4)
         world_rows = _positions(layout, SegmentKind.WORLD_QUERY)
         visible = (
             _positions(layout, SegmentKind.INITIAL_FRAME)
@@ -133,14 +133,14 @@ class TestRcaMask:
         layout = standard_layout(2, [(1, 1), (1, 1)], 1, 1, 1)
         initial = _positions(layout, SegmentKind.INITIAL_FRAME)
         ego_rows = _positions(layout, SegmentKind.EGO_QUERY)
-        short = build_rca_mask(layout, k_window=2).allowed
+        short = build_rca_mask(layout, k_window=2)
         assert not any(short[r, c] for r in ego_rows for c in initial)
-        wide = build_rca_mask(layout, k_window=3).allowed
+        wide = build_rca_mask(layout, k_window=3)
         assert all(wide[r, c] for r in ego_rows for c in initial)
 
     def test_history_rows_are_causal(self):
         layout = standard_layout(2, [(2, 2)], 2, 1, 1)
-        mask = build_rca_mask(layout, k_window=1).allowed
+        mask = build_rca_mask(layout, k_window=1)
         history_end = layout.total_tokens - 2
         for i in range(history_end):
             for j in range(layout.total_tokens):

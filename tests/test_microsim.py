@@ -287,7 +287,7 @@ def _truth_digest(gt) -> str:
         for mask in gt.masks[ci]:
             digest.update(mask.data.tobytes())
         for flow in (*gt.camera_flows[ci], *gt.object_flows[ci]):
-            digest.update(flow.uv.tobytes())
+            digest.update(flow.data.tobytes())
         for h in gt.homographies[ci]:
             digest.update(h.h.tobytes())
     return digest.hexdigest()

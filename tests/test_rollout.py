@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from wemeval import formats
 from wemeval.features import EmbedderSpec, embed_frames
-from wemeval.flow import MotionProfile
-from wemeval.mechanisms import AttentionMask, GateParams, RoutePlan, StateVector
+from wemeval.flow import motion_profile
+from wemeval.mechanisms import GateParams, RoutePlan, StateVector, build_rca_mask, standard_layout
 from wemeval.metrics import ScoringPair
 from wemeval.rollout import (
     Chunk,
@@ -214,12 +214,10 @@ _BUILDERS = {
 # Values of the other modules: the caller's arrays, the value built from them,
 # and every array the value holds.
 _VALUES = {
-    "attention-mask": (lambda: [np.ones((4, 4), dtype=bool)], AttentionMask, lambda x: [x.allowed]),
     "gate-params": (lambda: [np.ones((3, 3)) for _ in range(11)], GateParams,
                     lambda x: [getattr(x, f.name) for f in dataclasses.fields(x)]),
     "gate-params-zeros": (lambda: [], lambda: GateParams.zeros(3),
                           lambda x: [getattr(x, f.name) for f in dataclasses.fields(x)]),
-    "motion-profile": (lambda: [np.ones((6, 4))], MotionProfile, lambda x: [x.steps]),
     "route-plan": (lambda: [np.ones((2, 3, 3), dtype=np.uint8), np.arange(18), np.arange(18)],
                    lambda base, world, ego: RoutePlan(base, 1, world, ego),
                    lambda x: [x.base_mask, x.world_expanded, x.ego_expanded]),
@@ -270,6 +268,18 @@ class TestOwnedData:
             assert not arr.flags.writeable
             assert np.array_equal(arr, expected)
 
+    @pytest.mark.parametrize("build", [
+        lambda: motion_profile([(1.0, 2.0, 0.5), (0.5, 1.5, 0.25)], _frame(), 4),
+        lambda: build_rca_mask(standard_layout(2, [(2, 3)], 1, 2, 2), 1),
+    ], ids=["motion-profile", "attention-mask"])
+    def test_builders_return_fresh_read_only_arrays(self, build):
+        first, second = build(), build()
+        for arr in (first, second):
+            assert _owner(arr) is arr and not arr.flags.writeable  # no view of a cache or of another call's
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
     def test_memo_follows_the_frame_not_the_callers_array(self):
         base = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32)
         f = Frame(data=base[:, :, :])
@@ -307,15 +317,15 @@ class TestOwnedData:
         written = [FlowField(u=rng.normal(size=(5, 7)), v=rng.normal(size=(5, 7))) for _ in range(3)]
         formats.write_flow_file(tmp_path / "flow.bin", written)
         fields = formats.read_flow_file(tmp_path / "flow.bin")
-        payload = _buffer(fields[0].uv)
+        payload = _buffer(fields[0].data)
         assert isinstance(payload, mmap.mmap)
         with pytest.raises(TypeError):
             payload[16] = 0  # the map itself is read-only
         for got, want in zip(fields, written):
-            assert _buffer(got.uv) is payload
-            assert got.uv.shape == (5, 7, 2) and got.uv.flags.c_contiguous  # one interleaved block
-            for arr, expected in ((got.uv, want.uv), (got.u, want.u), (got.v, want.v)):
-                assert np.shares_memory(arr, got.uv)
+            assert _buffer(got.data) is payload
+            assert got.data.shape == (5, 7, 2) and got.data.flags.c_contiguous  # one interleaved block
+            for arr, expected in ((got.data, want.data), (got.u, want.u), (got.v, want.v)):
+                assert np.shares_memory(arr, got.data)
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0.0

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from wemeval import verify
-from wemeval.mechanisms import AttentionMask
 from wemeval.verify import INVARIANT_NAMES, run_verification
 
 # Records written by the verifier before its checkers shared one trial loop;
@@ -25,9 +24,9 @@ def rca_last_row_flipped(monkeypatch):
     build = verify.build_rca_mask
 
     def last_row_flipped(layout, k_window):
-        allowed = build(layout, k_window).allowed.copy()
+        allowed = build(layout, k_window).copy()
         allowed[-1, 0] = not allowed[-1, 0]
-        return AttentionMask(allowed)
+        return allowed
 
     monkeypatch.setattr(verify, "build_rca_mask", last_row_flipped)
 
