@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,39 +39,35 @@ _TURN_KINDS = (SegmentKind.INSTRUCTION, SegmentKind.VIDEO_CHUNK)
 
 @dataclass(frozen=True)
 class SequenceLayout:
-    """Token segments of one state-predictor input sequence.
+    """Token segments of one state-predictor input sequence, built from their lengths.
 
-    Layout shape: InitialFrame, then alternating Instruction/VideoChunk pairs
-    for each completed turn, the current Instruction (which has no chunk yet),
-    and finally the WorldQuery and EgoQuery segments. Only instruction and
-    chunk turns are checked. Any other shape, or a segment of length < 1, is
-    one ValueError.
+    ``segments`` is the InitialFrame, an Instruction and a VideoChunk for each
+    completed turn of ``turn_lens`` (instruction, chunk), the current
+    Instruction (which has no chunk yet), and finally the WorldQuery and
+    EgoQuery segments. A length below 1 is a ValueError.
     """
 
-    segments: tuple[Segment, ...]
+    initial_len: int
+    turn_lens: Sequence[tuple[int, int]]
+    current_instruction_len: int
+    world_query_len: int
+    ego_query_len: int
+    segments: tuple[Segment, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "turn_lens", tuple(self.turn_lens))
+        segs = [Segment(SegmentKind.INITIAL_FRAME, 0, self.initial_len)]
+        for turn, (instr_len, video_len) in enumerate(self.turn_lens, start=1):
+            segs.append(Segment(SegmentKind.INSTRUCTION, turn, instr_len))
+            segs.append(Segment(SegmentKind.VIDEO_CHUNK, turn, video_len))
+        current = self.current_turn
+        segs.append(Segment(SegmentKind.INSTRUCTION, current, self.current_instruction_len))
+        segs.append(Segment(SegmentKind.WORLD_QUERY, current, self.world_query_len))
+        segs.append(Segment(SegmentKind.EGO_QUERY, current, self.ego_query_len))
         for s in segs:
             if s.length < 1:
                 raise ValueError(f"segment {s.kind.value} has non-positive length")
-        # The (kind, turn) sequence for n completed turns; None marks a turn
-        # that is not checked.
-        n = max(0, (len(segs) - 4) // 2)
-        expected = [(SegmentKind.INITIAL_FRAME, None)]
-        for turn in range(1, n + 1):
-            expected += [(SegmentKind.INSTRUCTION, turn), (SegmentKind.VIDEO_CHUNK, turn)]
-        expected += [(SegmentKind.INSTRUCTION, n + 1), (SegmentKind.WORLD_QUERY, None),
-                     (SegmentKind.EGO_QUERY, None)]
-        got = [(s.kind, s.turn if s.kind in _TURN_KINDS else None) for s in segs]
-        if got != expected:
-            position = 0
-            while position < min(len(got), len(expected)) and got[position] == expected[position]:
-                position += 1
-            raise ValueError("layout must be initial_frame, then instruction and video_chunk for each "
-                             "completed turn 1..n, then the instruction of turn n+1, world_query and "
-                             f"ego_query; segment {position} breaks it")
+        object.__setattr__(self, "segments", tuple(segs))
 
     @property
     def total_tokens(self) -> int:
@@ -79,7 +75,7 @@ class SequenceLayout:
 
     @property
     def completed_turns(self) -> int:
-        return sum(1 for s in self.segments if s.kind is SegmentKind.VIDEO_CHUNK)
+        return len(self.turn_lens)
 
     @property
     def current_turn(self) -> int:
@@ -93,25 +89,6 @@ class SequenceLayout:
             spans.append((s, pos, pos + s.length))
             pos += s.length
         return spans
-
-
-def standard_layout(
-    initial_len: int,
-    turn_lens: Sequence[tuple[int, int]],
-    current_instruction_len: int,
-    world_query_len: int,
-    ego_query_len: int,
-) -> SequenceLayout:
-    """Build a well-formed layout from per-segment token counts."""
-    segs = [Segment(SegmentKind.INITIAL_FRAME, 0, initial_len)]
-    for turn, (instr_len, video_len) in enumerate(turn_lens, start=1):
-        segs.append(Segment(SegmentKind.INSTRUCTION, turn, instr_len))
-        segs.append(Segment(SegmentKind.VIDEO_CHUNK, turn, video_len))
-    current = len(turn_lens) + 1
-    segs.append(Segment(SegmentKind.INSTRUCTION, current, current_instruction_len))
-    segs.append(Segment(SegmentKind.WORLD_QUERY, current, world_query_len))
-    segs.append(Segment(SegmentKind.EGO_QUERY, current, ego_query_len))
-    return SequenceLayout(tuple(segs))
 
 
 def build_rca_mask(layout: SequenceLayout, k_window: int) -> np.ndarray:
@@ -167,7 +144,8 @@ class RoutePlan:
 
     ``base_mask`` has shape (t, h, w) with 1 = ego. Expanded index sets are
     sorted flat indices (C order) covering each expert's active tokens after
-    spatial dilation; they are supersets of the base assignment.
+    spatial dilation. ``route_tokens`` makes them supersets of the base
+    assignment, which ``verify``'s routing_partition invariant checks.
     """
 
     base_mask: np.ndarray
@@ -180,16 +158,8 @@ class RoutePlan:
         if base.ndim != 3:
             raise ValueError("base mask must be (t, h, w)")
         object.__setattr__(self, "base_mask", base)
-        flat = base.ravel()
-        for name, expanded, value in (
-            ("world", self.world_expanded, 0),
-            ("ego", self.ego_expanded, 1),
-        ):
-            expanded = _frozen(expanded, np.int64)
-            base_idx = np.flatnonzero(flat == value)
-            if not np.isin(base_idx, expanded).all():
-                raise ValueError(f"{name} expanded set must contain its base set")
-            object.__setattr__(self, f"{name}_expanded", expanded)
+        for name in ("world_expanded", "ego_expanded"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
 
     @property
     def grid_shape(self) -> tuple[int, int, int]:

@@ -9,7 +9,7 @@ written rules, independently of the vectorized construction it verifies.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .mechanisms import (
     gru_update_parts,
     route_tokens,
     soft_fuse,
-    standard_layout,
     unroute,
 )
 
@@ -35,7 +34,7 @@ _MAX_FAILURE_DUMPS = 3
 def _random_layout(rng: np.random.Generator) -> tuple[SequenceLayout, int]:
     completed = int(rng.integers(0, 5))
     turn_lens = [(int(rng.integers(1, 5)), int(rng.integers(1, 5))) for _ in range(completed)]
-    layout = standard_layout(
+    layout = SequenceLayout(
         initial_len=int(rng.integers(1, 5)),
         turn_lens=turn_lens,
         current_instruction_len=int(rng.integers(1, 5)),
@@ -229,8 +228,9 @@ def run_check(name: str, rng: np.random.Generator, trials: int) -> dict:
     return {"invariant": name, "trials": trials, "passed": not failures, "failures": failures}
 
 
-def run_verification(seed: int, trials: int) -> list[dict]:
-    """Run every invariant over ``trials`` random instances each."""
+def run_verification(seed: int, trials: int) -> Iterator[dict]:
+    """Run every invariant over ``trials`` random instances each, yielding
+    each record as soon as its invariant's trials end."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [run_check(name, np.random.default_rng([seed, i]), trials) for i, name in enumerate(CHECKS)]
+    return (run_check(name, np.random.default_rng([seed, i]), trials) for i, name in enumerate(CHECKS))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wemeval import verify
+from wemeval import mechanisms, verify
 from wemeval.flow import Homography
 from wemeval.mechanisms import StateVector
 from wemeval.metrics import MetricConfig
@@ -137,3 +137,19 @@ def flipped_unroute(monkeypatch):
         return StateVector(values)
 
     monkeypatch.setattr(verify, "unroute", flipped)
+
+
+@pytest.fixture
+def lost_base_token(monkeypatch):
+    """Breaks the routing expansion: each dilated set loses the first token of
+    the set it was dilated from."""
+    dilate = mechanisms._dilate_chebyshev
+
+    def dropping(mask, radius):
+        out = dilate(mask, radius)
+        base = np.flatnonzero(mask)
+        if base.size:
+            out.reshape(-1)[base[0]] = False
+        return out
+
+    monkeypatch.setattr(mechanisms, "_dilate_chebyshev", dropping)

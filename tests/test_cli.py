@@ -19,7 +19,7 @@ import pytest
 
 from conftest import matches_from_homography
 import wemeval
-from wemeval import cli, features, formats, manifest, metrics, rollout
+from wemeval import cli, features, formats, manifest, metrics, rollout, verify
 from wemeval.cli import main
 from wemeval.manifest import save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
@@ -515,6 +515,7 @@ class TestEval:
         ("frame-above-one", "value outside [0, 1]"),
         ("flow-count", "flow count"),
         ("empty-frame", "records of zero size"),
+        ("overlong-sidecar-name", "File name too long"),
     ])
     def test_invalid_content_becomes_error_record(self, tmp_path, defect, message):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=602, size=32, t=4))
@@ -531,6 +532,10 @@ class TestEval:
         if defect == "empty-frame":  # zero-size frames are a format error, which no writer makes
             header = formats.FRAME_MAGIC + struct.pack("<4I", 4, 0, 1, len(first.frames))
             (tmp_path / "gen" / "manifest_chunk0_frames.bin").write_bytes(header)
+        elif defect == "overlong-sidecar-name":  # load_manifest passes the OSError (ENAMETOOLONG) on
+            doc = json.loads(gen.read_text())
+            doc["chunks"][0]["frames"] = "a" * 300
+            gen.write_text(json.dumps(doc))
         gt = save_manifest(traj, tmp_path / "gt" / "manifest.json")
         out = tmp_path / "r.jsonl"
         assert main(["eval", "--gen", str(gen), "--gt", str(gt), "--out", str(out)]) == 2
@@ -890,6 +895,16 @@ class TestVerifyMechanisms:
         broken = [r for r in _read_records(out) if not r["passed"]]
         assert broken and broken[0]["invariant"] == "unroute_reconstruction"
         assert broken[0]["failures"][0]["base_mask"]
+
+    def test_each_record_is_written_when_its_trials_end(self, capsys, monkeypatch):
+        def broken(rng):
+            raise RuntimeError("second check broke")
+
+        monkeypatch.setitem(verify.CHECKS, "routing_partition", broken)
+        with pytest.raises(RuntimeError, match="second check broke"):
+            main(["verify-mechanisms", "--trials", "5"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["invariant"], r["passed"]) for r in records] == [("rca_rule_agreement", True)]
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

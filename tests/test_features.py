@@ -65,6 +65,10 @@ class TestReferenceEmbedder:
         with pytest.raises(ValueError, match="empty"):
             embed_frames([], EmbedderSpec())
 
+    def test_frames_of_mixed_dims_rejected(self):
+        with pytest.raises(ValueError, match="share dims"):
+            embed_frames([_frame(0.5), _frame(0.5, h=8, w=6)], EmbedderSpec(grid=2))
+
     def test_grid_clamps_to_small_frames(self):
         v = embed_frames([_textured(0, h=3, w=5)], EmbedderSpec(grid=8))
         assert v.shape == (2 * 3 * 3,)
@@ -238,6 +242,10 @@ class TestPerceptualDistance:
 
     def test_two_black_frames_distance_zero(self):
         assert perceptual_distance(_frame(0.0), _frame(0.0), EmbedderSpec()) == 0.0
+
+    def test_frames_of_different_dims_rejected(self):
+        with pytest.raises(ValueError, match="matching dims"):
+            perceptual_distance(_frame(0.5), _frame(0.5, h=6), EmbedderSpec())
 
     def test_symmetry(self):
         a, b = _textured(1), _textured(2)

@@ -67,6 +67,26 @@ class TestHomographyEstimation:
         with pytest.raises(ValueError, match="at least 4"):
             estimate_homography(matches)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Homography(np.eye(2)), "3x3"),
+        (lambda: Homography(np.diag([1.0, 1.0, 0.0])), r"h\[2\]\[2\]"),
+        (lambda: Homography(np.diag([1.0, 0.0, 1.0])), "singular"),
+        (lambda: Homography(np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 1]])).apply(np.array([[-1.0, 0.0]])),
+         "infinity"),
+        (lambda: estimate_homography(np.zeros((4, 2))), r"shape \(n, 2, 2\)"),
+        (lambda: estimate_homography(np.zeros((4, 2, 2)), iterations=0), "iterations"),
+    ], ids=["not-3x3", "zero-h22", "singular", "point-at-infinity", "matches-shape", "zero-iterations"])
+    def test_bad_input_raises_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("src, dst", [
+        ([[0, 0], [1, 1], [2, 2], [3, 3]], [[0, 0], [1, 0], [0, 1], [1, 1]]),  # rank < 8
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [1, 0], [2, 0], [0, 1]]),  # the fit is singular
+    ], ids=["collinear-sources", "onto-three-collinear"])
+    def test_dlt_without_a_homography_is_none(self, src, dst):
+        assert flow._dlt(np.array(src, dtype=float), np.array(dst, dtype=float)) is None
+
     def test_refit_that_is_no_homography_keeps_the_best_hypothesis(self, monkeypatch):
         h_true = Homography(np.array([[1.03, 0.02, 4.0], [-0.01, 0.98, -1.5], [1e-4, -8e-5, 1.0]]))
         matches = matches_from_homography(h_true, 64, 64, 30, seed=2, outlier_fraction=0.3)
@@ -124,6 +144,10 @@ class TestRenderCameraFlow:
         h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]]))
         with pytest.raises(ValueError, match=r"pixel \(2, 0\)"):
             render_camera_flow(h, 5, 3)
+
+    def test_empty_field_rejected(self):
+        with pytest.raises(ValueError, match="width and height"):
+            render_camera_flow(Homography.identity(), 0, 3)
 
     @pytest.mark.parametrize("width, height", [(1, 5), (5, 1)])
     def test_one_pixel_wide_or_high_field(self, width, height):

@@ -113,6 +113,16 @@ def test_writers_refuse_zero_size_records(tmp_path, write, record):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("write, records, message", [
+    (formats.write_flow_file, [], "no records"),
+    (formats.write_mask_file, [WorldEgoMask(data=np.array([[0, 2]], dtype=np.uint8))], "binary"),
+], ids=["no-flows", "non-binary-mask"])
+def test_writers_refuse_what_a_sidecar_cannot_hold(tmp_path, write, records, message):
+    with pytest.raises(ValueError, match=message):
+        write(tmp_path / "out.bin", records)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _arrays(traj) -> list[np.ndarray]:
     return [x for c in traj.chunks for x in [f.data for f in c.frames] + [f.data for f in c.flows]
             + [m.data for m in c.masks]]

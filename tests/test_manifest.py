@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -123,6 +124,16 @@ class TestManifestRoundTrip:
         with pytest.raises(ManifestError) as excinfo:
             load_manifest(path)
         assert str(excinfo.value) == f"{path} chunk 1: field 'frames': asset missing: {tmp_path}/a\0b"
+
+    def test_overlong_sidecar_name_is_the_os_error(self, tmp_path, fixture_traj):
+        """A name the file system refuses is no missing asset: the OSError passes through."""
+        path = save_manifest(fixture_traj, tmp_path / "traj.json")
+        doc = json.loads(path.read_text())
+        doc["chunks"][0]["frames"] = "a" * 300
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OSError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.errno == errno.ENAMETOOLONG
 
     def test_invalid_phase_names_the_field(self, tmp_path, fixture_traj):
         path = save_manifest(fixture_traj, tmp_path / "traj.json")

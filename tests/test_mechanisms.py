@@ -7,6 +7,7 @@ import pytest
 
 from wemeval.mechanisms import (
     GateParams,
+    RoutePlan,
     Segment,
     SegmentKind,
     SequenceLayout,
@@ -17,7 +18,6 @@ from wemeval.mechanisms import (
     gru_update_parts,
     route_tokens,
     soft_fuse,
-    standard_layout,
     unroute,
 )
 
@@ -38,55 +38,43 @@ def _turn_positions(layout, turn: int) -> list[int]:
     return out
 
 
-_LAYOUT = list(standard_layout(2, [(1, 2), (3, 4)], 1, 2, 1).segments)  # frame, I1 C1 I2 C2, I3, W, E
-
-
-def _edited(index: int, segment: Segment | None = None, insert: bool = False) -> list[Segment]:
-    """The two-turn layout's segments with the one at ``index`` dropped, replaced or inserted."""
-    segs = list(_LAYOUT)
-    if insert:
-        segs.insert(index, segment)
-    elif segment is None:
-        del segs[index]
-    else:
-        segs[index] = segment
-    return segs
-
-
 class TestSequenceLayout:
     @pytest.mark.parametrize("turns", [0, 1, 3])
     def test_standard_layouts_are_accepted(self, turns):
-        layout = standard_layout(1, [(1, 1)] * turns, 1, 1, 1)
+        layout = SequenceLayout(1, [(1, 1)] * turns, 1, 1, 1)
         assert layout.completed_turns == turns and len(layout.segments) == 2 * turns + 4
 
-    @pytest.mark.parametrize("segments", [
-        _edited(2),
-        _edited(0),
-        _edited(6),
-        _edited(3, Segment(SegmentKind.VIDEO_CHUNK, 2, 1), insert=True),
-        _edited(1, Segment(SegmentKind.INITIAL_FRAME, 0, 1), insert=True),
-        [_LAYOUT[0], _LAYOUT[2], _LAYOUT[1]] + _LAYOUT[3:],
-        _edited(5, Segment(SegmentKind.INSTRUCTION, 4, 1)),
-        _edited(2, Segment(SegmentKind.VIDEO_CHUNK, 2, 2)),
-        _edited(6, Segment(SegmentKind.VIDEO_CHUNK, 3, 1), insert=True),
-        _LAYOUT + [Segment(SegmentKind.WORLD_QUERY, 3, 1)],
-        _edited(7, Segment(SegmentKind.WORLD_QUERY, 3, 1), insert=True),
-        _edited(3, Segment(SegmentKind.INSTRUCTION, 2, 0)),
-        _edited(7, Segment(SegmentKind.EGO_QUERY, 3, 0)),
-        [_LAYOUT[0], _LAYOUT[5], _LAYOUT[6]],
-        [],
-    ], ids=["dropped-chunk", "dropped-frame", "dropped-world-queries", "extra-chunk",
-            "second-frame", "swapped-instruction-chunk", "wrong-current-turn", "wrong-chunk-turn",
-            "trailing-chunk", "second-world-group", "world-groups-around-ego", "zero-length",
-            "zero-length-query", "three-segments", "no-segments"])
-    def test_bad_layout_raises_value_error(self, segments):
-        with pytest.raises(ValueError):
-            SequenceLayout(tuple(segments))
+    def test_segments_follow_the_lengths(self):
+        layout = SequenceLayout(2, [(1, 2), (3, 4)], 5, 6, 7)
+        assert layout.segments == (
+            Segment(SegmentKind.INITIAL_FRAME, 0, 2),
+            Segment(SegmentKind.INSTRUCTION, 1, 1),
+            Segment(SegmentKind.VIDEO_CHUNK, 1, 2),
+            Segment(SegmentKind.INSTRUCTION, 2, 3),
+            Segment(SegmentKind.VIDEO_CHUNK, 2, 4),
+            Segment(SegmentKind.INSTRUCTION, 3, 5),
+            Segment(SegmentKind.WORLD_QUERY, 3, 6),
+            Segment(SegmentKind.EGO_QUERY, 3, 7),
+        )
+        assert (layout.total_tokens, layout.completed_turns, layout.current_turn) == (30, 2, 3)
+
+    @pytest.mark.parametrize("lengths", [
+        (0, [(1, 2), (3, 4)], 1, 1, 1),
+        (1, [(1, 2), (0, 4)], 1, 1, 1),
+        (1, [(1, 2), (3, 0)], 1, 1, 1),
+        (1, [(1, 2), (3, 4)], 0, 1, 1),
+        (1, [(1, 2), (3, 4)], 1, 0, 1),
+        (1, [(1, 2), (3, 4)], 1, 1, 0),
+    ], ids=["zero-length-frame", "zero-length", "zero-length-chunk", "zero-length-current",
+            "zero-length-world-query", "zero-length-query"])
+    def test_bad_layout_raises_value_error(self, lengths):
+        with pytest.raises(ValueError, match="non-positive length"):
+            SequenceLayout(*lengths)
 
 
 class TestRcaMask:
     def test_world_queries_blocked_from_current_instruction(self):
-        layout = standard_layout(2, [(2, 3), (1, 2)], 2, 3, 2)
+        layout = SequenceLayout(2, [(2, 3), (1, 2)], 2, 3, 2)
         mask = build_rca_mask(layout, k_window=2)
         current = [
             range(s, e) for seg, s, e in layout.ranges()
@@ -97,7 +85,7 @@ class TestRcaMask:
                 assert not mask[row, col]
 
     def test_ego_queries_blocked_from_world_queries(self):
-        layout = standard_layout(2, [(2, 2)], 1, 2, 2)
+        layout = SequenceLayout(2, [(2, 2)], 1, 2, 2)
         mask = build_rca_mask(layout, k_window=1)
         for row in _positions(layout, SegmentKind.EGO_QUERY):
             for col in _positions(layout, SegmentKind.WORLD_QUERY):
@@ -105,7 +93,7 @@ class TestRcaMask:
 
     def test_ego_window_keeps_only_recent_turns(self):
         # Three completed turns, K = 1: only turn 3 stays visible to ego queries.
-        layout = standard_layout(2, [(2, 2), (2, 2), (2, 2)], 2, 2, 2)
+        layout = SequenceLayout(2, [(2, 2), (2, 2), (2, 2)], 2, 2, 2)
         mask = build_rca_mask(layout, k_window=1)
         ego_rows = _positions(layout, SegmentKind.EGO_QUERY)
         for col in _turn_positions(layout, 3):
@@ -115,7 +103,7 @@ class TestRcaMask:
                 assert not any(mask[r, col] for r in ego_rows)
 
     def test_world_queries_see_history_and_each_other(self):
-        layout = standard_layout(2, [(1, 2), (2, 1)], 1, 2, 1)
+        layout = SequenceLayout(2, [(1, 2), (2, 1)], 1, 2, 1)
         mask = build_rca_mask(layout, k_window=4)
         world_rows = _positions(layout, SegmentKind.WORLD_QUERY)
         visible = (
@@ -130,7 +118,7 @@ class TestRcaMask:
                 assert mask[row, col]
 
     def test_ego_sees_initial_frame_only_when_window_exceeds_history(self):
-        layout = standard_layout(2, [(1, 1), (1, 1)], 1, 1, 1)
+        layout = SequenceLayout(2, [(1, 1), (1, 1)], 1, 1, 1)
         initial = _positions(layout, SegmentKind.INITIAL_FRAME)
         ego_rows = _positions(layout, SegmentKind.EGO_QUERY)
         short = build_rca_mask(layout, k_window=2)
@@ -139,7 +127,7 @@ class TestRcaMask:
         assert all(wide[r, c] for r in ego_rows for c in initial)
 
     def test_history_rows_are_causal(self):
-        layout = standard_layout(2, [(2, 2)], 2, 1, 1)
+        layout = SequenceLayout(2, [(2, 2)], 2, 1, 1)
         mask = build_rca_mask(layout, k_window=1)
         history_end = layout.total_tokens - 2
         for i in range(history_end):
@@ -342,3 +330,38 @@ class TestAnnealLambda:
         assert anneal_lambda(100, 100, 0.3, shape="cosine") == pytest.approx(0.06)
         values = [anneal_lambda(s, 100, 0.3, shape="cosine") for s in range(101)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _state(n: int, d: int) -> StateVector:
+    return StateVector(np.zeros((n, d)))
+
+
+_ONE_OF_EACH = route_tokens(np.array([[0, 1]], dtype=np.uint8), radius=0)  # one world, one ego token
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_rca_mask(SequenceLayout(1, [], 1, 1, 1), 0), "k_window"),
+    (lambda: RoutePlan(np.zeros((2, 2)), 0, np.arange(4), np.arange(0)), "base mask"),
+    (lambda: route_tokens(np.zeros((0, 3)), 0), "non-empty"),
+    (lambda: route_tokens(np.array([[0, 2]]), 0), "binary"),
+    (lambda: route_tokens(np.zeros((2, 2)), -1), "radius"),
+    (lambda: StateVector(np.zeros(3)), r"must be \(n, d\)"),
+    (lambda: StateVector(np.array([[0.0, np.nan]])), "non-finite"),
+    (lambda: unroute(_ONE_OF_EACH, _state(1, 2), _state(2, 2)), "ego expert"),
+    (lambda: unroute(_ONE_OF_EACH, _state(1, 2), _state(1, 3)), "channel dim"),
+    (lambda: soft_fuse(np.ones(2), _state(2, 2), _state(2, 3)), "share"),
+    (lambda: soft_fuse(np.ones(3), _state(2, 2), _state(2, 2)), "alpha has 3"),
+    (lambda: gru_update_parts(_state(2, 2), _state(3, 2), np.zeros(2), GateParams.zeros(2)), "share"),
+    (lambda: gru_update_parts(_state(2, 2), _state(2, 2), np.zeros(3), GateParams.zeros(2)), "ego summary dim"),
+    (lambda: bce_dice_loss(np.zeros(3), np.zeros(4)), "shape"),
+    (lambda: bce_dice_loss(np.zeros(0), np.zeros(0)), "empty"),
+    (lambda: bce_dice_loss(np.zeros(2), np.array([0.0, 0.5])), "binary"),
+    (lambda: anneal_lambda(0, 0, 0.3), "total_steps"),
+    (lambda: anneal_lambda(0, 10, 0.3, shape="step"), "unknown schedule shape"),
+], ids=["rca-zero-window", "route-plan-2d-base", "route-empty-mask", "route-non-binary-mask",
+        "route-negative-radius", "state-1d", "state-nan", "unroute-ego-size", "unroute-channels",
+        "fuse-shapes", "fuse-alpha-size", "gru-shapes", "gru-ego-dim", "loss-shapes", "loss-empty",
+        "loss-non-binary-gt", "anneal-zero-steps", "anneal-unknown-shape"])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

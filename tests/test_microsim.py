@@ -142,9 +142,21 @@ class TestGeneration:
         (lambda: ObjectSpec("disk", math.inf, 0.9, (14.0, 12.0)), "size must be positive and finite"),
         (lambda: ObjectSpec("disk", 3.0, 0.9, (14.0, math.nan)), "finite \\(x, y\\)"),
         (lambda: dataclasses.replace(_nav_config(), noise_sigma=math.nan), "noise_sigma must be finite"),
+        (lambda: ObjectSpec("star", 3.0, 0.9, (14.0, 12.0)), "unknown object shape"),
+        (lambda: ObjectSpec("disk", 3.0, 1.5, (14.0, 12.0)), "intensity must be in"),
+        (lambda: CameraMotion("spin"), "unknown camera motion"),
+        (lambda: ChunkSpec(PhaseLabel.NAV, 4), "needs a camera motion"),
+        (lambda: ChunkSpec(PhaseLabel.NAV, 4, camera=CameraMotion("translate", dx=1.0), object_motion=(0.0, 1.0)),
+         "must not move objects"),
+        (lambda: ChunkSpec(PhaseLabel.MANIP, 4, camera=CameraMotion("translate", dx=1.0),
+                           object_motion=(0.0, 1.0)), "must hold the camera"),
+        (lambda: dataclasses.replace(_nav_config(), chunks=()), "at least one chunk"),
+        (lambda: dataclasses.replace(_manip_config(), ego_object=1), "valid ego_object"),
     ], ids=["negative-seed", "infinite-seed", "bool-seed", "infinite-dx", "nan-dy", "zero-zoom",
             "infinite-object-motion", "short-object-motion", "infinite-size", "nan-position",
-            "nan-noise"])
+            "nan-noise", "unknown-shape", "intensity-above-one", "unknown-camera-motion",
+            "nav-without-camera", "nav-moving-objects", "manip-moving-camera", "no-chunks",
+            "ego-object-out-of-range"])
     def test_bad_spec_is_refused_at_construction(self, build, message):
         with pytest.raises(SimConfigError, match=message):
             build()
@@ -184,6 +196,16 @@ class TestPerturbations:
         traj, gt = fixture
         with pytest.raises(ValueError, match="unknown perturbation"):
             perturb_rollout(traj, gt, "melt", 1.0, seed=1)
+
+    @pytest.mark.parametrize("kind, magnitude, message", [
+        ("frame-noise", -0.1, "magnitude must be >= 0"),
+        ("chunk-shuffle", 1.0, "chunk-shuffle needs K >= 2"),
+        ("boundary-smooth", 1.0, "boundary-smooth needs K >= 2"),
+    ], ids=["negative-magnitude", "shuffle-one-chunk", "smooth-one-chunk"])
+    def test_bad_request_rejected(self, kind, magnitude, message):
+        traj, gt = generate_trajectory(_nav_config())  # one chunk
+        with pytest.raises(ValueError, match=message):
+            perturb_rollout(traj, gt, kind, magnitude, seed=1)
 
     def test_chunk_shuffle_is_a_derangement(self, fixture):
         traj, gt = fixture

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wemeval import formats
 from wemeval.features import EmbedderSpec, embed_frames
 from wemeval.flow import motion_profile
-from wemeval.mechanisms import GateParams, RoutePlan, StateVector, build_rca_mask, standard_layout
+from wemeval.mechanisms import GateParams, RoutePlan, SequenceLayout, StateVector, build_rca_mask
 from wemeval.metrics import ScoringPair
 from wemeval.rollout import (
     Chunk,
@@ -67,8 +67,16 @@ class TestFlowField:
         got, want = np.sqrt(squares), np.hypot(u64, v64)
         assert (np.abs(got - want) <= np.spacing(want)).all()
 
+    def test_components_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="share a shape"):
+            FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 3)))
+
 
 class TestWorldEgoMask:
+    def test_rejects_three_dims(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            WorldEgoMask(data=np.zeros((2, 4, 4), dtype=np.uint8))
+
     @pytest.mark.parametrize("values, dtype, expected", [
         ([True, False], np.bool_, True),
         ([0, 1], np.uint8, True),
@@ -91,6 +99,10 @@ class TestValidation:
         report = validate_trajectory(traj)
         assert report.is_valid()
         assert report.issues == []
+
+    def test_report_is_true_iff_valid(self):
+        assert validate_trajectory(Trajectory(id="ok", chunks=(_chunk(),)))
+        assert not validate_trajectory(Trajectory(id="none", chunks=()))
 
     def test_empty_chunk_reported_at_index(self):
         traj = Trajectory(id="bad", chunks=(_chunk(), Chunk(frames=(), instruction="", phase=PhaseLabel.NAV)))
@@ -270,7 +282,7 @@ class TestOwnedData:
 
     @pytest.mark.parametrize("build", [
         lambda: motion_profile([(1.0, 2.0, 0.5), (0.5, 1.5, 0.25)], _frame(), 4),
-        lambda: build_rca_mask(standard_layout(2, [(2, 3)], 1, 2, 2), 1),
+        lambda: build_rca_mask(SequenceLayout(2, [(2, 3)], 1, 2, 2), 1),
     ], ids=["motion-profile", "attention-mask"])
     def test_builders_return_fresh_read_only_arrays(self, build):
         first, second = build(), build()

@@ -32,7 +32,7 @@ def rca_last_row_flipped(monkeypatch):
 
 
 def test_all_invariants_pass_on_random_trials():
-    records = run_verification(seed=5, trials=100)
+    records = list(run_verification(seed=5, trials=100))
     assert {r["invariant"] for r in records} == set(INVARIANT_NAMES)
     for record in records:
         assert record["passed"], record["failures"]
@@ -40,13 +40,13 @@ def test_all_invariants_pass_on_random_trials():
 
 
 def test_runs_are_deterministic_per_seed():
-    a = run_verification(seed=9, trials=30)
-    b = run_verification(seed=9, trials=30)
+    a = list(run_verification(seed=9, trials=30))
+    b = list(run_verification(seed=9, trials=30))
     assert a == b
 
 
 def test_injected_unroute_fault_is_caught_with_counterexample(flipped_unroute):
-    records = run_verification(seed=5, trials=100)
+    records = list(run_verification(seed=5, trials=100))
     by_name = {r["invariant"]: r for r in records}
     broken = by_name["unroute_reconstruction"]
     assert not broken["passed"]
@@ -55,6 +55,14 @@ def test_injected_unroute_fault_is_caught_with_counterexample(flipped_unroute):
     for name in INVARIANT_NAMES:
         if name != "unroute_reconstruction":
             assert by_name[name]["passed"]
+
+
+def test_injected_routing_fault_is_caught_with_counterexample(lost_base_token):
+    by_name = {r["invariant"]: r for r in run_verification(seed=0, trials=50)}
+    assert set(by_name) == set(INVARIANT_NAMES)
+    broken = by_name["routing_partition"]
+    assert not broken["passed"]
+    assert "world expansion lost base tokens" in broken["failures"][0]["problems"]
 
 
 def test_rca_checker_keeps_checking_every_row_after_a_failure(rca_last_row_flipped):
@@ -72,11 +80,11 @@ def test_zero_trials_rejected():
 
 
 def test_records_match_golden():
-    assert _as_json(run_verification(seed=0, trials=300)) == GOLDEN["seed0_trials300"]
+    assert _as_json(list(run_verification(seed=0, trials=300))) == GOLDEN["seed0_trials300"]
 
 
 def test_flipped_unroute_records_match_golden(flipped_unroute):
-    records = run_verification(seed=5, trials=100)
+    records = list(run_verification(seed=5, trials=100))
     assert _as_json(records) == GOLDEN["flipped_unroute_seed5_trials100"]
 
 
