@@ -448,7 +448,7 @@ def _cmd_verify_mechanisms(args: argparse.Namespace) -> int:
     failed = 0
     with _report_writer(args.out) as emit:
         for record in run_verification(args.seed, args.trials):
-            emit(record)  # as soon as its invariant's trials end, so a SIGTERM waits for at most one
+            emit({"seed": args.seed, **record})  # as its trials end, so a SIGTERM waits for at most one
             failed += not record["passed"]
     return 1 if failed else 0
 

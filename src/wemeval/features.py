@@ -7,21 +7,24 @@ g x g cells, g = min(grid, h, w); cell r spans rows [r*h//g, (r+1)*h//g), and
 likewise for columns, so the cells tile the frame whether or not g divides its
 dims. Whole frames and the crops of any size that fphs embeds take the same
 path, through 0/1 band matrices R (g x h, the cell row of each pixel row) and
-C (g x w): the cell sums R @ gray @ C.T give the means, R.T @ means @ C puts
-each pixel's cell mean back in place exactly (one nonzero product per entry),
-and the sums of squared deviations from it, R @ dev**2 @ C.T, give the
-population standard deviations. The second pass keeps the std of a constant
-cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there. A BLAS
-product adds the pixels of a cell in its own order, so the statistics, and the
-scores built on them, agree with a pixel-by-pixel sum to about an ulp rather
-than bit for bit.
+C (g x w): the cell sums R @ gray @ C.T give the means. means @ C spreads each
+cell's mean over its pixel columns, and repeating each of its g rows by its
+cell row's height puts each pixel's cell mean back in place exactly, as
+R.T @ means @ C would (one nonzero product per entry) at about g/h of the
+cost. The mean is subtracted from the grayscale buffer, which is then squared,
+both in place, and the sums of the squared deviations, R @ dev**2 @ C.T, give
+the population standard deviations. The second pass keeps the std of a
+constant cell at rounding level; one-pass E[x^2] - E[x]^2 leaves ~1e-8 there.
+A BLAS product adds the pixels of a cell in its own order, so the statistics,
+and the scores built on them, agree with a pixel-by-pixel sum to about an ulp
+rather than bit for bit.
 
 A frame's cell statistics are computed once per grid and kept in a memo keyed
 weakly by the ``Frame``, so the windows and boundary frames that the metrics
 embed after the whole chunks reuse their rows; an entry dies with its frame.
-The band matrices of each (h, w, grid) are cached too. ``embed_frames`` still
-adds the rows in frame order, so a vector is bit-identical whether its rows
-were computed or reused.
+The band matrices of each (h, w, grid) and the cell heights of each (h, grid)
+are cached too. ``embed_frames`` still adds the rows in frame order, so a
+vector is bit-identical whether its rows were computed or reused.
 
 The external embedder serves vectors precomputed offline by any encoder,
 looked up by a content key derived from the frame payload. Both feed the same
@@ -159,6 +162,14 @@ def _bands(h: int, w: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, cols, counts
 
 
+@functools.lru_cache(maxsize=16)
+def _heights(h: int, grid: int) -> np.ndarray:
+    """Read-only pixel-row count of each cell row of the partition (g ints)."""
+    heights = np.diff(np.arange(grid + 1) * h // grid)
+    heights.flags.writeable = False
+    return heights
+
+
 def _gray(f: Frame) -> np.ndarray:
     """Channel mean in float64, bit-identical to astype(float64).mean(axis=2)."""
     gray = f.data[:, :, 0].astype(np.float64)
@@ -185,10 +196,11 @@ def _frame_stats(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
     by_grid = _stats_memo.setdefault(f, {})
     if grid not in by_grid:
         rows, cols, counts = _bands(f.height, f.width, grid)
-        gray = _gray(f)
+        gray = _gray(f)  # a buffer of this call's own, turned into the squared deviations
         means = rows @ gray @ cols.T / counts
-        dev = gray - rows.T @ means @ cols  # exact: each entry sums one nonzero product
-        stds = np.sqrt(rows @ (dev * dev) @ cols.T / counts)
+        gray -= (means @ cols).repeat(_heights(f.height, grid), axis=0)  # exact: one nonzero product
+        gray *= gray
+        stds = np.sqrt(rows @ gray @ cols.T / counts)
         means, stds = means.ravel(), stds.ravel()
         means.flags.writeable = stds.flags.writeable = False
         by_grid[grid] = means, stds

@@ -180,11 +180,15 @@ class TrajectoryFeatures:
         stats, means = [], []
         for fi, flow in enumerate(flows):
             squares = flow.squared_magnitude()
-            for k1, fed in ((ci, fi < right - 1), (ci + 1, fi > n - left)):
-                if fed:
-                    self._acc[k1] += np.sqrt(squares)
-            if fi in (0, n - 1):
-                means.append(float(np.sqrt(squares).mean()))
+            fed = [k1 for k1, feeds in ((ci, fi < right - 1), (ci + 1, fi > n - left)) if feeds]
+            end = fi in (0, n - 1)
+            if fed or end:
+                magnitudes = np.sqrt(squares)  # rooted once, before flow_stats sorts the squares
+                for k1 in fed:
+                    self._acc[k1] += magnitudes
+                if end:
+                    means.append(float(magnitudes.mean()))
+                del magnitudes
             try:
                 stats.append(flow_stats(squares, cfg.top_fraction))
             except ValueError:  # a non-finite value, which validate_trajectory reports

@@ -218,10 +218,15 @@ INVARIANT_NAMES = tuple(CHECKS)
 
 
 def run_check(name: str, rng: np.random.Generator, trials: int) -> dict:
-    """Run invariant ``name`` for ``trials`` trials; keeps the first few counterexamples."""
+    """Run invariant ``name`` for ``trials`` trials; keeps the first few counterexamples.
+    A trial that raises fails with the exception as its counterexample."""
     failures = []
     for trial in range(trials):
-        if (counterexample := CHECKS[name](rng)) is not None:
+        try:
+            counterexample = CHECKS[name](rng)
+        except Exception as exc:  # a fault that trips a mechanism's own check is a finding too
+            counterexample = {"error": f"{type(exc).__name__}: {exc}"}
+        if counterexample is not None:
             failures.append({"trial": trial, **counterexample})
             if len(failures) >= _MAX_FAILURE_DUMPS:
                 break

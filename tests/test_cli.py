@@ -897,14 +897,33 @@ class TestVerifyMechanisms:
         assert broken[0]["failures"][0]["base_mask"]
 
     def test_each_record_is_written_when_its_trials_end(self, capsys, monkeypatch):
-        def broken(rng):
-            raise RuntimeError("second check broke")
+        def interrupted(rng):  # an exception a trial records would not end the run
+            raise KeyboardInterrupt
 
-        monkeypatch.setitem(verify.CHECKS, "routing_partition", broken)
-        with pytest.raises(RuntimeError, match="second check broke"):
+        monkeypatch.setitem(verify.CHECKS, "routing_partition", interrupted)
+        with pytest.raises(KeyboardInterrupt):
             main(["verify-mechanisms", "--trials", "5"])
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [(r["invariant"], r["passed"]) for r in records] == [("rca_rule_agreement", True)]
+
+    def test_records_name_their_seed_and_differ_only_in_it(self, tmp_path):
+        runs = {}
+        for seed in (0, 1):
+            out = tmp_path / f"v{seed}.jsonl"
+            assert main(["verify-mechanisms", "--seed", str(seed), "--trials", "20", "--out", str(out)]) == 0
+            runs[seed] = _read_records(out)
+        assert [r["seed"] for r in runs[0]] == [0] * 7 and [r["seed"] for r in runs[1]] == [1] * 7
+        for a, b in zip(runs[0], runs[1]):
+            assert list(a) == list(b)
+            assert {k: v for k, v in a.items() if k != "seed"} == {k: v for k, v in b.items() if k != "seed"}
+
+    def test_a_trial_that_raises_is_a_failed_record(self, tmp_path, lost_base_token):
+        out = tmp_path / "verify.jsonl"
+        assert main(["verify-mechanisms", "--seed", "15", "--trials", "200", "--out", str(out)]) == 1
+        records = _read_records(out)
+        assert len(records) == 7
+        unrouted = next(r for r in records if r["invariant"] == "unroute_reconstruction")
+        assert any(f.get("error", "").startswith("IndexError: ") for f in unrouted["failures"])
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,68 @@ class TestFrameStatsMemo:
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert features._bands(20, 24, 8)[0] is rows
+
+
+def _stats_by_old_formula(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cell statistics as computed before the row repeat: R.T @ means @ C
+    puts each cell's mean back in place, and the deviations are a new array."""
+    rows, cols, counts = features._bands(f.height, f.width, grid)
+    gray = _gray(f)
+    means = rows @ gray @ cols.T / counts
+    dev = gray - rows.T @ means @ cols
+    return means.ravel(), np.sqrt(rows @ (dev * dev) @ cols.T / counts).ravel()
+
+
+def _stats_by_pixel_loop(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's mean and population std from its pixels, one at a time."""
+    gray = f.data.astype(np.float64).mean(axis=2)
+    h, w = gray.shape
+    means, stds = [], []
+    for r in range(grid):
+        for c in range(grid):
+            cell = [float(gray[y, x]) for y in range(r * h // grid, (r + 1) * h // grid)
+                    for x in range(c * w // grid, (c + 1) * w // grid)]
+            mean = math.fsum(cell) / len(cell)
+            means.append(mean)
+            stds.append(math.sqrt(math.fsum((v - mean) ** 2 for v in cell) / len(cell)))
+    return np.array(means), np.array(stds)
+
+
+def _kernel_frames() -> dict[str, Frame]:
+    rng = np.random.default_rng(37)
+    parent = Frame(data=rng.random((45, 31, 3)).astype(np.float32))
+    return {
+        "37x23-gray": Frame(data=rng.random((37, 23, 1)).astype(np.float32)),
+        "37x23-rgb": Frame(data=rng.random((37, 23, 3)).astype(np.float32)),
+        "37x23-crop": metrics._crop([parent], (4, 41, 5, 28))[0],  # a view of parent's data
+        "1xn": Frame(data=rng.random((1, 17, 3)).astype(np.float32)),
+        "nx1": Frame(data=rng.random((19, 1, 1)).astype(np.float32)),
+        "even-cells": Frame(data=rng.random((32, 16, 3))),
+    }
+
+
+class TestFrameStatsKernel:
+    """The row-repeat kernel of ``_frame_stats`` against the formula it replaced."""
+
+    @pytest.mark.parametrize("name", list(_kernel_frames()))
+    @pytest.mark.parametrize("grid", [8, 5])
+    def test_rows_match_old_formula_bitwise_and_pixel_loop(self, name, grid):
+        frame = _kernel_frames()[name]  # a new Frame, so the memo cannot serve it
+        before = frame.data.copy()
+        g = min(grid, frame.height, frame.width)
+        means, stds = features._frame_stats(frame, g)
+        old_means, old_stds = _stats_by_old_formula(frame, g)
+        assert np.array_equal(means, old_means) and np.array_equal(stds, old_stds)
+        loop_means, loop_stds = _stats_by_pixel_loop(frame, g)
+        assert np.abs(means - loop_means).max() <= 1e-12
+        assert np.abs(stds - loop_stds).max() <= 1e-12
+        assert np.array_equal(frame.data, before)
+
+    def test_cell_heights_are_cached_read_only_ints(self):
+        heights = features._heights(37, 8)
+        assert heights.tolist() == [(r + 1) * 37 // 8 - r * 37 // 8 for r in range(8)]
+        assert heights.sum() == 37 and not heights.flags.writeable
+        assert features._heights(37, 8) is heights
 
 
 class TestCosineSimilarity:
