@@ -2,15 +2,16 @@
 verification, and fixture generation.
 
 Reports are line-delimited JSON: one effective-config record, one record per
-trajectory pair (or a per-pair error record), and a final aggregate. They are
-a pure function of (inputs, config). ``eval`` and ``report`` (which merges
-whole reports) write the pair records and the aggregate with one function. Each record is written and flushed as
-soon as it exists. ``eval --workers N`` scores pairs in up to N forked worker
-processes, which take pair indices from one pipe of tickets and send records
-back over a pipe each; the records are written in index order, so N never
-changes the report bytes. A regular-file or new ``--out`` is written through
-``formats.replacing``, so it is replaced only by a complete report. Timing
-goes to stderr only. ``python -m wemeval.cli`` exits without the interpreter's
+trajectory pair (or a per-pair error record), and a final aggregate. ``eval``
+and ``report`` (which merges whole reports) write the pair records and the
+aggregate with one function. Each record is written and flushed as soon as it
+exists. ``eval --workers N`` scores pairs in up to N forked worker processes,
+which take pair indices from one pipe of tickets and send records back over a
+pipe each; the records are written in index order, so N never changes the
+report bytes, nor does a rerun on one numpy/BLAS build (another BLAS kernel
+moves scores by ~1e-12). A regular-file or new ``--out`` is written through
+``formats.replacing``, so it is replaced only by a complete report. Timing goes
+to stderr only. ``python -m wemeval.cli`` exits without the interpreter's
 teardown; ``main`` itself returns as usual.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,13 +86,9 @@ class MetricReport:
     breakdowns: dict[str, list[float]]
     notes: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "trajectory": self.trajectory,
-            "scores": dict(self.scores),
-            "breakdowns": dict(self.breakdowns),
-            "notes": list(self.notes),
-        }
+    def to_dict(self) -> dict:  # not dataclasses.asdict, whose deep copy takes ~100x as long
+        return {"trajectory": self.trajectory, "scores": dict(self.scores),
+                "breakdowns": dict(self.breakdowns), "notes": list(self.notes)}
 
 
 def symmetric_match(x: float, y: float, eps: float = 1e-6) -> float:
@@ -110,11 +107,6 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def _window_frames(chunk: Chunk, window: int, last: bool) -> list[Frame]:
-    w = min(window, len(chunk.frames))
-    return list(chunk.frames[-w:]) if last else list(chunk.frames[:w])
 
 
 def _change_region_bbox(acc: np.ndarray, top_fraction: float) -> tuple[int, int, int, int]:
@@ -143,18 +135,20 @@ def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
 
 
 class TrajectoryFeatures:
-    """One side of a pair as the metrics read it, built by ``ScoringPair.of``.
+    """One trajectory as the metrics read it, a function of it, the config and (on a gt) its phase
+    ``switches`` alone: one built gt can be scored against any number of gens.
 
     The constructor validates ``traj`` and, in the same pass, reduces each chunk to one squared-
     magnitude array per flow field. That array gives the chunk's resampled motion ``profiles``
     (None below two frames or without fields), its first and last mean magnitude (``motion``;
     None without fields) and, at each gt phase switch whose window has its fields (``spans``:
     the window widths left and right; the others get skip ``notes``), the summed magnitude whose
-    top-fraction ``boxes`` crop both sides' ``fphs`` windows. ``embed`` then embeds each frame.
+    top-fraction ``boxes`` crop both sides' ``fphs`` windows. The whole-chunk and end-window
+    embeddings (``chunks``, ``ends``) are made on first read, once.
     """
 
     def __init__(self, name: str, traj: Trajectory, cfg: MetricConfig, switches: Sequence[int] = ()):
-        self.traj, self.switches, self._cfg = traj, list(switches), cfg
+        self.traj, self.switches, self.cfg = traj, list(switches), cfg
         self.phases = [c.phase for c in traj.chunks]
         self.lengths = [len(c.frames) for c in traj.chunks]
         self.motion, self.profiles, self.spans, self.notes, self._acc = [], [], {}, [], {}
@@ -171,7 +165,7 @@ class TrajectoryFeatures:
 
     def _reduce(self, chunk: Chunk) -> list[bool]:
         """Reduce the next chunk; returns whether each of its flow fields is finite."""
-        ci, cfg, flows = len(self.motion), self._cfg, chunk.flows or ()
+        ci, cfg, flows = len(self.motion), self.cfg, chunk.flows or ()
         n = len(flows)
         if ci + 1 in self.spans:
             self._acc[ci + 1] = np.zeros(chunk.frames[0].data.shape[:2])
@@ -200,51 +194,63 @@ class TrajectoryFeatures:
                              if stats and all(finite) else None)
         return finite
 
-    def embed(self, reach: int, gt: TrajectoryFeatures) -> None:
-        """Embed each whole chunk and end window, the frames across the first ``reach`` boundaries
-        (giving their appearance and motion ``gaps``) and each of ``gt``'s windows, cropped."""
-        spec, chunks, motion = self._cfg.embedder, self.traj.chunks, self.motion
-        self.chunks = [embed_frames(list(c.frames), spec) for c in chunks]
-        self.gaps = [(perceptual_distance(chunks[b].frames[-1], chunks[b + 1].frames[0], spec),
-                      abs(motion[b][1] - motion[b + 1][0])) for b in range(reach)]
-        self.ends = [embed_frames(_window_frames(c, self._cfg.lpsa_window, last=True), spec) for c in chunks]
-        self.windows = {
-            k1: embed_frames(_crop(_window_frames(chunks[k1 - 1], w_left, last=True)
-                                   + _window_frames(chunks[k1], w_right, last=False), gt.boxes[k1]), spec)
-            for k1, (w_left, w_right) in gt.spans.items()
-        }
+    @cached_property
+    def chunks(self) -> list[np.ndarray]:
+        return [embed_frames(c.frames, self.cfg.embedder) for c in self.traj.chunks]
+
+    @cached_property
+    def ends(self) -> list[np.ndarray]:
+        return [embed_frames(c.frames[-self.cfg.lpsa_window:], self.cfg.embedder) for c in self.traj.chunks]
 
 
 @dataclass(frozen=True, eq=False)
 class ScoringPair:
-    """The features of valid (gen, gt) trajectories with equal chunk count K and frame dims, built by ``of``.
+    """What the metrics read of valid (gen, gt) trajectories with equal chunk count K and frame dims.
 
-    ``sims[i, j]`` is the cosine similarity of whole gen chunk i and whole gt chunk j,
-    held as a read-only copy.
+    ``sims[i, j]``, held as a read-only copy, is the cosine similarity of whole gen chunk i and
+    whole gt chunk j. ``gaps`` holds the (gen, gt) (appearance, motion) gaps of each boundary that
+    ``rcbd`` reaches, and ``windows`` the (gen, gt) ``fphs`` window embeddings of each gt span.
     """
 
     gen: TrajectoryFeatures
     gt: TrajectoryFeatures
     sims: np.ndarray
+    gaps: Sequence = ()
+    windows: Sequence = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sims", _frozen(self.sims, np.float64))
 
     @classmethod
-    def of(cls, gen: Trajectory, gt: Trajectory, cfg: MetricConfig) -> "ScoringPair":
-        """Build gen's features, then gt's, and check the pair; raises ValueError naming the check."""
-        sides = TrajectoryFeatures("gen", gen, cfg), TrajectoryFeatures("gt", gt, cfg, phase_boundaries(gt))
-        if len(gen.chunks) != len(gt.chunks):
-            raise ValueError(f"chunk counts differ: gen K={len(gen.chunks)}, gt K={len(gt.chunks)}")
-        g0, t0 = gen.chunks[0].frames[0], gt.chunks[0].frames[0]
-        if (g0.height, g0.width) != (t0.height, t0.width):
+    def of(cls, gen: Trajectory, gt: Trajectory | TrajectoryFeatures, cfg: MetricConfig) -> "ScoringPair":
+        """Build gen's features, then gt's unless ``gt`` is built already, and check the pair (a ValueError
+        names the check). Then join the two sides, the one place that does: embed gen's frame lists, then
+        gt's, each side's in the store-key order: whole chunks, boundary frames, end and fphs windows."""
+        first = TrajectoryFeatures("gen", gen, cfg)  # before gt's, so that a bad gen is the one named
+        truth = gt if isinstance(gt, TrajectoryFeatures) else (
+            TrajectoryFeatures("gt", gt, cfg, phase_boundaries(gt)))
+        sides, spec, k = (first, truth), cfg.embedder, len(gen.chunks)
+        if truth.cfg != cfg:
+            raise ValueError("gt features were built with another config")
+        if k != len(truth.lengths):
+            raise ValueError(f"chunk counts differ: gen K={k}, gt K={len(truth.lengths)}")
+        if gen.chunks[0].frames[0].data.shape[:2] != truth.traj.chunks[0].frames[0].data.shape[:2]:
             raise ValueError("gen and gt frame dims differ")
         # rcbd stops at the first boundary beside a chunk that lacks fields on either side
-        bare = [c for c in range(len(gen.chunks)) if not all(side.motion[c] for side in sides)]
-        reach = max(min(bare, default=len(gen.chunks)) - 1, 0)
-        for side in sides:
-            side.embed(reach, sides[1])
-        return cls(*sides, [[cosine_similarity(a, b) for b in sides[1].chunks] for a in sides[0].chunks])
+        reach = max(min((c for c in range(k) if not all(side.motion[c] for side in sides)), default=k) - 1, 0)
+
+        def read(side: TrajectoryFeatures) -> tuple:
+            chunks, motion = side.traj.chunks, side.motion
+            return (side.chunks,
+                    [(perceptual_distance(chunks[b].frames[-1], chunks[b + 1].frames[0], spec),
+                      abs(motion[b][1] - motion[b + 1][0])) for b in range(reach)],
+                    side.ends,
+                    [embed_frames(_crop(list(chunks[k1 - 1].frames[-left:] + chunks[k1].frames[:right]),
+                                        truth.boxes[k1]), spec) for k1, (left, right) in truth.spans.items()])
+
+        (gen_chunks, gen_gaps, _, gen_windows), (gt_chunks, gt_gaps, _, gt_windows) = map(read, sides)
+        return cls(*sides, [[cosine_similarity(a, b) for b in gt_chunks] for a in gen_chunks],
+                   list(zip(gen_gaps, gt_gaps)), list(zip(gen_windows, gt_windows)))
 
 
 def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
@@ -257,13 +263,13 @@ def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     ``symmetric_match`` so over-smoothing is penalized like overshoot.
     Absent (with a note) for K < 2 or a boundary without flows on either side.
     """
-    k, reached = len(pair.sims), len(pair.gen.gaps)
+    k, reached = len(pair.sims), len(pair.gaps)
     if k < 2:
         return _absent("rcbd: needs K >= 2")
     if reached < k - 1:
         return _absent(f"rcbd: missing flows at boundary {reached + 1}")
     per_boundary = [math.sqrt(symmetric_match(b_gen, b_gt, cfg.eps) * symmetric_match(m_gen, m_gt, cfg.eps))
-                    for (b_gen, m_gen), (b_gt, m_gt) in zip(pair.gen.gaps, pair.gt.gaps)]
+                    for (b_gen, m_gen), (b_gt, m_gt) in pair.gaps]
     return MetricResult(score=float(np.mean(per_boundary)), breakdown=per_boundary)
 
 
@@ -341,28 +347,21 @@ def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     ground-truth flow magnitude, then compared by window-embedding cosine.
     Absent (with a note) when no phase switch exists.
     """
-    gen, gt = pair.gen, pair.gt
-    if not gt.switches:
+    if not pair.gt.switches:
         return _absent("fphs: no phase switch")
-    scores = [cosine_similarity(gen.windows[k1], gt.windows[k1]) for k1 in gt.spans]
+    scores = [cosine_similarity(w_gen, w_gt) for w_gen, w_gt in pair.windows]
     if not scores:
-        return _absent(*gt.notes, "fphs: no scorable boundary")
-    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=list(gt.notes))
+        return _absent(*pair.gt.notes, "fphs: no scorable boundary")
+    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=list(pair.gt.notes))
 
 
-_METRIC_FUNCS = {
-    "rcbd": rcbd,
-    "lpsa": lpsa,
-    "cisr": cisr,
-    "pmpa": pmpa,
-    "cpdm": cpdm,
-    "fphs": fphs,
-}
+_METRIC_FUNCS = {func.__name__: func for func in (rcbd, lpsa, cisr, pmpa, cpdm, fphs)}
 METRIC_NAMES = tuple(_METRIC_FUNCS)
 
 
-def evaluate_all(gen: Trajectory, gt: Trajectory, cfg: MetricConfig | None = None) -> MetricReport:
-    """Run every metric on one trajectory pair.
+def evaluate_all(gen: Trajectory, gt: Trajectory | TrajectoryFeatures,
+                 cfg: MetricConfig | None = None) -> MetricReport:
+    """Run every metric on one trajectory pair; ``gt`` may be features built once for many gens.
 
     Raises ValueError when ``ScoringPair.of`` rejects the pair; metrics whose
     preconditions fail on a valid pair are reported absent with a note.
