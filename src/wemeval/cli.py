@@ -381,13 +381,10 @@ def _parse_matches(doc: object) -> list[np.ndarray] | np.ndarray:
     def one_set(items: object) -> np.ndarray:
         if not isinstance(items, list):
             raise ValueError(f"a match set must be a JSON array, got {items!r}")
-        rows = []
-        for item in items:
-            flat = np.asarray(item, dtype=np.float64).ravel()
-            if flat.size != 4:
-                raise ValueError("each match needs exactly 4 numbers")
-            rows.append([[flat[0], flat[1]], [flat[2], flat[3]]])
-        return np.asarray(rows)
+        arr = np.asarray(items, dtype=np.float64)  # ragged or mixed-form matches raise here
+        if arr.size != 4 * len(items):
+            raise ValueError("each match needs exactly 4 numbers")
+        return arr.reshape(len(items), 2, 2)
 
     if not isinstance(doc, list) or not doc:
         raise ValueError("matches file must hold a non-empty JSON array")

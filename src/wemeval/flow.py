@@ -9,6 +9,7 @@ feed the 4-component motion profile used by the profile-alignment metric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,13 +65,18 @@ class Homography:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Project (n, 2) points; raises if any lands at infinity."""
         pts = np.asarray(points, dtype=np.float64)
-        ones = np.ones((pts.shape[0], 1))
-        proj = np.hstack([pts, ones]) @ self.h.T
-        w = proj[:, 2]
-        if np.any(np.abs(w) < 1e-12):
-            idx = int(np.argmin(np.abs(w)))
-            raise ValueError(f"point at infinity when projecting ({pts[idx, 0]}, {pts[idx, 1]})")
-        return proj[:, :2] / w[:, None]
+        return np.column_stack(_project(self.h, pts[:, 0], pts[:, 1]))
+
+
+def _project(m: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xp, yp): the images of the points (xs, ys) under the 3x3 projective matrix ``m``,
+    x' = Hx / (h3 . x). Raises ValueError naming the first point, in C order, that maps to infinity."""
+    w = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
+    bad = np.abs(w) < 1e-12
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"point at infinity at pixel ({xs.flat[i]:g}, {ys.flat[i]:g})")
+    return (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / w, (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / w
 
 
 def _hartley_normalization(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,22 +97,10 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> Homography | None:
     """Direct linear transform on >= 4 correspondences; None when rank-deficient or not a Homography."""
     src_n, t_src = _hartley_normalization(src)
     dst_n, t_dst = _hartley_normalization(dst)
-    n = src.shape[0]
-    a = np.zeros((2 * n, 9))
-    x, y = src_n[:, 0], src_n[:, 1]
-    xp, yp = dst_n[:, 0], dst_n[:, 1]
-    a[0::2, 0] = x
-    a[0::2, 1] = y
-    a[0::2, 2] = 1.0
-    a[0::2, 6] = -x * xp
-    a[0::2, 7] = -y * xp
-    a[0::2, 8] = -xp
-    a[1::2, 3] = x
-    a[1::2, 4] = y
-    a[1::2, 5] = 1.0
-    a[1::2, 6] = -x * yp
-    a[1::2, 7] = -y * yp
-    a[1::2, 8] = -yp
+    x, y, xp, yp = *src_n.T, *dst_n.T
+    zero, one = np.zeros_like(x), np.ones_like(x)  # below: the two rows of each correspondence
+    a = np.column_stack([x, y, one, zero, zero, zero, -x * xp, -y * xp, -xp,
+                         zero, zero, zero, x, y, one, -x * yp, -y * yp, -yp]).reshape(-1, 9)
     try:
         _, s, vt = np.linalg.svd(a)
         if s[7] < 1e-12:  # rank < 8: the solution space is not 1-dimensional
@@ -117,20 +111,14 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> Homography | None:
 
 
 def _any_three_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
-    for i in range(points.shape[0]):
-        for j in range(i + 1, points.shape[0]):
-            for k in range(j + 1, points.shape[0]):
-                d1 = points[j] - points[i]
-                d2 = points[k] - points[i]
-                if abs(d1[0] * d2[1] - d1[1] * d2[0]) < tol:
-                    return True
-    return False
+    return any(abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) < tol
+               for (ax, ay), (bx, by), (cx, cy) in itertools.combinations(points.tolist(), 3))
 
 
 def reprojection_errors(h: Homography, matches: np.ndarray) -> np.ndarray:
     """Euclidean distance between projected source points and their targets."""
-    projected = h.apply(matches[:, 0, :])
-    return np.hypot(*(projected - matches[:, 1, :]).T)
+    xp, yp = _project(h.h, matches[:, 0, 0], matches[:, 0, 1])
+    return np.hypot(xp - matches[:, 1, 0], yp - matches[:, 1, 1])
 
 
 def _as_matches(matches: Sequence) -> np.ndarray:
@@ -163,8 +151,7 @@ def estimate_homography(
         raise ValueError("iterations must be >= 1")
 
     rng = np.random.default_rng(seed)
-    best_count = -1
-    best: Homography | None = None
+    best_count, best, best_inliers = -1, None, None
     for _ in range(iterations):
         idx = rng.choice(n, size=4, replace=False)
         src, dst = arr[idx, 0, :], arr[idx, 1, :]
@@ -174,23 +161,21 @@ def estimate_homography(
         if h is None:
             continue
         try:
-            errors = reprojection_errors(h, arr)
+            inliers = reprojection_errors(h, arr) <= threshold
         except ValueError:  # a source point maps to infinity
             continue
-        count = int((errors <= threshold).sum())
-        if count > best_count:
-            best_count = count
-            best = h
+        if (count := int(inliers.sum())) > best_count:
+            best_count, best, best_inliers = count, h, inliers
 
     if best is None:
         raise DegenerateMatchesError(
             f"no non-degenerate 4-point hypothesis found in {iterations} iterations"
         )
 
-    inliers = reprojection_errors(best, arr) <= threshold
-    if inliers.sum() >= 4:  # a refit that is None keeps the best hypothesis
-        best = _dlt(arr[inliers, 0, :], arr[inliers, 1, :]) or best
-    return best, reprojection_errors(best, arr) <= threshold
+    refit = _dlt(arr[best_inliers, 0, :], arr[best_inliers, 1, :]) if best_count >= 4 else None
+    if refit is None:  # the best hypothesis stands, with the inliers it was counted by
+        return best, best_inliers
+    return refit, reprojection_errors(refit, arr) <= threshold
 
 
 @lru_cache(maxsize=16)
@@ -209,14 +194,7 @@ def project_pixel_grid(m: np.ndarray, width: int, height: int) -> tuple[np.ndarr
     Raises ValueError if a pixel maps to infinity.
     """
     xs, ys = _pixel_grid(width, height)
-    w = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
-    bad = np.abs(w) < 1e-12
-    if bad.any():
-        yy, xx = np.argwhere(bad)[0]
-        raise ValueError(f"point at infinity at pixel ({xx}, {yy})")
-    xp = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / w
-    yp = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / w
-    return xs, ys, xp, yp
+    return xs, ys, *_project(m, xs, ys)
 
 
 def render_camera_flow(h: Homography, width: int, height: int) -> FlowField:

@@ -142,7 +142,7 @@ class TrajectoryFeatures:
     magnitude array per flow field. That array gives the chunk's resampled motion ``profiles``
     (None below two frames or without fields), its first and last mean magnitude (``motion``;
     None without fields) and, at each gt phase switch whose window has its fields (``spans``:
-    the window widths left and right; the others get skip ``notes``), the summed magnitude whose
+    the window widths left and right; the others get no span), the summed magnitude whose
     top-fraction ``boxes`` crop both sides' ``fphs`` windows. The whole-chunk and end-window
     embeddings (``chunks``, ``ends``) are made on first read, once.
     """
@@ -151,12 +151,10 @@ class TrajectoryFeatures:
         self.traj, self.switches, self.cfg = traj, list(switches), cfg
         self.phases = [c.phase for c in traj.chunks]
         self.lengths = [len(c.frames) for c in traj.chunks]
-        self.motion, self.profiles, self.spans, self.notes, self._acc = [], [], {}, [], {}
+        self.motion, self.profiles, self.spans, self._acc = [], [], {}, {}
         for k1 in switches:  # 1-based: the switch between chunks k1 and k1+1
             widths = (min(cfg.fphs_window, self.lengths[k1 - 1]), min(cfg.fphs_window, self.lengths[k1]))
-            if any(w >= 2 and c.flows is None for w, c in zip(widths, traj.chunks[k1 - 1 : k1 + 1])):
-                self.notes.append(f"fphs: boundary {k1} skipped (missing gt flows)")
-            else:
+            if not any(w >= 2 and c.flows is None for w, c in zip(widths, traj.chunks[k1 - 1 : k1 + 1])):
                 self.spans[k1] = widths
         report = validate_trajectory(traj, self._reduce)
         if not report.is_valid():
@@ -349,10 +347,11 @@ def fphs(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     """
     if not pair.gt.switches:
         return _absent("fphs: no phase switch")
+    notes = [f"fphs: boundary {k1} skipped (missing gt flows)" for k1 in pair.gt.switches if k1 not in pair.gt.spans]
     scores = [cosine_similarity(w_gen, w_gt) for w_gen, w_gt in pair.windows]
     if not scores:
-        return _absent(*pair.gt.notes, "fphs: no scorable boundary")
-    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=list(pair.gt.notes))
+        return _absent(*notes, "fphs: no scorable boundary")
+    return MetricResult(score=float(np.mean(scores)), breakdown=scores, notes=notes)
 
 
 _METRIC_FUNCS = {func.__name__: func for func in (rcbd, lpsa, cisr, pmpa, cpdm, fphs)}

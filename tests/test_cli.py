@@ -779,6 +779,30 @@ class TestDecomposeFlow:
         assert len(err) == 1 and err[0].startswith("decompose-flow: bad matches file: ")
         assert not (tmp_path / "out").exists()
 
+    def test_match_set_of_both_forms_reads_as_one_array_or_not_at_all(self, tmp_path, capsys):
+        """A set in one form, flat or nested, reads as the same (n, 2, 2) matches; a set that mixes
+        the two forms is a bad matches file."""
+        from wemeval.rollout import FlowField
+
+        flow_path = tmp_path / "flow.bin"
+        formats.write_flow_file(flow_path, [FlowField(u=np.zeros((8, 8)), v=np.zeros((8, 8)))])
+        flat = [[0, 0, 1, 0], [7, 0, 8, 0], [0, 7, 1, 7], [7, 7, 8, 7], [3, 5, 4, 5]]
+        nested = [[m[:2], m[2:]] for m in flat]
+        for name, doc in (("flat", flat), ("nested", nested), ("list", [nested])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert main(["decompose-flow", "--flow", str(flow_path), "--matches", str(tmp_path / f"{name}.json"),
+                         "--out-dir", str(tmp_path / name)]) == 0
+        assert (tmp_path / "flat" / "homographies.json").read_bytes() == (
+            tmp_path / "nested" / "homographies.json").read_bytes() == (
+            tmp_path / "list" / "homographies.json").read_bytes()
+        capsys.readouterr()
+        (tmp_path / "mixed.json").write_text(json.dumps(flat[:3] + nested[3:]))
+        assert main(["decompose-flow", "--flow", str(flow_path), "--matches", str(tmp_path / "mixed.json"),
+                     "--out-dir", str(tmp_path / "mixed")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("decompose-flow: bad matches file: ")
+        assert not (tmp_path / "mixed").exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         from wemeval.rollout import FlowField
 

@@ -156,6 +156,26 @@ class TestRenderCameraFlow:
         assert np.allclose(f.u, 2.0) and np.allclose(f.v, 0.0)
 
 
+class TestOneProjectiveMap:
+    """``Homography.apply`` and ``project_pixel_grid`` compute the same images and the same error."""
+
+    def test_apply_on_every_pixel_equals_the_grid_images(self):
+        h = Homography(np.array([[1.03, 0.02, 4.0], [-0.01, 0.98, -1.5], [1e-4, -8e-5, 1.0]]))
+        xs, ys, xp, yp = flow.project_pixel_grid(h.h, 7, 5)
+        applied = h.apply(np.column_stack([xs.ravel(), ys.ravel()]))
+        assert applied.tobytes() == np.column_stack([xp.ravel(), yp.ravel()]).tobytes()
+
+    def test_both_name_the_same_first_pixel_at_infinity(self):
+        # w = 1 - x/4 vanishes on column 4; (4, 0) is its first pixel in C order
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.25, 0.0, 1.0]]))
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
+        message = r"^point at infinity at pixel \(4, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            flow.project_pixel_grid(h.h, 8, 8)
+        with pytest.raises(ValueError, match=message):
+            h.apply(np.column_stack([xs.ravel(), ys.ravel()]))
+
+
 class TestResidualFlow:
     def test_identical_fields_cancel(self):
         f = _uniform_flow(1.0, -2.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -338,6 +339,31 @@ class TestFphs:
         boxes = ScoringPair.of(gen, gt, default_config).gt.boxes
         for k1 in switches:  # camera motion spreads the top 20% over the whole frame
             assert boxes[k1] == (0, 32, 0, 32)
+
+
+class TestFphsSkipNotes:
+    """A gt switch whose window lacks flows is skipped with a note; with none left, fphs is absent."""
+
+    @staticmethod
+    def _mixed_gt_without_flows(chunks_without):
+        gt, _ = generate_trajectory(dict(default_catalog(size=32, t=4))["mixed-00"])
+        chunks = tuple(dataclasses.replace(c, flows=None) if i in chunks_without else c
+                       for i, c in enumerate(gt.chunks))
+        return gt, Trajectory(id=gt.id, chunks=chunks)
+
+    def test_one_window_without_flows_is_skipped_and_the_rest_scored(self, default_config):
+        gen, gt = self._mixed_gt_without_flows({0})  # chunk 0 borders switch 1 alone
+        result = fphs(ScoringPair.of(gen, gt, default_config), default_config)
+        assert result.notes == ["fphs: boundary 1 skipped (missing gt flows)"]
+        assert result.score is not None and len(result.breakdown) == 2
+        assert evaluate_all(gen, gt, default_config).notes[-1:] == result.notes
+
+    def test_no_window_with_flows_is_absent(self, default_config):
+        gen, gt = self._mixed_gt_without_flows({0, 1, 2, 3})
+        result = fphs(ScoringPair.of(gen, gt, default_config), default_config)
+        assert result.score is None and result.breakdown == []
+        assert result.notes == [f"fphs: boundary {k1} skipped (missing gt flows)" for k1 in (1, 2, 3)] + [
+            "fphs: no scorable boundary"]
 
 
 class TestIdentityScores:
