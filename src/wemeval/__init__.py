@@ -1,15 +1,7 @@
 """Desk-scale evaluation toolkit for multi-turn embodied video rollouts."""
 
 from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_distance
-from .flow import (
-    FlowField,
-    Homography,
-    estimate_homography,
-    flow_stats,
-    motion_profile,
-    render_camera_flow,
-    residual_object_flow,
-)
+from .flow import FlowField, flow_stats, motion_profile
 from .manifest import load_manifest, save_manifest
 from .metrics import MetricConfig, MetricReport, evaluate_all
 from .rollout import (
@@ -24,14 +16,18 @@ from .rollout import (
 
 __version__ = "0.1.0"
 
-_LAZY = {"SimConfig", "generate_trajectory", "perturb_rollout"}  # from .microsim, imported on first use
+# name -> its module, imported on first use: eval needs none of them
+_LAZY = {
+    **dict.fromkeys(["Homography", "estimate_homography", "render_camera_flow", "residual_object_flow"], "camera"),
+    **dict.fromkeys(["SimConfig", "generate_trajectory", "perturb_rollout"], "microsim"),
+}
 
 
 def __getattr__(name: str) -> object:
     if name in _LAZY:
-        from . import microsim
+        from importlib import import_module
 
-        return getattr(microsim, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

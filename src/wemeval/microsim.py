@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import Homography, project_pixel_grid, render_camera_flow
+from .camera import Homography, project_pixel_grid, render_camera_flow
 from .rollout import Chunk, FlowField, Frame, PhaseLabel, Trajectory, WorldEgoMask
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wemeval import mechanisms, verify
-from wemeval.flow import Homography
+from wemeval.camera import Homography
 from wemeval.mechanisms import StateVector
 from wemeval.metrics import MetricConfig
 from wemeval.microsim import (

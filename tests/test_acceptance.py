@@ -12,8 +12,8 @@ import numpy as np
 
 import oracle
 from conftest import matches_from_homography, random_metric_pair
+from wemeval.camera import estimate_homography, render_camera_flow, reprojection_errors, residual_object_flow
 from wemeval.cli import main
-from wemeval.flow import estimate_homography, render_camera_flow, reprojection_errors, residual_object_flow
 from wemeval.manifest import save_manifest
 from wemeval.mechanisms import _dilate_chebyshev
 from wemeval.metrics import MetricConfig, evaluate_all

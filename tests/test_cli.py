@@ -19,7 +19,7 @@ import pytest
 
 from conftest import matches_from_homography
 import wemeval
-from wemeval import cli, features, formats, manifest, metrics, rollout, verify
+from wemeval import cli, commands, features, formats, manifest, metrics, rollout, verify
 from wemeval.cli import main
 from wemeval.manifest import save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
@@ -733,7 +733,7 @@ class TestDecomposeFlow:
         assert np.allclose(homs[0], hom.h, atol=1e-6)
 
     def test_identity_flow_leaves_residual_equal_to_input(self, tmp_path):
-        from wemeval.flow import Homography
+        from wemeval.camera import Homography
         from wemeval.rollout import FlowField
 
         rng = np.random.default_rng(0)
@@ -1274,7 +1274,7 @@ class TestReport:
         _, pairs_file = fixture_pair_dir
         out = tmp_path / "r.jsonl"
         assert main(["eval", "--pairs", str(pairs_file), "--out", str(out), "--workers", str(workers)]) == 1
-        kinds = [cli._record_kind(record) for record in _read_records(out)]
+        kinds = [commands._record_kind(record) for record in _read_records(out)]
         assert kinds == ["config"] + ["trajectory"] * 3 + ["error"] + ["trajectory"] * 6 + ["aggregate"]
 
     def test_missing_input_exits_two(self, tmp_path, capsys):

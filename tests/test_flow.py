@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matches_from_homography
-from wemeval import flow
-from wemeval.flow import (
+from wemeval import camera, flow
+from wemeval.camera import (
     DegenerateMatchesError,
     Homography,
     estimate_homography,
-    flow_stats,
-    motion_profile,
     render_camera_flow,
     reprojection_errors,
     residual_object_flow,
 )
+from wemeval.flow import flow_stats, motion_profile
 from wemeval.rollout import FlowField, Frame, _trusted
 
 
@@ -85,12 +84,12 @@ class TestHomographyEstimation:
         ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 0], [1, 0], [2, 0], [0, 1]]),  # the fit is singular
     ], ids=["collinear-sources", "onto-three-collinear"])
     def test_dlt_without_a_homography_is_none(self, src, dst):
-        assert flow._dlt(np.array(src, dtype=float), np.array(dst, dtype=float)) is None
+        assert camera._dlt(np.array(src, dtype=float), np.array(dst, dtype=float)) is None
 
     def test_refit_that_is_no_homography_keeps_the_best_hypothesis(self, monkeypatch):
         h_true = Homography(np.array([[1.03, 0.02, 4.0], [-0.01, 0.98, -1.5], [1e-4, -8e-5, 1.0]]))
         matches = matches_from_homography(h_true, 64, 64, 30, seed=2, outlier_fraction=0.3)
-        real, hypotheses, refits = flow._dlt, [], []
+        real, hypotheses, refits = camera._dlt, [], []
 
         def no_refit(src, dst):
             if len(src) > 4:  # the refit on the consensus inliers
@@ -99,7 +98,7 @@ class TestHomographyEstimation:
             hypotheses.append(h := real(src, dst))
             return h
 
-        monkeypatch.setattr(flow, "_dlt", no_refit)
+        monkeypatch.setattr(camera, "_dlt", no_refit)
         h, inliers = estimate_homography(matches, threshold=1.0, iterations=100, seed=3)
         fitted = [c for c in hypotheses if c is not None]
         counts = [int((reprojection_errors(c, matches) <= 1.0).sum()) for c in fitted]
@@ -121,8 +120,8 @@ class TestHomographyEstimation:
         assert inspect.signature(estimate_homography).parameters["threshold"].default == 1.0
 
     def test_any_three_collinear(self):
-        assert flow._any_three_collinear(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]))
-        assert not flow._any_three_collinear(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert camera._any_three_collinear(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]))
+        assert not camera._any_three_collinear(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestRenderCameraFlow:
@@ -161,7 +160,7 @@ class TestOneProjectiveMap:
 
     def test_apply_on_every_pixel_equals_the_grid_images(self):
         h = Homography(np.array([[1.03, 0.02, 4.0], [-0.01, 0.98, -1.5], [1e-4, -8e-5, 1.0]]))
-        xs, ys, xp, yp = flow.project_pixel_grid(h.h, 7, 5)
+        xs, ys, xp, yp = camera.project_pixel_grid(h.h, 7, 5)
         applied = h.apply(np.column_stack([xs.ravel(), ys.ravel()]))
         assert applied.tobytes() == np.column_stack([xp.ravel(), yp.ravel()]).tobytes()
 
@@ -171,7 +170,7 @@ class TestOneProjectiveMap:
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
         message = r"^point at infinity at pixel \(4, 0\)$"
         with pytest.raises(ValueError, match=message):
-            flow.project_pixel_grid(h.h, 8, 8)
+            camera.project_pixel_grid(h.h, 8, 8)
         with pytest.raises(ValueError, match=message):
             h.apply(np.column_stack([xs.ravel(), ys.ravel()]))
 

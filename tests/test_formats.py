@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 from conftest import matches_from_homography
 from wemeval import formats
+from wemeval.camera import Homography
 from wemeval.cli import main
 from wemeval.features import EmbedderSpec, EmbeddingStore, embed_frames
-from wemeval.flow import Homography
 from wemeval.manifest import load_manifest, save_manifest
 from wemeval.microsim import generate_trajectory, mixed_fixture_config
 from wemeval.rollout import FlowField, Frame, WorldEgoMask

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import matches_from_homography
 from wemeval import microsim
+from wemeval.camera import estimate_homography, project_pixel_grid, render_camera_flow, reprojection_errors
 from wemeval.features import EmbedderSpec, perceptual_distance
-from wemeval.flow import estimate_homography, project_pixel_grid, render_camera_flow, reprojection_errors
 from wemeval.manifest import save_manifest
 from wemeval.microsim import (
     CameraMotion,

@@ -1,4 +1,5 @@
-"""perfbench's traced pass sees every layer that ``wemeval eval`` calls.
+"""perfbench's traced pass sees every layer that ``wemeval eval`` calls, and its
+set-up runs against the package as it is.
 
 The traced pass swaps the package's functions for wrappers that record spans,
 and a layer function that it cannot reach leaves its per-layer metrics at 0
@@ -24,13 +25,23 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 STORE_ONLY = {"features.content_key", "features.store_open"}
 
 
-@pytest.fixture
-def layers(monkeypatch):
+def _imported(monkeypatch, name: str):
+    """perfbench's module ``name``, imported from ``perfbench/`` as its scripts import it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     before = set(sys.modules)
-    yield importlib.import_module("layers")
-    for name in {"layers", "tracing"} - before:  # perfbench's top-level modules
-        sys.modules.pop(name, None)
+    yield importlib.import_module(name)
+    for module in {"layers", "tracing", "workloads"} - before:  # perfbench's top-level modules
+        sys.modules.pop(module, None)
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    yield from _imported(monkeypatch, "layers")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    yield from _imported(monkeypatch, "workloads")
 
 
 def test_traced_pass_spans_every_layer_eval_reaches(layers, tmp_path):
@@ -46,3 +57,11 @@ def test_traced_pass_spans_every_layer_eval_reaches(layers, tmp_path):
     assert [r.get("error") for r in records] == [None, None]
     expected = {span for _, _, span, _ in layers.TARGETS} - STORE_ONLY
     assert expected - {s.name for s in spans} == set()
+
+
+def test_set_up_builds_every_workload(workloads, tmp_path):
+    """Set-up, at smoke scale, reaches every name of the package it uses."""
+    for name, workload in workloads.WORKLOADS.items():
+        pairs = workloads.build(workloads.smoke_scale(workload), 1, tmp_path / name)
+        assert len(json.loads(pairs.pairs_file.read_text())) == len(pairs.gen_ids) > 0
+        assert (pairs.store_index is not None) == workload.external_store
