@@ -6,9 +6,9 @@ Reports are line-delimited JSON: one effective-config record, one record per
 trajectory pair (or a per-pair error record), and a final aggregate. ``eval``
 and ``report`` (which merges whole reports) write the pair records and the
 aggregate with one function. Each record is written and flushed as soon as it
-exists. ``eval --workers N`` scores pairs in up to N forked worker processes,
-which take pair indices from one pipe of tickets and send records back over a
-pipe each; the records are written in index order, so N never changes the
+exists. ``eval --workers N`` scores pairs in the calling process and up to N - 1
+forked helpers, which take pair indices from one pipe of tickets and send records
+back over a pipe each; the records are written in index order, so N never changes the
 report bytes, nor does a rerun on one numpy/BLAS build (another BLAS kernel
 moves scores by ~1e-12). A regular-file or new ``--out`` is written through
 ``formats.replacing``, so it is replaced only by a complete report. Timing goes
@@ -275,13 +275,24 @@ def _work(tasks: list[tuple[str, str, MetricConfig]], tickets: int, out: int) ->
         os._exit(code)
 
 
+def _eval_here(task: tuple[str, str, MetricConfig], index: int, waiting: int) -> dict:
+    """``_eval_pair`` in a pool's caller: an unexpected exception ends ``eval`` as in a helper."""
+    try:
+        return _eval_pair(task)
+    except Exception:
+        import traceback  # only a failing pair needs it
+
+        traceback.print_exc()
+        raise _CommandError(f"pair {index} failed; pair {waiting} and later pairs were not scored") from None
+
+
 def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterator[dict]:
-    """The tasks' records in index order, scored by up to ``workers`` fork
-    processes (at most one per usable CPU); with one, on the calling thread.
-    Workers take pair indices from one pipe of tickets kept about two per
-    worker ahead of the records received, so a slow pair holds up no other.
-    Closing the generator closes the pipes and waits for the workers, each of
-    which exits after the pair it holds. A dead worker is a ``_CommandError``."""
+    """The tasks' records in index order, scored on the calling thread if ``workers``
+    is one. Else the caller scores pair 0, forks up to ``workers - 1`` helpers (one
+    process per usable CPU) and, while the next record due is missing, scores the next
+    pair not handed out. Helpers take pair indices from one pipe of tickets kept about two
+    per helper ahead of the records received, so a slow pair holds up no other. Closing
+    the generator waits for the helpers' pairs. A dead helper is a ``_CommandError``."""
     n = min(workers, len(tasks))
     if n > 1:
         n = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -290,16 +301,17 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
         return
     import selectors  # one-worker runs never need it
 
+    yield _eval_here(tasks[0], 0, 0)  # before the fork, whose copied pages would slow it
     tickets, feed_fd = os.pipe()
     feed = open(feed_fd, "wb", buffering=0)
-    sent = min(2 * n, len(tasks))
-    feed.write(b"".join(i.to_bytes(4, "little") for i in range(sent)))  # far below the 64 KiB a pipe holds
+    sent = min(2 * n - 1, len(tasks))
+    feed.write(b"".join(i.to_bytes(4, "little") for i in range(1, sent)))  # far below the 64 KiB a pipe holds
     outs, pids = [], []
     try:
-        for _ in range(n):
+        for _ in range(n - 1):
             out, into = os.pipe()
             outs.append(out)
-            # fork, not spawn: a worker does not import numpy and the package again. A BLAS
+            # fork, not spawn: a helper does not import numpy and the package again. A BLAS
             # pool under numpy stops at fork (pthread_atfork), so 3.12's warning does not apply.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
@@ -315,14 +327,17 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
         with selectors.DefaultSelector() as sel:
             for fd in outs:
                 sel.register(fd, selectors.EVENT_READ)
-            for index in range(len(tasks)):
+            for index in range(1, len(tasks)):
                 while index not in received:
                     if sent == len(tasks):
-                        feed.close()  # each worker exits once the pipe is empty
-                    # With tickets left, a worker exits only by dying.
-                    if len(sel.get_map()) < (1 if feed.closed else n):
+                        feed.close()  # each helper exits once the pipe is empty
+                    # With tickets left, a helper exits only by dying.
+                    if len(sel.get_map()) < (1 if feed.closed else n - 1):
                         raise _CommandError(f"a worker process died; pair {index} and later pairs were not scored")
-                    for key, _ in sel.select():
+                    if not (ready := sel.select(None if feed.closed else 0)):  # nothing to read: score one here
+                        received[sent] = _eval_here(tasks[sent], sent, index)
+                        sent += 1
+                    for key, _ in ready:
                         if not (data := os.read(key.fd, 1 << 16)):
                             sel.unregister(key.fd)
                         *lines, partial[key.fd] = (partial[key.fd] + data).split(b"\n")
@@ -390,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="report file (default stdout)")
     p_eval.add_argument("--config", help="JSON config file (flags override it)")
     p_eval.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="score pairs in up to N fork worker processes, at most one per "
-                             "usable CPU; records still stream in index order")
+                        help="score pairs in up to N processes, this one and forked helpers, "
+                             "at most one per usable CPU; records still stream in index order")
     for flag, key, default in _config_flags():
         p_eval.add_argument(flag, dest=key, help=f"config key '{key}' (default {default})")
 

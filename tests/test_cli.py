@@ -68,6 +68,16 @@ def _running(pid: str) -> bool:
         return False
 
 
+def _children(pid: int, count: int) -> list[str]:
+    """The child pids of process ``pid`` once it has ``count`` of them, or those
+    it has after 30 s (Linux)."""
+    deadline = time.monotonic() + 30
+    while (len(children := Path(f"/proc/{pid}/task/{pid}/children").read_text().split()) != count
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return children
+
+
 def _recorded_embeddings(gen, gt, monkeypatch):
     """Reference vectors, by content key, for every frame list that scoring (gen, gt) embeds."""
     vectors = {}
@@ -265,23 +275,23 @@ class TestEval:
         scored = tmp_path / "scored.log"
         score = cli._eval_pair
 
-        def die_on_pair_0(task):
-            if task[0] == pairs[0]["gen"]:
+        def die_on_pair_1(task):
+            if task[0] == pairs[1]["gen"]:
                 os._exit(1)  # as an out-of-memory kill would end it
             with open(scored, "a") as log:
                 log.write(f"{os.getpid()}\n")
             time.sleep(0.1)
             return score(task)
 
-        monkeypatch.setattr(cli, "_eval_pair", die_on_pair_0)
+        monkeypatch.setattr(cli, "_eval_pair", die_on_pair_1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "report.jsonl"
         assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 2
         err = capfd.readouterr().err
-        assert err.splitlines() == ["eval: a worker process died; pair 0 and later pairs were not scored"]
+        assert err.splitlines() == ["eval: a worker process died; pair 1 and later pairs were not scored"]
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
-        workers = scored.read_text().split()
-        assert str(os.getpid()) not in workers and len(workers) <= 2  # the run stopped at the death
+        scorers = scored.read_text().split()  # the helper scored none: pair 1 was its first
+        assert set(scorers) == {str(os.getpid())} and len(scorers) <= 3  # the run stopped at the death
 
     def test_worker_exception_prints_its_traceback(self, fixture_pair_dir, tmp_path, monkeypatch, capfd):
         root, pairs_file = fixture_pair_dir
@@ -312,7 +322,7 @@ class TestEval:
         score = cli._eval_pair
 
         def pid_recording(task):
-            if task[0] == pairs[0]["gen"]:
+            if task[0] == pairs[1]["gen"]:
                 time.sleep(1.0)
             return {**score(task), "pid": os.getpid()}
 
@@ -321,8 +331,95 @@ class TestEval:
         out = tmp_path / "report.jsonl"
         assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 1
         pids = [r["pid"] for r in _read_records(out)[1:-1]]
-        assert len(set(pids)) == 2 and os.getpid() not in pids
-        assert pids[1:].count(pids[0]) <= 1  # the other worker scored the pairs behind the slow one
+        assert len(set(pids)) == 2 and pids[0] == os.getpid()
+        assert pids.count(pids[1]) <= 2  # the helper: the slow pair and the ticket queued behind it
+
+    def test_caller_scores_pair_0_before_it_forks(self, fixture_pair_dir, tmp_path, monkeypatch):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, range(10))
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        events = []  # this process's; a helper appends to its own copy
+        score, fork = cli._eval_pair, os.fork
+
+        def recording_fork():
+            events.append("fork")
+            return fork()
+
+        def pid_recording(task):
+            events.append((pairs.index({"gen": task[0], "gt": task[1]}), os.getpid()))
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", pid_recording)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 1
+        assert events[:2] == [(0, os.getpid()), "fork"] and events.count("fork") == 1
+        assert len(_read_records(out)) == 12
+
+    def test_caller_and_every_helper_score_pairs(self, fixture_pair_dir, tmp_path, monkeypatch):
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, range(10)) * 5))
+        scorers = tmp_path / "scorers.log"
+        score = cli._eval_pair
+
+        def pid_logging(task):
+            with open(scorers, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            time.sleep(0.01)  # so that every helper is started before the pairs run out
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", pid_logging)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        outputs = []
+        for workers in (1, 3):
+            scorers.unlink(missing_ok=True)
+            out = tmp_path / f"report_w{workers}.jsonl"
+            assert main(["eval", "--pairs", str(absolute), "--out", str(out),
+                         "--workers", str(workers)]) == 1
+            outputs.append(out.read_bytes())
+        pids = scorers.read_text().split()
+        assert outputs[0] == outputs[1] and len(pids) == 50
+        assert len(set(pids)) == 3 and str(os.getpid()) in pids
+
+    @pytest.mark.parametrize("failing, slow", [(0, None), (3, 1)], ids=["before-the-fork", "beside-a-helper"])
+    def test_caller_exception_ends_eval_as_a_helper_one(self, fixture_pair_dir, tmp_path, monkeypatch, capfd,
+                                                         failing, slow):
+        root, pairs_file = fixture_pair_dir
+        pairs = _absolute_pairs(root, pairs_file, range(10))
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(pairs))
+        helpers = []
+        score, fork = cli._eval_pair, os.fork
+
+        def recording_fork():
+            if pid := fork():
+                helpers.append(pid)
+            return pid
+
+        def failing_in_caller(task):
+            if task[0] == pairs[failing]["gen"]:
+                raise RuntimeError("bug in a metric")
+            if slow is not None and task[0] == pairs[slow]["gen"]:
+                time.sleep(1.0)  # the caller draws pair 3 while the helper holds pairs 1 and 2
+            return score(task)
+
+        monkeypatch.setattr(cli, "_eval_pair", failing_in_caller)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):" and "RuntimeError: bug in a metric" in err
+        waiting = 0 if slow is None else slow
+        assert err[-1] == f"eval: pair {failing} failed; pair {waiting} and later pairs were not scored"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        assert len(helpers) == (0 if failing == 0 else 1)
+        for pid in helpers:  # reaped already
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("padding", [0, 100_000], ids=["records", "records-over-a-pipe-read"])
     def test_three_workers_over_many_pairs_write_the_one_worker_bytes(self, fixture_pair_dir, tmp_path,
@@ -363,8 +460,9 @@ class TestEval:
         proc = subprocess.Popen([sys.executable, "-m", "wemeval.cli", "eval", "--pairs", str(absolute),
                                  "--workers", "2"], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
         try:
-            assert proc.stdout.readline() and proc.stdout.readline()  # a pair record: the pool runs
-            workers = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+            assert proc.stdout.readline() and proc.stdout.readline()  # pair 0, scored before the fork
+            helpers = min(2, len(os.sched_getaffinity(0))) - 1
+            workers = _children(proc.pid, helpers)
         finally:
             proc.kill()
             proc.wait()
@@ -376,7 +474,7 @@ class TestEval:
         left = [pid for pid in workers if _running(pid)]
         for pid in left:
             os.kill(int(pid), signal.SIGKILL)
-        assert not left
+        assert len(workers) == helpers and not left
 
     def test_flags_override_config_file(self, tmp_path):
         traj, _ = generate_trajectory(mixed_fixture_config(seed=601, size=32, t=4))
@@ -1430,7 +1528,8 @@ class TestOut:
             while not (tmp.exists() and tmp.read_text().count("\n") >= 2):  # a pair record
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            workers_seen = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+            pool = min(workers, len(os.sched_getaffinity(0)))
+            helpers = _children(proc.pid, pool - 1)  # the caller scores pair 0 before it forks
             proc.send_signal(signal.SIGTERM)
             _, err = proc.communicate(timeout=30)
         finally:
@@ -1438,9 +1537,8 @@ class TestOut:
             proc.wait()
         assert proc.returncode == -signal.SIGTERM and b"Traceback" not in err
         assert out.read_text() == "previous report\n" and not list(tmp_path.glob("*.tmp"))
-        pool = min(workers, len(os.sched_getaffinity(0)))
-        assert len(workers_seen) == (pool if pool > 1 else 0)
+        assert len(helpers) == pool - 1
         deadline = time.monotonic() + 2
-        while any(map(_running, workers_seen)) and time.monotonic() < deadline:
+        while any(map(_running, helpers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not [pid for pid in workers_seen if _running(pid)]
+        assert not [pid for pid in helpers if _running(pid)]
