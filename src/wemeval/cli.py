@@ -29,7 +29,6 @@ import threading
 import time
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import fields
 from pathlib import Path
 from typing import TextIO
 
@@ -148,25 +147,29 @@ def _exact(kind: type, value: object, what: str) -> object:
         raise ValueError(f"{what} cannot hold {value!r}") from None
 
 
-def _typed_fields(cls: type, doc: dict, prefix: str = "") -> dict:
-    """Config keys for dataclass ``cls``, from the file or as flag strings, cast
-    to the type of their default; a key whose default is None is a string or null.
+def _typed_fields(cls: type[EmbedderSpec | MetricConfig], doc: dict, prefix: str = "") -> dict:
+    """Config keys for settings class ``cls``, from the file or as flag strings,
+    cast to the type of their default; a key whose default is None is null, a
+    string, or a number read as its string.
 
-    A non-object ``doc``, an unknown key, a bool for a non-bool key or an
-    inexact cast (3.7 to int) is an error naming the key.
+    A non-object ``doc``, an unknown key, a bool for a non-bool key, a list or
+    object for a key whose default is None, or an inexact cast (3.7 to int) is
+    an error naming the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config key '{prefix.rstrip('.')}' must be an object, got {doc!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
+    defaults = dict(cls.FIELDS)
     typed = {}
     for key, value in doc.items():
         if key not in defaults:
             raise ValueError(f"unknown config key '{prefix}{key}'")
-        default = defaults[key]
-        if default is None and not isinstance(value, bool):
-            typed[key] = None if value is None else str(value)
+        default, what = defaults[key], f"config key '{prefix}{key}'"
+        if default is not None:
+            typed[key] = _exact(type(default), value, what)
+        elif isinstance(value, (bool, list, dict)):
+            raise ValueError(f"{what} cannot hold {value!r}")
         else:
-            typed[key] = _exact(type(default), value, f"config key '{prefix}{key}'")
+            typed[key] = None if value is None else str(value)
     return typed
 
 
@@ -175,8 +178,8 @@ def _config_flags() -> Iterator[tuple[str, str, object]]:
     ``MetricConfig`` fields, then the ``EmbedderSpec`` fields under
     ``embedder.``. Key ``x_y`` is ``--x-y``, ``embedder.x`` is
     ``--embedder-x``, and ``embedder.kind`` is ``--embedder``."""
-    keys = [(f.name, f.default) for f in fields(MetricConfig) if f.name != "embedder"]
-    keys += [(f"embedder.{f.name}", f.default) for f in fields(EmbedderSpec)]
+    keys = [(name, default) for name, default in MetricConfig.FIELDS if name != "embedder"]
+    keys += [(f"embedder.{name}", default) for name, default in EmbedderSpec.FIELDS]
     for key, default in keys:
         yield "--" + key.removesuffix(".kind").replace(".", "-").replace("_", "-"), key, default
 
@@ -191,7 +194,7 @@ def _typed_config(doc: dict) -> tuple[dict, dict]:
 
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
     """Precedence: flags > config file > built-in defaults, key by key. Flag
-    strings take the file's cast; ranges are the dataclasses' to check."""
+    strings take the file's cast; ranges are the settings classes' to check."""
     given = {key: getattr(args, key) for _, key, _ in _config_flags()
              if getattr(args, key) is not None}
     flag_cfg = {key: value for key, value in given.items() if "." not in key}

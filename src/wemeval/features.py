@@ -19,12 +19,14 @@ A BLAS product adds the pixels of a cell in its own order, so the statistics,
 and the scores built on them, agree with a pixel-by-pixel sum to about an ulp
 rather than bit for bit.
 
-A frame's cell statistics are computed once per grid and kept in a memo keyed
-weakly by the ``Frame``, so the windows and boundary frames that the metrics
-embed after the whole chunks reuse their rows; an entry dies with its frame.
-The band matrices of each (h, w, grid) and the cell heights of each (h, grid)
-are cached too. ``embed_frames`` still adds the rows in frame order, so a
-vector is bit-identical whether its rows were computed or reused.
+A frame's cell statistics, its cell means then standard deviations, are
+computed once per grid and kept as one row by the ``Frame`` itself, so the
+windows and boundary frames that the metrics embed after the whole chunks
+reuse their rows, and a row dies with its frame. A crop is a new ``Frame``
+with rows of its own. The band matrices of each (h, w, grid) and the cell
+heights of each (h, grid) are cached too. ``embed_frames`` adds the rows in
+frame order, so a vector is bit-identical whether its rows were computed or
+reused.
 
 The external embedder serves vectors precomputed offline by any encoder,
 looked up by a content key derived from the frame payload. Both feed the same
@@ -37,29 +39,64 @@ import functools
 import json
 import math
 import struct
-import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import formats
-from .rollout import Frame
+from .rollout import Frame, _Frozen
 
 EMBEDDER_REFERENCE = "reference"
 EMBEDDER_EXTERNAL = "external-file"
 
 
-@dataclass(frozen=True)
-class EmbedderSpec:
+class _Settings(_Frozen):
+    """A frozen set of named settings, ``EmbedderSpec`` or ``MetricConfig``.
+
+    ``FIELDS`` is each setting's (name, default), in order: keyword ``name``
+    sets it, a missing one takes its default. Settings of one class are equal,
+    and hash equal, when every field is; ``to_dict`` gives the fields by name,
+    nested settings as dicts of their own."""
+
+    __slots__ = ()
+    FIELDS: tuple[tuple[str, object], ...] = ()
+
+    def __init__(self, **values: object) -> None:
+        for name, default in self.FIELDS:
+            object.__setattr__(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument '{next(iter(values))}'")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name, _ in self.FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name, _ in self.FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def to_dict(self) -> dict:
+        return {name: value.to_dict() if isinstance(value := getattr(self, name), _Settings) else value
+                for name, _ in self.FIELDS}
+
+
+class EmbedderSpec(_Settings):
     """Which embedder to use: the built-in grid-statistics one or an external store."""
 
-    kind: str = EMBEDDER_REFERENCE
-    grid: int = 8
-    source: str | None = None
+    FIELDS = (("kind", EMBEDDER_REFERENCE), ("grid", 8), ("source", None))
+    __slots__ = tuple(name for name, _ in FIELDS)
+    kind: str
+    grid: int
+    source: str | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, **values: object) -> None:
+        super().__init__(**values)
         if self.kind not in (EMBEDDER_REFERENCE, EMBEDDER_EXTERNAL):
             raise ValueError(f"unknown embedder kind '{self.kind}'")
         if self.kind == EMBEDDER_REFERENCE and self.grid < 1:
@@ -185,26 +222,21 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm if norm > 0.0 else v
 
 
-_stats_memo: weakref.WeakKeyDictionary[Frame, dict[int, tuple[np.ndarray, np.ndarray]]] = (
-    weakref.WeakKeyDictionary())
-
-
-def _frame_stats(f: Frame, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (means, stds) rows of a frame's g x g cells, memoized per
-    ``Frame`` and grid. A ``Frame`` is frozen over data that nothing can
-    write, so its rows cannot go stale."""
-    by_grid = _stats_memo.setdefault(f, {})
-    if grid not in by_grid:
+def _frame_stats(f: Frame, grid: int) -> np.ndarray:
+    """The read-only row of a frame's g x g cell statistics, the cell means
+    then the standard deviations, kept by the ``Frame`` per grid. A ``Frame``
+    is frozen over data that nothing can write, so its rows cannot go stale."""
+    row = f._cells.get(grid)
+    if row is None:
         rows, cols, counts = _bands(f.height, f.width, grid)
         gray = _gray(f)  # a buffer of this call's own, turned into the squared deviations
         means = rows @ gray @ cols.T / counts
         gray -= (means @ cols).repeat(_heights(f.height, grid), axis=0)  # exact: one nonzero product
         gray *= gray
-        stds = np.sqrt(rows @ gray @ cols.T / counts)
-        means, stds = means.ravel(), stds.ravel()
-        means.flags.writeable = stds.flags.writeable = False
-        by_grid[grid] = means, stds
-    return by_grid[grid]
+        row = np.concatenate((means.ravel(), np.sqrt(rows @ gray @ cols.T / counts).ravel()))
+        row.flags.writeable = False
+        f._cells[grid] = row
+    return row
 
 
 def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
@@ -225,16 +257,12 @@ def embed_frames(frames: Sequence[Frame], spec: EmbedderSpec) -> np.ndarray:
 
     h, w = frames[0].height, frames[0].width
     grid = min(spec.grid, h, w)
-    mean_acc = np.zeros(grid * grid)
-    std_acc = np.zeros(grid * grid)
+    acc = np.zeros(2 * grid * grid)
     for f in frames:
         if (f.height, f.width) != (h, w):
             raise ValueError("all frames in one embedding call must share dims")
-        means, stds = _frame_stats(f, grid)
-        mean_acc += means
-        std_acc += stds
-    vector = np.concatenate([mean_acc, std_acc]) / len(frames)
-    return l2_normalize(vector)
+        acc += _frame_stats(f, grid)
+    return l2_normalize(acc / len(frames))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

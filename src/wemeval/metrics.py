@@ -11,15 +11,14 @@ margin, phase-hop state consistency). Every metric is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .features import EmbedderSpec, cosine_similarity, embed_frames, perceptual_distance
+from .features import EmbedderSpec, _Settings, cosine_similarity, embed_frames, perceptual_distance
 from .flow import flow_stats, motion_profile
-from .rollout import Chunk, Frame, Trajectory, _frozen, _trusted, phase_boundaries, validate_trajectory
+from .rollout import Chunk, Frame, Trajectory, _Frozen, _frozen, _trusted, phase_boundaries, validate_trajectory
 
 
 # The most steps a motion profile is resampled to: a profile of 4096 steps of
@@ -27,8 +26,7 @@ from .rollout import Chunk, Frame, Trajectory, _frozen, _trusted, phase_boundari
 MAX_RESAMPLE_STEPS = 4096
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(_Settings):
     """Shipped defaults for every metric knob.
 
     ``lpsa_window`` and ``fphs_window`` are the per-side frame windows (both
@@ -38,16 +36,20 @@ class MetricConfig:
     no published value; 0.5 is this toolkit's default.
     """
 
-    lpsa_window: int = 4
-    fphs_window: int = 4
-    tau_cpdm: float = 0.05
-    tau_pmpa: float = 0.5
-    resample_steps: int = 16
-    top_fraction: float = 0.2
-    eps: float = 1e-6
-    embedder: EmbedderSpec = field(default_factory=EmbedderSpec)
+    FIELDS = (("lpsa_window", 4), ("fphs_window", 4), ("tau_cpdm", 0.05), ("tau_pmpa", 0.5),
+              ("resample_steps", 16), ("top_fraction", 0.2), ("eps", 1e-6), ("embedder", EmbedderSpec()))
+    __slots__ = tuple(name for name, _ in FIELDS)
+    lpsa_window: int
+    fphs_window: int
+    tau_cpdm: float
+    tau_pmpa: float
+    resample_steps: int
+    top_fraction: float
+    eps: float
+    embedder: EmbedderSpec
 
-    def __post_init__(self) -> None:
+    def __init__(self, **values: object) -> None:
+        super().__init__(**values)
         for name in ("lpsa_window", "fphs_window", "resample_steps"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -59,17 +61,14 @@ class MetricConfig:
         if not 0 < self.top_fraction <= 1:
             raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
 class MetricResult:
     """Score of one metric plus its per-chunk / per-boundary breakdown."""
 
-    score: float | None
-    breakdown: list[float]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("score", "breakdown", "notes")
+
+    def __init__(self, score: float | None, breakdown: list[float], notes: list[str] | None = None) -> None:
+        self.score, self.breakdown, self.notes = score, breakdown, [] if notes is None else notes
 
 
 def _absent(*notes: str) -> MetricResult:
@@ -77,16 +76,16 @@ def _absent(*notes: str) -> MetricResult:
     return MetricResult(score=None, breakdown=[], notes=list(notes))
 
 
-@dataclass
 class MetricReport:
     """All metric scores for one trajectory pair; absent scores carry a note."""
 
-    trajectory: str
-    scores: dict[str, float | None]
-    breakdowns: dict[str, list[float]]
-    notes: list[str]
+    __slots__ = ("trajectory", "scores", "breakdowns", "notes")
 
-    def to_dict(self) -> dict:  # not dataclasses.asdict, whose deep copy takes ~100x as long
+    def __init__(self, trajectory: str, scores: dict[str, float | None], breakdowns: dict[str, list[float]],
+                 notes: list[str]) -> None:
+        self.trajectory, self.scores, self.breakdowns, self.notes = trajectory, scores, breakdowns, notes
+
+    def to_dict(self) -> dict:
         return {"trajectory": self.trajectory, "scores": dict(self.scores),
                 "breakdowns": dict(self.breakdowns), "notes": list(self.notes)}
 
@@ -126,8 +125,8 @@ def _change_region_bbox(acc: np.ndarray, top_fraction: float) -> tuple[int, int,
 
 def _crop(frames: list[Frame], bbox: tuple[int, int, int, int]) -> list[Frame]:
     """The frames cut to ``bbox``: the frames themselves when it spans them,
-    so the embedder's memo serves the rows their chunks computed; otherwise
-    strided views of their read-only data."""
+    so they serve the cell statistics their chunks computed; otherwise new
+    frames over strided views of their read-only data, with rows of their own."""
     if bbox == (0, frames[0].height, 0, frames[0].width):
         return frames
     r0, r1, c0, c1 = bbox
@@ -201,8 +200,7 @@ class TrajectoryFeatures:
         return [embed_frames(c.frames[-self.cfg.lpsa_window:], self.cfg.embedder) for c in self.traj.chunks]
 
 
-@dataclass(frozen=True, eq=False)
-class ScoringPair:
+class ScoringPair(_Frozen):
     """What the metrics read of valid (gen, gt) trajectories with equal chunk count K and frame dims.
 
     ``sims[i, j]``, held as a read-only copy, is the cosine similarity of whole gen chunk i and
@@ -210,14 +208,20 @@ class ScoringPair:
     ``rcbd`` reaches, and ``windows`` the (gen, gt) ``fphs`` window embeddings of each gt span.
     """
 
+    __slots__ = ("gen", "gt", "sims", "gaps", "windows")
     gen: TrajectoryFeatures
     gt: TrajectoryFeatures
     sims: np.ndarray
-    gaps: Sequence = ()
-    windows: Sequence = ()
+    gaps: Sequence
+    windows: Sequence
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sims", _frozen(self.sims, np.float64))
+    def __init__(self, gen: TrajectoryFeatures, gt: TrajectoryFeatures, sims: object, gaps: Sequence = (),
+                 windows: Sequence = ()) -> None:
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "gt", gt)
+        object.__setattr__(self, "sims", _frozen(sims, np.float64))
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "windows", windows)
 
     @classmethod
     def of(cls, gen: Trajectory, gt: Trajectory | TrajectoryFeatures, cfg: MetricConfig) -> "ScoringPair":

@@ -21,8 +21,8 @@ step, so a manipulation chunk reuses the layer of the frame before it. At
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -383,6 +383,11 @@ def generate_trajectory(cfg: SimConfig) -> tuple[Trajectory, GroundTruth]:
 _PERTURB_KINDS = ("frame-noise", "chunk-shuffle", "phase-swap", "boundary-smooth")
 
 
+def _with_frames(chunk: Chunk, frames: Sequence[Frame]) -> Chunk:
+    """``chunk`` with ``frames`` in place of its own."""
+    return Chunk(frames, chunk.instruction, chunk.phase, chunk.flows, chunk.masks)
+
+
 def perturb_rollout(
     traj: Trajectory, gt: GroundTruth, kind: str, magnitude: float, seed: int
 ) -> Trajectory:
@@ -414,7 +419,7 @@ def perturb_rollout(
             data += rng.normal(0.0, magnitude, data.shape)
             return Frame(data=np.clip(data, 0.0, 1.0, out=data))
 
-        chunks = [replace(c, frames=[noisy(f) for f in c.frames]) for c in traj.chunks]
+        chunks = [_with_frames(c, [noisy(f) for f in c.frames]) for c in traj.chunks]
         return Trajectory(id=new_id, chunks=tuple(chunks))
 
     if kind == "chunk-shuffle":
@@ -431,7 +436,7 @@ def perturb_rollout(
         chunk = traj.chunks[idx]
         flipped = PhaseLabel.MANIP if chunk.phase is PhaseLabel.NAV else PhaseLabel.NAV
         chunks = list(traj.chunks)
-        chunks[idx] = replace(chunk, phase=flipped)
+        chunks[idx] = Chunk(chunk.frames, chunk.instruction, flipped, chunk.flows, chunk.masks)
         return Trajectory(id=new_id, chunks=tuple(chunks))
 
     # boundary-smooth
@@ -445,8 +450,8 @@ def perturb_rollout(
     new_last = Frame(data=(1 - blend) * f_last + blend * f_first)
     new_first = Frame(data=blend * f_last + (1 - blend) * f_first)
     chunks = list(traj.chunks)
-    chunks[boundary - 1] = replace(left, frames=left.frames[:-1] + (new_last,))
-    chunks[boundary] = replace(right, frames=(new_first,) + right.frames[1:])
+    chunks[boundary - 1] = _with_frames(left, left.frames[:-1] + (new_last,))
+    chunks[boundary] = _with_frames(right, (new_first,) + right.frames[1:])
     return Trajectory(id=new_id, chunks=tuple(chunks))
 
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,12 +23,27 @@ def _frozen(x: object, dtype: np.typing.DTypeLike = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class _Payload:
+class _Frozen:
+    """Base of the package's frozen values: ``__init__`` sets each slot once,
+    through ``object.__setattr__``, and any later assignment or deletion raises
+    ``AttributeError``. Equality and hashing are by identity unless a class
+    defines its own."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class _Payload(_Frozen):
     """A frozen value that holds one read-only array, ``data``, of shape
     (height, width, ...): a ``Frame``, ``WorldEgoMask`` or ``FlowField``.
     Each public constructor copies the caller's values into ``data``."""
 
+    __slots__ = ("data",)
     data: np.ndarray
 
     @property
@@ -51,10 +65,11 @@ def _trusted(cls: type[_Payload], array: np.ndarray) -> _Payload:
     """
     obj = object.__new__(cls)
     object.__setattr__(obj, "data", array)
+    if cls is Frame:
+        object.__setattr__(obj, "_cells", {})
     return obj
 
 
-@dataclass(frozen=True, eq=False)
 class Frame(_Payload):
     """Single image with intensities normalized to [0, 1].
 
@@ -63,10 +78,17 @@ class Frame(_Payload):
     the caller's array into a read-only one. Value-range
     and finiteness violations are reported by ``validate_trajectory`` rather
     than rejected here, so malformed inputs stay inspectable.
+
+    A frame also keeps the embedder's cell statistics of its data, one read-only
+    row per grid, made when it is first embedded (``features._frame_stats``):
+    the data cannot change, so neither can the rows.
     """
 
-    def __post_init__(self) -> None:
-        arr = _frozen(self.data, np.float32)
+    __slots__ = ("_cells",)
+    _cells: dict[int, np.ndarray]
+
+    def __init__(self, data: np.ndarray) -> None:
+        arr = _frozen(data, np.float32)
         if arr.ndim == 2:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
@@ -74,13 +96,13 @@ class Frame(_Payload):
                 f"frame data must be (h, w) or (h, w, c) with c in (1, 3), got shape {arr.shape}"
             )
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "_cells", {})
 
     @property
     def channels(self) -> int:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True, eq=False)
 class WorldEgoMask(_Payload):
     """Per-pixel binary assignment: 1 = ego (robot / manipulated object), 0 = world.
 
@@ -88,8 +110,10 @@ class WorldEgoMask(_Payload):
     and flagged by ``validate_trajectory``.
     """
 
-    def __post_init__(self) -> None:
-        arr = _frozen(self.data)
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray) -> None:
+        arr = _frozen(data)
         if arr.ndim != 2:
             raise ValueError(f"mask data must be 2-dimensional, got shape {arr.shape}")
         object.__setattr__(self, "data", arr)
@@ -98,7 +122,6 @@ class WorldEgoMask(_Payload):
         return bool(((self.data == 0) | (self.data == 1)).all())
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class FlowField(_Payload):
     """Dense per-pixel 2-vector motion between two consecutive frames.
 
@@ -108,6 +131,8 @@ class FlowField(_Payload):
     sidecar; ``u`` and ``v`` are strided views of it.
     ``FlowField(u=..., v=...)`` stacks the two components into a new block.
     """
+
+    __slots__ = ()
 
     def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
         u = np.asarray(u, dtype=np.float32)
@@ -136,44 +161,50 @@ class FlowField(_Payload):
         return np.add(squares[:, :, 0], squares[:, :, 1])
 
 
-@dataclass(frozen=True, eq=False)
-class Chunk:
+class Chunk(_Frozen):
     """One generated video segment for one instruction turn.
 
     ``flows`` (length T-1) and ``masks`` (length T), when present, must match
     the frame dimensions; mismatches are reported by ``validate_trajectory``.
     """
 
+    __slots__ = ("frames", "instruction", "phase", "flows", "masks")
     frames: tuple[Frame, ...]
     instruction: str
     phase: PhaseLabel
-    flows: tuple[FlowField, ...] | None = None
-    masks: tuple[WorldEgoMask, ...] | None = None
+    flows: tuple[FlowField, ...] | None
+    masks: tuple[WorldEgoMask, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if self.flows is not None:
-            object.__setattr__(self, "flows", tuple(self.flows))
-        if self.masks is not None:
-            object.__setattr__(self, "masks", tuple(self.masks))
+    def __init__(self, frames: Sequence[Frame], instruction: str, phase: PhaseLabel,
+                 flows: Sequence[FlowField] | None = None, masks: Sequence[WorldEgoMask] | None = None) -> None:
+        object.__setattr__(self, "frames", tuple(frames))
+        object.__setattr__(self, "instruction", instruction)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "flows", None if flows is None else tuple(flows))
+        object.__setattr__(self, "masks", None if masks is None else tuple(masks))
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Ordered multi-turn rollout of chunks, safe for concurrent read."""
+class Trajectory(_Frozen):
+    """Ordered multi-turn rollout of chunks, safe for concurrent read: two
+    threads that embed a frame for the first time may both compute its cell
+    statistics, and the rows have the same bits."""
 
+    __slots__ = ("id", "chunks")
     id: str
     chunks: tuple[Chunk, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chunks", tuple(self.chunks))
+    def __init__(self, id: str, chunks: Sequence[Chunk]) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "chunks", tuple(chunks))
 
 
-@dataclass
 class ValidationReport:
     """Accumulated invariant violations; empty iff the trajectory is well-formed."""
 
-    issues: list[str]
+    __slots__ = ("issues",)
+
+    def __init__(self, issues: list[str]) -> None:
+        self.issues = issues
 
     def is_valid(self) -> bool:
         return not self.issues

@@ -506,13 +506,16 @@ class TestEval:
         ({"lpsa_window": True}, "'lpsa_window'"),
         ({"tau_cpdm": True}, "'tau_cpdm'"),
         ({"embedder": {"source": True}}, "'embedder.source'"),
+        ({"embedder": {"source": ["a", 1]}}, "config key 'embedder.source' cannot hold ['a', 1]"),
+        ({"embedder": {"source": {"path": "a"}}}, "config key 'embedder.source' cannot hold {'path': 'a'}"),
         (DEEP_JSON, "JSON nested too deeply to decode"),
         ({"resample_steps": 100000000}, "resample_steps must be <= 4096"),
         ([1, 2], "config file must be a JSON object"),
         ({"embedder": {"grid": 0}}, "reference embedder grid must be >= 1"),
     ], ids=["tau_cmpd", "workers", "embedder.gird", "embedder-not-object", "fractional-int",
             "infinite-int", "fractional-grid", "infinite-float", "bool-int", "bool-float",
-            "bool-source", "deep-file", "huge-resample-steps", "array-file", "zero-grid"])
+            "bool-source", "list-source", "object-source", "deep-file", "huge-resample-steps", "array-file",
+            "zero-grid"])
     def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(_json_text(doc))
@@ -1496,8 +1499,8 @@ class TestOut:
         assert not thread.is_alive() and codes == [0] and len(_read_records(out)) == 3
 
     def test_sigterm_in_a_weakref_callback_is_not_swallowed(self, tmp_path):
-        # An exception raised in a weakref callback is only printed, as when a SIGTERM
-        # lands in features._stats_memo's WeakKeyDictionary callback during eval.
+        # An exception raised in a weakref callback or a __del__ is only printed, so a
+        # SIGTERM that lands in one must be recorded and raised by the next write.
         out = tmp_path / "report.jsonl"
         out.write_text("previous report\n")
         held = np.ones(1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -173,19 +174,35 @@ class TestFrameStatsMemo:
         assert len(handed) > len(reduced)  # windows and boundary frames reused their rows
 
     def test_memo_empties_with_its_trajectories(self):
-        gc.collect()
-        before = len(features._stats_memo)
         gen, gt = _scored_pair(641)
         metrics.evaluate_all(gen, gt)
-        assert len(features._stats_memo) > before
+        kept = [weakref.ref(row) for traj in (gen, gt) for c in traj.chunks for f in c.frames
+                for row in f._cells.values()]
+        assert len(kept) == sum(len(c.frames) for traj in (gen, gt) for c in traj.chunks)
         del gen, gt
         gc.collect()
-        assert len(features._stats_memo) == before
+        assert not [ref for ref in kept if ref() is not None]
+
+    def test_a_crop_computes_its_own_row_and_a_second_embed_reads_the_stored_one(self, monkeypatch):
+        frames = [_textured(seed, h=20, w=24) for seed in range(3)]
+        first = embed_frames(frames, EmbedderSpec())
+        stored = [f._cells[8] for f in frames]
+        reduced = []
+        gray = features._gray
+        monkeypatch.setattr(features, "_gray", lambda f: reduced.append(f) or gray(f))
+        assert np.array_equal(embed_frames(frames, EmbedderSpec()), first) and reduced == []
+        assert metrics._crop(frames, (0, 20, 0, 24)) is frames  # a whole-frame box keeps the frames
+        crops = metrics._crop(frames, (2, 17, 3, 21))
+        cropped = embed_frames(crops, EmbedderSpec())
+        assert [id(f) for f in reduced] == [id(c) for c in crops]
+        assert np.array_equal(cropped, _embed_per_call(crops, 8))
+        assert all(f._cells[8] is row and list(f._cells) == [8] for f, row in zip(frames, stored))
+        assert np.array_equal(embed_frames(crops, EmbedderSpec()), cropped) and len(reduced) == len(crops)
 
     def test_cached_partition_and_rows_are_read_only(self):
         rows, cols, counts = features._bands(20, 24, 8)
-        means, stds = features._frame_stats(_textured(3, h=20, w=24), 8)
-        for arr in (rows, cols, counts, means, stds):
+        row = features._frame_stats(_textured(3, h=20, w=24), 8)
+        for arr in (rows, cols, counts, row):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -236,10 +253,10 @@ class TestFrameStatsKernel:
     @pytest.mark.parametrize("name", list(_kernel_frames()))
     @pytest.mark.parametrize("grid", [8, 5])
     def test_rows_match_old_formula_bitwise_and_pixel_loop(self, name, grid):
-        frame = _kernel_frames()[name]  # a new Frame, so the memo cannot serve it
+        frame = _kernel_frames()[name]  # a new Frame, with no rows yet
         before = frame.data.copy()
         g = min(grid, frame.height, frame.width)
-        means, stds = features._frame_stats(frame, g)
+        means, stds = np.split(features._frame_stats(frame, g), 2)
         old_means, old_stds = _stats_by_old_formula(frame, g)
         assert np.array_equal(means, old_means) and np.array_equal(stds, old_stds)
         loop_means, loop_stds = _stats_by_pixel_loop(frame, g)

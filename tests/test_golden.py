@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from wemeval import features
 from wemeval.cli import main
 from wemeval.manifest import load_manifest, save_manifest
-from wemeval.metrics import evaluate_all
+from wemeval.metrics import MetricConfig, evaluate_all
 from wemeval.microsim import generate_trajectory, mixed_fixture_config, perturb_rollout
 
 GOLDEN = Path(__file__).parent / "data" / "golden_eval.jsonl"
@@ -71,14 +70,21 @@ def test_report_matches_golden(tmp_path):
         _assert_close(g, w, f"line {i + 1}")
 
 
+def test_default_config_line_matches_golden_bytes(tmp_path):
+    # _assert_close compares numbers by value, so it would pass 4.0 for 4.
+    want = GOLDEN.read_text().splitlines()[0]
+    assert json.dumps({"config": MetricConfig().to_dict()}, sort_keys=True, separators=(",", ":")) == want
+    assert _write_report(tmp_path).read_text().splitlines()[0] == want
+
+
 def test_warm_memo_scores_like_a_cold_one(tmp_path):
-    # The second pass over the same loaded trajectories reuses every frame's
-    # memoized cell statistics; its records must equal the first pass's.
+    # The second pass over the same loaded trajectories reuses the cell
+    # statistics that every frame keeps; its records must equal the first pass's.
     pairs = [(load_manifest(tmp_path / e["gen"]), load_manifest(tmp_path / e["gt"]))
              for e in _write_pairs(tmp_path)]
     cold = [evaluate_all(gen, gt).to_dict() for gen, gt in pairs]
     frames = [f for pair in pairs for traj in pair for c in traj.chunks for f in c.frames]
-    assert all(f in features._stats_memo for f in frames)
+    assert all(list(f._cells) == [8] for f in frames)
     warm = [evaluate_all(gen, gt).to_dict() for gen, gt in pairs]
     assert warm == cold
     want = [json.loads(line) for line in GOLDEN.read_text().splitlines()][1:-1]

@@ -2,7 +2,8 @@
 
 A child process that finds no bytecode compiles every module it imports, so
 the camera model (``camera``) and the bodies of the commands other than
-``eval`` (``commands``) stay off eval's import path, and ``import wemeval``
+``eval`` (``commands``) stay off eval's import path, as do ``dataclasses`` and
+``copy``, which only the simulator and the mechanisms use, and ``import wemeval``
 serves the camera model's public names on first use. Those commands run as
 ``python -m wemeval.cli``, where ``cli`` is ``__main__``, must still report a
 bad input in one line and exit 2: a second copy of ``cli`` would raise an
@@ -57,10 +58,12 @@ def test_eval_loads_neither_the_camera_model_nor_the_other_commands(tmp_path):
         moved = set(json.loads(sys.argv[3]))
         loaded = {name: sorted(moved & set(vars(module))) for name, module in sys.modules.items()
                   if name.split(".")[0] == "wemeval"}
-        print(json.dumps([code, loaded]))
+        print(json.dumps([code, loaded, sorted({"dataclasses", "copy"} & set(sys.modules))]))
     """
-    code, loaded = _child(script, str(tmp_path / "pairs.json"), str(tmp_path / "r.jsonl"), json.dumps(sorted(MOVED)))
+    code, loaded, stdlib = _child(script, str(tmp_path / "pairs.json"), str(tmp_path / "r.jsonl"),
+                                  json.dumps(sorted(MOVED)))
     assert code == 0
+    assert stdlib == []  # the value types are plain slotted classes
     assert "wemeval.cli" in loaded
     assert not OFF_EVAL_PATH & set(loaded)
     assert {name: names for name, names in loaded.items() if names} == {}

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 from wemeval import metrics
-from wemeval.features import embed_frames
+from wemeval.features import EmbedderSpec, embed_frames
 from wemeval.metrics import (
     MetricConfig,
     ScoringPair,
@@ -347,7 +346,7 @@ class TestFphsSkipNotes:
     @staticmethod
     def _mixed_gt_without_flows(chunks_without):
         gt, _ = generate_trajectory(dict(default_catalog(size=32, t=4))["mixed-00"])
-        chunks = tuple(dataclasses.replace(c, flows=None) if i in chunks_without else c
+        chunks = tuple(Chunk(c.frames, c.instruction, c.phase, None, c.masks) if i in chunks_without else c
                        for i, c in enumerate(gt.chunks))
         return gt, Trajectory(id=gt.id, chunks=chunks)
 
@@ -400,6 +399,27 @@ class TestIdentityScores:
         assert breakdowns["lpsa"] == pytest.approx([1.0, 0.0], abs=1e-12)
         assert breakdowns["cisr"] == pytest.approx([1.0, 0.5])
         assert breakdowns["cpdm"][1] == pytest.approx(0.5)
+
+
+class TestMetricConfig:
+    def test_equal_configs_compare_and_hash_equal(self):
+        a = MetricConfig(tau_cpdm=0.1, embedder=EmbedderSpec(grid=4))
+        b = MetricConfig(tau_cpdm=0.1, embedder=EmbedderSpec(grid=4))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert MetricConfig() == MetricConfig() and hash(MetricConfig()) == hash(MetricConfig())
+        others = [MetricConfig(tau_cpdm=0.2, embedder=EmbedderSpec(grid=4)), MetricConfig(tau_cpdm=0.1),
+                  MetricConfig(tau_cpdm=0.1, embedder=EmbedderSpec(grid=5))]
+        assert all(a != other and not a == other for other in others)
+        assert len({a, b, *others}) == 4
+        assert a != a.embedder and EmbedderSpec(grid=4) == a.embedder
+
+    def test_repr_names_every_field_and_unknown_keywords_are_refused(self):
+        assert repr(EmbedderSpec()) == "EmbedderSpec(kind='reference', grid=8, source=None)"
+        assert repr(MetricConfig(eps=1e-3)) == (
+            "MetricConfig(lpsa_window=4, fphs_window=4, tau_cpdm=0.05, tau_pmpa=0.5, resample_steps=16, "
+            "top_fraction=0.2, eps=0.001, embedder=EmbedderSpec(kind='reference', grid=8, source=None))")
+        with pytest.raises(TypeError, match="'tau'"):
+            MetricConfig(tau=0.1)
 
 
 class TestEvaluateAll:

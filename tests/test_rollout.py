@@ -12,7 +12,7 @@ from wemeval import formats
 from wemeval.features import EmbedderSpec, embed_frames
 from wemeval.flow import motion_profile
 from wemeval.mechanisms import GateParams, RoutePlan, SequenceLayout, StateVector, build_rca_mask
-from wemeval.metrics import ScoringPair
+from wemeval.metrics import MetricConfig, ScoringPair
 from wemeval.rollout import (
     Chunk,
     FlowField,
@@ -47,6 +47,32 @@ class TestFrame:
         f = _frame()
         with pytest.raises(ValueError):
             f.data[0, 0, 0] = 1.0
+
+
+# A value of each frozen class, and one of its fields.
+_FROZEN = {
+    "frame": (_frame, "data"),
+    "mask": (lambda: WorldEgoMask(data=np.zeros((4, 4), dtype=np.uint8)), "data"),
+    "flow": (lambda: FlowField(u=np.zeros((4, 4)), v=np.zeros((4, 4))), "data"),
+    "chunk": (_chunk, "frames"),
+    "trajectory": (lambda: Trajectory(id="t", chunks=(_chunk(),)), "chunks"),
+    "embedder-spec": (lambda: EmbedderSpec(grid=4), "grid"),
+    "metric-config": (MetricConfig, "embedder"),
+    "scoring-pair": (lambda: ScoringPair(None, None, np.ones((2, 2))), "sims"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FROZEN))
+def test_frozen_values_refuse_assignment_and_deletion(kind):
+    build, field = _FROZEN[kind]
+    value = build()
+    held = getattr(value, field)
+    for name in (field, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert getattr(value, field) is held
 
 
 _F32_MAX = float(np.finfo(np.float32).max)

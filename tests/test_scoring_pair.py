@@ -5,7 +5,6 @@ generated trajectories."""
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,7 +14,7 @@ from wemeval import features, metrics
 from wemeval.features import EMBEDDER_EXTERNAL, EmbedderSpec, EmbeddingStore, frame_content_key
 from wemeval.metrics import MetricConfig, ScoringPair, TrajectoryFeatures, evaluate_all
 from wemeval.microsim import default_catalog, generate_trajectory, mixed_fixture_config, perturb_rollout
-from wemeval.rollout import FlowField, Frame, Trajectory, phase_boundaries
+from wemeval.rollout import Chunk, FlowField, Frame, Trajectory, phase_boundaries
 
 
 def _mixed_pair(seed: int, t: int = 6):
@@ -74,7 +73,8 @@ class TestStoreLookups:
         gen, gt, cfg, _, looked_up = store_pair
         chunk = gt.chunks[2]
         nan = np.full(chunk.flows[0].u.shape, np.nan, dtype=np.float32)
-        broken = dataclasses.replace(chunk, flows=(FlowField(u=nan, v=nan),) + chunk.flows[1:])
+        broken = Chunk(chunk.frames, chunk.instruction, chunk.phase, (FlowField(u=nan, v=nan),) + chunk.flows[1:],
+                       chunk.masks)
         invalid = Trajectory(id="invalid", chunks=gt.chunks[:2] + (broken,) + gt.chunks[3:])
         shorter = Trajectory(id="shorter", chunks=gt.chunks[:-1])
         smaller = generate_trajectory(mixed_fixture_config(seed=34, size=24, t=6))[0]
