@@ -35,7 +35,7 @@ from typing import TextIO
 import numpy as np
 
 from . import formats
-from .features import EmbedderSpec
+from .features import StoreKeyError, _Settings
 from .manifest import load_manifest
 from .metrics import METRIC_NAMES, MetricConfig, evaluate_all
 
@@ -132,80 +132,32 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _exact(kind: type, value: object, what: str) -> object:
-    """``kind(value)``, or a ValueError saying that ``what`` cannot hold
-    ``value``: a failed cast, a bool for a non-bool ``kind`` and an inexact
-    cast of a number (3.7 to int) alike."""
-    try:
-        if isinstance(value, bool) and kind is not bool:
-            raise ValueError  # int(True) == 1 would pass the exactness check
-        typed = kind(value)
-        if isinstance(value, (int, float)) and typed != value:
-            raise ValueError
-        return typed
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} cannot hold {value!r}") from None
-
-
-def _typed_fields(cls: type[EmbedderSpec | MetricConfig], doc: dict, prefix: str = "") -> dict:
-    """Config keys for settings class ``cls``, from the file or as flag strings,
-    cast to the type of their default; a key whose default is None is null, a
-    string, or a number read as its string.
-
-    A non-object ``doc``, an unknown key, a bool for a non-bool key, a list or
-    object for a key whose default is None, or an inexact cast (3.7 to int) is
-    an error naming the key.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"config key '{prefix.rstrip('.')}' must be an object, got {doc!r}")
-    defaults = dict(cls.FIELDS)
-    typed = {}
-    for key, value in doc.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config key '{prefix}{key}'")
-        default, what = defaults[key], f"config key '{prefix}{key}'"
-        if default is not None:
-            typed[key] = _exact(type(default), value, what)
-        elif isinstance(value, (bool, list, dict)):
-            raise ValueError(f"{what} cannot hold {value!r}")
+def _config_flags(fields: tuple = MetricConfig.FIELDS, prefix: str = "") -> Iterator[tuple[str, str, object]]:
+    """(flag, config key, default) of each ``eval`` metric flag, one per
+    ``MetricConfig`` field in order, a settings field's own fields in its place
+    under ``<field>.``. Key ``x_y`` is ``--x-y``, ``s.x`` is ``--s-x``, and
+    ``s.kind`` is ``--s``."""
+    for name, default in fields:
+        if isinstance(default, _Settings):
+            yield from _config_flags(default.FIELDS, f"{prefix}{name}.")
         else:
-            typed[key] = None if value is None else str(value)
-    return typed
-
-
-def _config_flags() -> Iterator[tuple[str, str, object]]:
-    """(flag, config key, default) of each ``eval`` metric flag: the
-    ``MetricConfig`` fields, then the ``EmbedderSpec`` fields under
-    ``embedder.``. Key ``x_y`` is ``--x-y``, ``embedder.x`` is
-    ``--embedder-x``, and ``embedder.kind`` is ``--embedder``."""
-    keys = [(name, default) for name, default in MetricConfig.FIELDS if name != "embedder"]
-    keys += [(f"embedder.{name}", default) for name, default in EmbedderSpec.FIELDS]
-    for key, default in keys:
-        yield "--" + key.removesuffix(".kind").replace(".", "-").replace("_", "-"), key, default
-
-
-def _typed_config(doc: dict) -> tuple[dict, dict]:
-    """The ``MetricConfig`` keys of config object ``doc`` and the
-    ``EmbedderSpec`` keys of its ``embedder`` object, each by ``_typed_fields``."""
-    doc = dict(doc)
-    spec = _typed_fields(EmbedderSpec, doc.pop("embedder", {}), "embedder.")
-    return _typed_fields(MetricConfig, doc), spec
+            key = prefix + name
+            yield "--" + key.removesuffix(".kind").replace(".", "-").replace("_", "-"), key, default
 
 
 def _build_metric_config(args: argparse.Namespace, file_cfg: dict) -> MetricConfig:
-    """Precedence: flags > config file > built-in defaults, key by key. Flag
-    strings take the file's cast; ranges are the settings classes' to check."""
-    given = {key: getattr(args, key) for _, key, _ in _config_flags()
-             if getattr(args, key) is not None}
-    flag_cfg = {key: value for key, value in given.items() if "." not in key}
-    flag_cfg["embedder"] = {key.removeprefix("embedder."): value
-                            for key, value in given.items() if "." in key}
-    spec, updates = {}, {}
-    for doc in (file_cfg, flag_cfg):
-        typed, typed_spec = _typed_config(doc)
-        updates.update(typed)
-        spec.update(typed_spec)
-    return MetricConfig(**updates, embedder=EmbedderSpec(**spec))
+    """Precedence: flags > config file > built-in defaults, key by key: each flag
+    string given is laid over the file's cast keys, and the whole is cast again,
+    so flags take the file's rule. Ranges are the settings classes' to check."""
+    doc = MetricConfig.cast(file_cfg)
+    for _, key, _ in _config_flags():
+        if (value := getattr(args, key)) is not None:
+            *outer, last = key.split(".")
+            node = doc
+            for name in outer:
+                node = node.setdefault(name, {})
+            node[last] = value
+    return MetricConfig(**MetricConfig.cast(doc))
 
 
 def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
@@ -216,11 +168,8 @@ def _eval_pair(task: tuple[str, str, MetricConfig]) -> dict:
     try:
         return evaluate_all(load_manifest(gen_path, masks=False), load_manifest(gt_path, masks=False),
                             cfg).to_dict()
-    except (OSError, ValueError) as exc:  # ManifestError is a ValueError
-        message = str(exc)
-    except KeyError as exc:  # a missing store key; str() would quote the message
-        message = exc.args[0]
-    return {"error": {"gen": gen_path, "gt": gt_path, "message": message}}
+    except (OSError, ValueError, StoreKeyError) as exc:  # ManifestError is a ValueError
+        return {"error": {"gen": gen_path, "gt": gt_path, "message": str(exc)}}
 
 
 def _write_pairs(emit: Callable[[dict], None], records: Iterable[dict]) -> tuple[int, int]:
@@ -279,7 +228,7 @@ def _work(tasks: list[tuple[str, str, MetricConfig]], tickets: int, out: int) ->
 
 
 def _eval_here(task: tuple[str, str, MetricConfig], index: int, waiting: int) -> dict:
-    """``_eval_pair`` in a pool's caller: an unexpected exception ends ``eval`` as in a helper."""
+    """``_eval_pair`` in the calling process: an unexpected exception ends ``eval`` as in a helper."""
     try:
         return _eval_pair(task)
     except Exception:
@@ -300,7 +249,7 @@ def _scored(tasks: list[tuple[str, str, MetricConfig]], workers: int) -> Iterato
     if n > 1:
         n = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if n <= 1:
-        yield from map(_eval_pair, tasks)
+        yield from (_eval_here(task, index, index) for index, task in enumerate(tasks))
         return
     import selectors  # one-worker runs never need it
 

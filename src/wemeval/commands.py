@@ -18,9 +18,10 @@ import numpy as np
 
 from . import formats
 from .camera import estimate_homography, render_camera_flow, residual_object_flow
-from .cli import _CommandError, _exact, _report_writer, _typed_config, _write_pairs, _writing
+from .cli import _CommandError, _report_writer, _write_pairs, _writing
+from .features import _exact
 from .manifest import save_manifest
-from .metrics import METRIC_NAMES
+from .metrics import METRIC_NAMES, MetricConfig
 from .rollout import PhaseLabel
 
 if TYPE_CHECKING:
@@ -212,7 +213,7 @@ def _record_kind(record: object) -> str:
 
     A trajectory record has a string id and scores that pass ``_are_scores``;
     each other kind is one object under its own key. A config's keys pass
-    ``_typed_fields``; an error holds exactly the strings ``gen``, ``gt`` and
+    ``MetricConfig.cast``; an error holds exactly the strings ``gen``, ``gt`` and
     ``message`` and the pair's index ``pair``; an aggregate holds exactly
     ``scores``, which pass ``_are_scores``, the count ``pairs`` and the count
     ``failed`` of at most ``pairs``.
@@ -227,7 +228,7 @@ def _record_kind(record: object) -> str:
     else:
         valid = len(record) == 1 and isinstance(doc, dict)
     if valid and kind == "config":
-        _typed_config(doc)  # raises ValueError on a key that fails its cast
+        MetricConfig.cast(doc)  # raises ValueError on a key that fails its cast
     elif valid and kind == "error":
         valid = (doc.keys() == {"gen", "gt", "message", "pair"}
                  and all(isinstance(doc[key], str) for key in ("gen", "gt", "message"))

@@ -51,22 +51,64 @@ EMBEDDER_REFERENCE = "reference"
 EMBEDDER_EXTERNAL = "external-file"
 
 
+def _exact(kind: type, value: object, what: str) -> object:
+    """``kind(value)``, or a ValueError saying that ``what`` cannot hold
+    ``value``: a failed cast, a bool for a non-bool ``kind`` and an inexact
+    cast of a number (3.7 to int) alike."""
+    try:
+        if isinstance(value, bool) and kind is not bool:
+            raise ValueError  # int(True) == 1 would pass the exactness check
+        typed = kind(value)
+        if isinstance(value, (int, float)) and typed != value:
+            raise ValueError
+        return typed
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} cannot hold {value!r}") from None
+
+
 class _Settings(_Frozen):
     """A frozen set of named settings, ``EmbedderSpec`` or ``MetricConfig``.
 
-    ``FIELDS`` is each setting's (name, default), in order: keyword ``name``
-    sets it, a missing one takes its default. Settings of one class are equal,
-    and hash equal, when every field is; ``to_dict`` gives the fields by name,
-    nested settings as dicts of their own."""
+    ``FIELDS`` is each setting's (name, default), in order: keyword ``name`` sets
+    it (nested settings also from a dict), a missing one takes its default.
+    Settings of one class are equal, and hash equal, when every field is;
+    ``to_dict`` gives the fields by name, nested settings as dicts of their own."""
 
     __slots__ = ()
     FIELDS: tuple[tuple[str, object], ...] = ()
 
     def __init__(self, **values: object) -> None:
         for name, default in self.FIELDS:
-            object.__setattr__(self, name, values.pop(name, default))
+            value = values.pop(name, default)
+            if isinstance(default, _Settings) and isinstance(value, dict):
+                value = type(default)(**value)
+            object.__setattr__(self, name, value)
         if values:
             raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument '{next(iter(values))}'")
+
+    @classmethod
+    def cast(cls, doc: object, prefix: str = "") -> dict:
+        """The keywords of config object ``doc`` (file values or flag strings), each
+        cast by ``_exact`` to its default's type, an object by its settings class;
+        a key whose default is None is null, a string, or a number as its string.
+        A non-object, an unknown key, a list or object for a None-default key, or
+        a value its type cannot hold exactly is a ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config key '{prefix.rstrip('.')}' must be an object, got {doc!r}")
+        defaults, typed = dict(cls.FIELDS), {}
+        for key, value in doc.items():
+            if key not in defaults:
+                raise ValueError(f"unknown config key '{prefix}{key}'")
+            default, what = defaults[key], f"config key '{prefix}{key}'"
+            if isinstance(default, _Settings):
+                typed[key] = default.cast(value, f"{prefix}{key}.")
+            elif default is not None:
+                typed[key] = _exact(type(default), value, what)
+            elif isinstance(value, (bool, list, dict)):
+                raise ValueError(f"{what} cannot hold {value!r}")
+            else:
+                typed[key] = None if value is None else str(value)
+        return typed
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name, _ in self.FIELDS)
@@ -119,13 +161,19 @@ def frame_content_key(frames: Sequence[Frame]) -> str:
     return digest.hexdigest()
 
 
+class StoreKeyError(KeyError):
+    """A key that an embedding store lacks; its ``str()`` is the message, unquoted."""
+    __str__ = Exception.__str__
+
+
 class EmbeddingStore:
     """Read-only lookup of precomputed embeddings.
 
     The index is a UTF-8 JSON object mapping key -> {"dim": int >= 0,
     "file": path, "offset": int >= 0}; ``offset`` is a byte offset into the
     named blob of little-endian f32 values. Blobs are read once and cached.
-    A malformed index or entry is a ValueError naming the index (and key).
+    A malformed index or entry is a ValueError naming the index (and key), and
+    a missing key a ``StoreKeyError`` naming both.
     """
 
     def __init__(self, index_path: str | Path) -> None:
@@ -140,7 +188,7 @@ class EmbeddingStore:
 
     def lookup(self, key: str) -> np.ndarray:
         if key not in self._index:
-            raise KeyError(f"embedding key '{key}' not found in {self.index_path}")
+            raise StoreKeyError(f"embedding key '{key}' not found in {self.index_path}")
         entry = self._index[key]
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
                 and all(type(entry.get(n)) is int and entry[n] >= 0 for n in ("dim", "offset"))):

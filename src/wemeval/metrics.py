@@ -159,6 +159,7 @@ class TrajectoryFeatures:
         if not report.is_valid():
             raise ValueError(f"{name} trajectory invalid: " + "; ".join(report.issues))
         self.boxes = {k1: _change_region_bbox(acc, cfg.top_fraction) for k1, acc in self._acc.items()}
+        del self._acc  # 8 bytes a pixel per switch, which nothing reads after its box
 
     def _reduce(self, chunk: Chunk) -> list[bool]:
         """Reduce the next chunk; returns whether each of its flow fields is finite."""
@@ -204,8 +205,8 @@ class ScoringPair(_Frozen):
     """What the metrics read of valid (gen, gt) trajectories with equal chunk count K and frame dims.
 
     ``sims[i, j]``, held as a read-only copy, is the cosine similarity of whole gen chunk i and
-    whole gt chunk j. ``gaps`` holds the (gen, gt) (appearance, motion) gaps of each boundary that
-    ``rcbd`` reaches, and ``windows`` the (gen, gt) ``fphs`` window embeddings of each gt span.
+    whole gt chunk j. ``gaps`` holds the (gen, gt) (appearance, motion) gaps of each boundary if all
+    chunks of both sides have fields, and ``windows`` the (gen, gt) ``fphs`` windows of each gt span.
     """
 
     __slots__ = ("gen", "gt", "sims", "gaps", "windows")
@@ -238,14 +239,13 @@ class ScoringPair(_Frozen):
             raise ValueError(f"chunk counts differ: gen K={k}, gt K={len(truth.lengths)}")
         if gen.chunks[0].frames[0].data.shape[:2] != truth.traj.chunks[0].frames[0].data.shape[:2]:
             raise ValueError("gen and gt frame dims differ")
-        # rcbd stops at the first boundary beside a chunk that lacks fields on either side
-        reach = max(min((c for c in range(k) if not all(side.motion[c] for side in sides)), default=k) - 1, 0)
+        boundaries = k - 1 if all(motion for side in sides for motion in side.motion) else 0
 
         def read(side: TrajectoryFeatures) -> tuple:
             chunks, motion = side.traj.chunks, side.motion
             return (side.chunks,
                     [(perceptual_distance(chunks[b].frames[-1], chunks[b + 1].frames[0], spec),
-                      abs(motion[b][1] - motion[b + 1][0])) for b in range(reach)],
+                      abs(motion[b][1] - motion[b + 1][0])) for b in range(boundaries)],
                     side.ends,
                     [embed_frames(_crop(list(chunks[k1 - 1].frames[-left:] + chunks[k1].frames[:right]),
                                         truth.boxes[k1]), spec) for k1, (left, right) in truth.spans.items()])
@@ -265,11 +265,12 @@ def rcbd(pair: ScoringPair, cfg: MetricConfig) -> MetricResult:
     ``symmetric_match`` so over-smoothing is penalized like overshoot.
     Absent (with a note) for K < 2 or a boundary without flows on either side.
     """
-    k, reached = len(pair.sims), len(pair.gaps)
+    k = len(pair.sims)
     if k < 2:
         return _absent("rcbd: needs K >= 2")
-    if reached < k - 1:
-        return _absent(f"rcbd: missing flows at boundary {reached + 1}")
+    if not pair.gaps:  # the first boundary beside a chunk without fields on either side
+        bare = next(c for c in range(k) if not (pair.gen.motion[c] and pair.gt.motion[c]))
+        return _absent(f"rcbd: missing flows at boundary {max(bare, 1)}")
     per_boundary = [math.sqrt(symmetric_match(b_gen, b_gt, cfg.eps) * symmetric_match(m_gen, m_gt, cfg.eps))
                     for (b_gen, m_gen), (b_gt, m_gt) in pair.gaps]
     return MetricResult(score=float(np.mean(per_boundary)), breakdown=per_boundary)

@@ -384,9 +384,10 @@ class TestEval:
         assert outputs[0] == outputs[1] and len(pids) == 50
         assert len(set(pids)) == 3 and str(os.getpid()) in pids
 
-    @pytest.mark.parametrize("failing, slow", [(0, None), (3, 1)], ids=["before-the-fork", "beside-a-helper"])
+    @pytest.mark.parametrize("failing, slow, workers", [(0, None, 2), (3, 1, 2), (3, None, 1)],
+                             ids=["before-the-fork", "beside-a-helper", "one-process"])
     def test_caller_exception_ends_eval_as_a_helper_one(self, fixture_pair_dir, tmp_path, monkeypatch, capfd,
-                                                         failing, slow):
+                                                         failing, slow, workers):
         root, pairs_file = fixture_pair_dir
         pairs = _absolute_pairs(root, pairs_file, range(10))
         absolute = tmp_path / "pairs.json"
@@ -410,16 +411,34 @@ class TestEval:
         monkeypatch.setattr(os, "fork", recording_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "report.jsonl"
-        assert main(["eval", "--pairs", str(absolute), "--workers", "2", "--out", str(out)]) == 2
+        assert main(["eval", "--pairs", str(absolute), "--workers", str(workers), "--out", str(out)]) == 2
         err = capfd.readouterr().err.splitlines()
         assert err[0] == "Traceback (most recent call last):" and "RuntimeError: bug in a metric" in err
-        waiting = 0 if slow is None else slow
+        waiting = slow if slow is not None else failing if workers == 1 else 0
         assert err[-1] == f"eval: pair {failing} failed; pair {waiting} and later pairs were not scored"
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
-        assert len(helpers) == (0 if failing == 0 else 1)
+        assert len(helpers) == (0 if failing == 0 or workers == 1 else 1)
         for pid in helpers:  # reaped already
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_key_error_that_no_store_raised_is_a_bug_not_an_error_record(self, fixture_pair_dir, tmp_path,
+                                                                           monkeypatch, capfd, workers):
+        def broken(pair, cfg):
+            raise KeyError(3)
+
+        root, pairs_file = fixture_pair_dir
+        absolute = tmp_path / "pairs.json"
+        absolute.write_text(json.dumps(_absolute_pairs(root, pairs_file, [0, 1])))
+        monkeypatch.setitem(metrics._METRIC_FUNCS, "rcbd", broken)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "report.jsonl"
+        assert main(["eval", "--pairs", str(absolute), "--workers", str(workers), "--out", str(out)]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):" and "KeyError: 3" in err
+        assert err[-1] == "eval: pair 0 failed; pair 0 and later pairs were not scored"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("padding", [0, 100_000], ids=["records", "records-over-a-pipe-read"])
     def test_three_workers_over_many_pairs_write_the_one_worker_bytes(self, fixture_pair_dir, tmp_path,
@@ -553,6 +572,35 @@ class TestEval:
         out = tmp_path / "r.jsonl"
         assert main(["eval", "--gen", path, "--gt", path, "--out", str(out), *args]) == 0
         assert _read_records(out)[0]["config"]["embedder"]["source"] == source
+
+    @pytest.mark.parametrize("flag, key", [(flag, key) for flag, key, _ in cli._config_flags()])
+    def test_a_flag_string_and_a_file_value_give_one_config(self, tmp_path, flag, key):
+        store = tmp_path / "store.json"
+        features.EmbeddingStore.write(store, {})
+        value = {"lpsa_window": 3, "fphs_window": 2, "tau_cpdm": 0.1, "tau_pmpa": 0.25, "resample_steps": 8,
+                 "top_fraction": 0.5, "eps": 1e-05, "embedder.kind": "external-file", "embedder.grid": 4,
+                 "embedder.source": str(store)}[key]
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text("[]")
+
+        def config(doc: dict, *flags: str) -> dict:
+            if key == "embedder.kind":  # an external embedder needs an index
+                doc = {"embedder": {**doc.get("embedder", {}), "source": str(store)}}
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            out = tmp_path / "r.jsonl"
+            assert main(["eval", "--pairs", str(pairs_file), "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(out), *flags]) == 0
+            return _read_records(out)[0]["config"]
+
+        *outer, last = key.split(".")
+        in_file = {last: value}
+        for name in reversed(outer):
+            in_file = {name: in_file}
+        from_file, from_flag = config(in_file), config({}, flag, str(value))
+        held = from_file
+        for name in outer:
+            held = held[name]
+        assert from_file == from_flag and held[last] == value and type(held[last]) is type(value)
 
     def test_metric_flags_follow_the_config_fields(self):
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -5,6 +5,7 @@ generated trajectories."""
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,17 @@ def _side_keys(traj: Trajectory, switches: list[int], boxes: dict, cfg: MetricCo
     return [frame_content_key(frames) for frames in whole + boundary + ends + windows]
 
 
+def _recording_store(keys: list[str], tmp_path, monkeypatch) -> tuple[MetricConfig, list[str]]:
+    """A config whose external store serves ``keys``, and the list each lookup's key is appended to."""
+    rng = np.random.default_rng(0)
+    index = tmp_path / "store.json"
+    EmbeddingStore.write(index, {key: rng.random(16) for key in keys})
+    looked_up = []
+    lookup = EmbeddingStore.lookup
+    monkeypatch.setattr(EmbeddingStore, "lookup", lambda store, key: looked_up.append(key) or lookup(store, key))
+    return MetricConfig(embedder=EmbedderSpec(kind=EMBEDDER_EXTERNAL, source=str(index))), looked_up
+
+
 class TestStoreLookups:
     """The external-store key contract of one pair (README, scoring pipeline)."""
 
@@ -50,14 +62,7 @@ class TestStoreLookups:
         boxes = ScoringPair.of(gen, gt, MetricConfig()).gt.boxes
         expected = {name: _side_keys(traj, switches, boxes, MetricConfig())
                     for name, traj in (("gen", gen), ("gt", gt))}
-        rng = np.random.default_rng(0)
-        index = tmp_path / "store.json"
-        EmbeddingStore.write(index, {key: rng.random(16) for keys in expected.values() for key in keys})
-        cfg = MetricConfig(embedder=EmbedderSpec(kind=EMBEDDER_EXTERNAL, source=str(index)))
-        looked_up = []
-        lookup = EmbeddingStore.lookup
-        monkeypatch.setattr(EmbeddingStore, "lookup",
-                            lambda store, key: looked_up.append(key) or lookup(store, key))
+        cfg, looked_up = _recording_store(expected["gen"] + expected["gt"], tmp_path, monkeypatch)
         return gen, gt, cfg, expected, looked_up
 
     def test_gen_keys_then_gt_keys_each_in_pipeline_order(self, store_pair):
@@ -84,6 +89,20 @@ class TestStoreLookups:
             with pytest.raises(ValueError, match=match):
                 evaluate_all(*pair, cfg)
             assert looked_up == []
+
+    def test_a_pair_that_rcbd_leaves_absent_looks_up_no_boundary_frame(self, tmp_path, monkeypatch):
+        gen, gt = _mixed_pair(seed=34, t=4)
+        bare = Trajectory(id=gen.id, chunks=gen.chunks[:2] + tuple(
+            Chunk(c.frames, c.instruction, c.phase, None, c.masks) for c in gen.chunks[2:]))
+        switches = phase_boundaries(gt)
+        boxes = TrajectoryFeatures("gt", gt, MetricConfig(), switches).boxes
+        cfg, looked_up = _recording_store([key for traj in (bare, gt)
+                                           for key in _side_keys(traj, switches, boxes, MetricConfig())],
+                                          tmp_path, monkeypatch)
+        notes = evaluate_all(bare, gt, cfg).notes
+        single = {frame_content_key([f]) for traj in (bare, gt) for c in traj.chunks for f in c.frames}
+        assert looked_up and not single.intersection(looked_up)
+        assert "rcbd: missing flows at boundary 2" in notes and "pmpa: missing flows on chunk 2" in notes
 
 
 class TestWorkCounts:
@@ -124,6 +143,14 @@ class TestBuiltGroundTruth:
         for c in gt.chunks:
             assert calls[tuple(map(id, c.frames))] == 1
             assert calls[tuple(map(id, c.frames[-cfg.lpsa_window:]))] == 1
+
+    def test_a_built_gt_keeps_no_switch_accumulator(self, monkeypatch):
+        refs, bbox = [], metrics._change_region_bbox
+        monkeypatch.setattr(metrics, "_change_region_bbox",
+                            lambda acc, top: refs.append(weakref.ref(acc)) or bbox(acc, top))
+        gt, _ = generate_trajectory(mixed_fixture_config(seed=36, size=32, t=4))
+        built = TrajectoryFeatures("gt", gt, MetricConfig(), phase_boundaries(gt))
+        assert len(refs) == len(built.boxes) > 0 and all(ref() is None for ref in refs)
 
     def test_a_gt_built_with_another_config_is_refused(self):
         gen, gt = _mixed_pair(seed=37, t=4)
